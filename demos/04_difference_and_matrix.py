@@ -37,17 +37,17 @@ print("generator eps:", result)
 assert isinstance(result, Obstruction)
 print("witness re-check:", P.gen().residue() ** result.exponent == result.witness)
 
-# Deeper failures show up as a trace condition at some lift step k:
+# Deeper failures show up as a trace condition at stage k = v_p(N(eps) - 1):
 rng = random.Random(1)
 for _ in range(50):
     eps = random_element(P, rng, unit=True)
     result = solve_difference(eps)
     if isinstance(result, Obstruction) and result.kind == "trace":
-        print(f"trace obstruction at lift step {result.stage}: "
+        print(f"trace obstruction at stage {result.stage}: "
               f"Tr({result.witness}) = {result.trace}")
         break
 
-# A clean necessary condition: the phi-norm of eps must be 1.
+# The exact condition (Hilbert 90): the phi-norm of eps must be 1.
 v = random_element(P, rng, unit=True)
 eps = frobenius(v) * v.inv()  # norm-1 by construction
 print("norm-1 eps solvable:", not isinstance(solve_difference(eps), Obstruction),

@@ -201,11 +201,10 @@ def _dispatch(args, params, stdin):
     if cmd == "solve-mult":
         beta = _element_from_arg(_load_json_arg(args.beta, stdin), params)
         family = solve_exponential(beta)
-        cert = verify_exponential(family.base, family.problem, base=family.base)
         return {
             "base": _render_element(family.base, fmt),
             "constants": [ser.element_to_obj(z) for z in family.constants],
-            "certificate": ser.exponential_certificate_to_obj(cert),
+            "certificate": ser.exponential_certificate_to_obj(family.certificate),
         }, EXIT_OK
 
     if cmd == "solve-diff":
@@ -258,9 +257,9 @@ def _query_kwargs(args):
 def _relations(args, params, stdin):
     import random
 
+    # random units carry full precision N; given values may carry less
     bounds = {"d": args.deg, "H": args.height,
-              "M": args.precision if args.precision else params.N,
-              "mode": args.mode}
+              "M": args.precision or params.N, "mode": args.mode}
     if args.random_units is not None:
         if args.seed is None:
             raise DomainError("randomized subcommands require an explicit --seed")
@@ -284,11 +283,13 @@ def _relations(args, params, stdin):
         raise DomainError("relations needs --values or --random-units")
     values = tuple(
         _element_from_arg(o, params) for o in _load_json_arg(args.values, stdin))
+    bounds["M"] = args.precision or min((v.prec for v in values), default=params.N)
     if args.min_poly:
         if len(values) != 1:
             raise DomainError("--min-poly takes exactly one value")
         cert = minimal_polynomial(values[0], args.deg, args.height,
-                                  mode=args.mode, precision=args.precision)
+                                  mode=args.mode, precision=args.precision,
+                                  **_query_kwargs(args))
     else:
         cert = find_relation(RelationQuery(
             values=values, deg_bound=args.deg, height_bound=args.height,

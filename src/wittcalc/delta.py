@@ -198,25 +198,36 @@ def psi(u):
     return via_log
 
 
-def _psi_series_value(w, params):
-    # sum (-1)^(n-1) (p^(n-1)/n) w^n at the precision of w
-    p = params.p
-    target = w.prec
-    mod = p ** target
+def _psi_coefficients(p, target, mod):
+    """(n, c_n) for the terms of sum (-1)^(n-1) (p^(n-1)/n) x^n alive mod p^target.
+
+    v(c_n) = n - 1 - v_p(n) >= n - 1 - floor(log_p n); c_n is reduced mod ``mod``.
+    """
     n_max = 1
     while n_max - _ilog(p, n_max + 1) < target:
         n_max += 1
-    acc = pa.vec_zero(params.f)
-    wp = pa.vec_one(params.f)
+    out = []
     for n in range(1, n_max + 1):
-        wp = pa.vec_mul(wp, w.coeffs, params.poly, mod)
-        v = _vp(p, n)
         if n - 1 - _ilog(p, n) >= target:
             continue
-        unit = n // p ** v
-        c = p ** (n - 1 - v) * pow(unit, -1, mod) % mod
-        term = pa.vec_scale(wp, c, mod)
-        acc = pa.vec_add(acc, term, mod) if n % 2 else pa.vec_sub(acc, term, mod)
+        v = _vp(p, n)
+        c = p ** (n - 1 - v) * pow(n // p ** v, -1, mod) % mod
+        out.append((n, c if n % 2 else (-c) % mod))
+    return out
+
+
+def _psi_series_value(w, params):
+    # sum (-1)^(n-1) (p^(n-1)/n) w^n at the precision of w
+    target = w.prec
+    mod = params.p ** target
+    acc = pa.vec_zero(params.f)
+    wp = pa.vec_one(params.f)
+    done = 0
+    for n, c in _psi_coefficients(params.p, target, mod):
+        for _ in range(n - done):
+            wp = pa.vec_mul(wp, w.coeffs, params.poly, mod)
+        done = n
+        acc = pa.vec_add(acc, pa.vec_scale(wp, c, mod), mod)
     return ZqElement(params, acc, target)
 
 
@@ -310,19 +321,7 @@ def psi_series_truncation(params, target_prec):
     """
     _require_odd(params.p)
     p = params.p
-    mod = p ** params.N
-    n_max = 1
-    while n_max - _ilog(p, n_max + 1) < target_prec:
-        n_max += 1
-    terms = []
-    for n in range(1, n_max + 1):
-        if n - 1 - _ilog(p, n) >= target_prec:
-            continue
-        v = _vp(p, n)
-        unit = n // p ** v
-        c = p ** (n - 1 - v) * pow(unit, -1, mod) % mod
-        if n % 2 == 0:
-            c = (-c) % mod
-        coeff = params.from_coeffs((c,) + (0,) * (params.f - 1))
-        terms.append(((-p * n, n), coeff))
-    return RestrictedSeries(order=1, arity=1, terms=tuple(terms), denominator=True)
+    terms = tuple(
+        ((-p * n, n), params.from_coeffs((c,) + (0,) * (params.f - 1)))
+        for n, c in _psi_coefficients(p, target_prec, p ** params.N))
+    return RestrictedSeries(order=1, arity=1, terms=terms, denominator=True)

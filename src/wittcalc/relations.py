@@ -258,17 +258,19 @@ def _lattice_candidates(query, monos, w):
 
 
 def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
-                       precision=None):
+                       precision=None, monomial_budget=DEFAULT_MONOMIAL_BUDGET,
+                       height_budget=DEFAULT_HEIGHT_BUDGET):
     """Lowest-degree, then lowest-height univariate relation for u, or None.
 
     Runs the search with increasing degree so the first hit is minimal among
-    what the chosen mode can see.  For a Teichmuller unit the result divides
-    x^(q-1) - 1 over the integers.
+    what the chosen mode can see; every query is held to the budgets.  For a
+    Teichmuller unit the result divides x^(q-1) - 1 over the integers.
     """
     for d in range(1, deg_bound + 1):
         cert = find_relation(RelationQuery(
             values=(u,), deg_bound=d, height_bound=height_bound,
-            mode=mode, precision=precision))
+            mode=mode, precision=precision, monomial_budget=monomial_budget,
+            height_budget=height_budget))
         if cert is not None:
             return cert
     return None

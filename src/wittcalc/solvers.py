@@ -7,11 +7,13 @@ q-1 Teichmuller units: every solution is zeta * base with
 
     base = exp( sum_{n>=1} p^n phi^(-n)(beta) ),   delta(zeta) = 0.
 
-Difference family:  phi(u) = eps * u.  Over Z_q this is genuinely
-conditional: mod p it needs eps to be a (p-1)-st power residue, and every
-lift step reduces to an Artin-Schreier equation h^p - h = c over F_q, which
-is solvable iff the absolute trace of c vanishes.  Failures come back as
-``Obstruction`` values carrying a recheckable witness, not as exceptions.
+Difference family:  phi(u) = eps * u.  By Hilbert 90 for the cyclic group
+<phi>, a unit solution exists iff the norm N(eps) = eps phi(eps) ...
+phi^(f-1)(eps) is 1, and then it is a closed-form sum, unique up to Z_p^*.
+When N(eps) != 1 mod p^K, the valuation k of N(eps) - 1 is where it fails:
+k = 0 is a power-residue condition on eps mod p, k >= 1 a nonzero trace.
+Failures come back as ``Obstruction`` values carrying a recheckable witness,
+not as exceptions.
 
 Matrix family:  delta(u) = beta * u^(p), entry-wise p-th powers, i.e.
 phi(u) = (I + p*beta) * u^(p).  Mod p the equation is vacuous, so any
@@ -22,11 +24,8 @@ set is an exact GL_n(F_q)-torsor over seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt
 
-from .conway import prime_factors
-from .delta import eval_delta_function, fermat_quotient, padic_exp, padic_log, psi
+from .delta import fermat_quotient, padic_exp, padic_log, psi
 from .errors import (
     DomainError,
     NonUnit,
@@ -106,85 +105,20 @@ class ExponentialCertificate:
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """base plus the q-1 Teichmuller constants parameterizing all solutions."""
+    """base plus the q-1 Teichmuller constants parameterizing all solutions.
+
+    ``certificate`` is the base's self-verification against all three forms.
+    """
 
     problem: ExponentialProblem
     base: ZqElement
     constants: tuple
+    certificate: ExponentialCertificate
 
     def members(self):
         for zeta in self.constants:
             yield zeta * self.base
 
-
-def enumerate_constants(params):
-    """All q-1 solutions of delta(u) = 0 among units: the Teichmuller lifts.
-
-    Ordered lexicographically by residue coefficient vector.
-    """
-    out = []
-    for a in _fq_all(params):
-        if not a.is_zero():
-            out.append(teichmuller(a))
-    return tuple(out)
-
-
-def solve_exponential(beta):
-    """Solve psi(u) = beta over Z_q; returns the full solution family.
-
-    The distinguished solution is exp(sum_{n>=1} p^n phi^(-n)(beta)); the sum
-    is exact since the n-th term has valuation >= n.  The base is verified
-    against all three equation forms before returning.
-    """
-    params = beta.params
-    if params.p == 2:
-        raise UnsupportedPrime("the multiplicative family needs p odd")
-    if beta.prec < 2:
-        raise PrecisionExhausted("solve_exponential needs precision >= 2")
-    problem = ExponentialProblem.from_beta(beta)
-    s_prec = min(beta.prec + 1, params.N)
-    s = params.zero(s_prec)
-    term = beta
-    for n in range(1, s_prec):
-        term = frobenius_inv(term)
-        s = s + term.mul_p_power(n)
-    base = padic_exp(s)
-    cert = verify_exponential(base, problem, base=base)
-    if not cert.ok:
-        raise ArithmeticError("base solution failed self-verification")
-    return SolutionFamily(problem, base, enumerate_constants(params))
-
-
-def verify_exponential(u, problem, base=None):
-    """Certificate for u against psi(u)=beta and its two equivalent forms.
-
-    When ``base`` is omitted it is recomputed from the problem, so the
-    membership check (u/base Teichmuller) is always present.
-    """
-    if not u.is_unit():
-        raise NonUnit("candidate solutions must be units")
-    p = u.params.p
-    beta, eps, alpha = problem.beta, problem.epsilon, problem.alpha
-    up = u ** p
-    phi_u = frobenius(u)
-    phi_res = phi_u - eps * up
-    delta_res = fermat_quotient(u) - alpha * up
-    psi_res = psi(u) - beta
-    if base is None:
-        base = solve_exponential(beta).base
-    ratio = u * base.inv()
-    ratio_res = fermat_quotient(ratio)
-    forms = tuple(
-        (agreement_precision(r, r.params.zero(r.prec)), r.prec)
-        for r in (phi_res, delta_res, psi_res, ratio_res))
-    return ExponentialCertificate(
-        phi_form=forms[0], delta_form=forms[1], psi_form=forms[2],
-        ratio=forms[3],
-        constants_count=p ** u.params.f - 1)
-
-
-# ---------------------------------------------------------------------------
-# residue-field machinery shared by the staged solvers
 
 def _fq_all(params):
     """All residue-field elements in lexicographic coefficient order."""
@@ -200,78 +134,77 @@ def _fq_all(params):
         yield FqElement(params, tuple(reversed(coeffs)))
 
 
-@lru_cache(maxsize=None)
-def _fq_generator(params):
-    """The lexicographically smallest generator of F_q^*."""
-    q1 = params.p ** params.f - 1
-    ells = prime_factors(q1) if q1 > 1 else []
+def enumerate_constants(params):
+    """All q-1 solutions of delta(u) = 0 among units: the Teichmuller lifts.
+
+    Ordered lexicographically by residue coefficient vector.
+    """
+    out = []
     for a in _fq_all(params):
-        if a.is_zero():
-            continue
-        if all((a ** (q1 // ell)).coeffs != (1,) + (0,) * (params.f - 1) for ell in ells):
-            return a
-    raise ArithmeticError("no generator found")
+        if not a.is_zero():
+            out.append(teichmuller(a))
+    return tuple(out)
 
 
-def _fq_dlog(gen, a):
-    """Discrete log of a in base gen over F_q^*, by baby-step giant-step."""
-    params = gen.params
-    q1 = params.p ** params.f - 1
-    m = isqrt(q1) + 1
-    baby = {}
-    x = params.fq_from_int(1)
-    for j in range(m):
-        baby.setdefault(x.coeffs, j)
-        x = x * gen
-    giant = gen.inv() ** m
-    y = a
-    for i in range(m + 1):
-        j = baby.get(y.coeffs)
-        if j is not None:
-            return (i * m + j) % q1
-        y = y * giant
-    raise ArithmeticError("discrete log not found")
+def _verified_base(problem):
+    """The distinguished solution with its self-verification certificate.
+
+    base = exp(sum_{n>=1} p^n phi^(-n)(beta)); the sum is exact since the
+    n-th term has valuation >= n.  The base is verified against all three
+    equation forms before returning.
+    """
+    beta = problem.beta
+    params = beta.params
+    if beta.prec < 2:
+        raise PrecisionExhausted("solve_exponential needs precision >= 2")
+    s_prec = min(beta.prec + 1, params.N)
+    s = params.zero(s_prec)
+    term = beta
+    for n in range(1, s_prec):
+        term = frobenius_inv(term)
+        s = s + term.mul_p_power(n)
+    base = padic_exp(s)
+    cert = verify_exponential(base, problem, base=base)
+    if not cert.ok:
+        raise ArithmeticError("base solution failed self-verification")
+    return base, cert
 
 
-@lru_cache(maxsize=None)
-def _artin_schreier_matrix(params):
-    """Columns of the F_p-linear map h -> h^p - h on the basis 1, g, .., g^(f-1)."""
-    cols = []
-    for i in range(params.f):
-        b = FqElement(params, tuple(1 if j == i else 0 for j in range(params.f)))
-        cols.append((b.frobenius() - b).coeffs)
-    return tuple(cols)
+def solve_exponential(beta):
+    """Solve psi(u) = beta over Z_q; returns the full solution family."""
+    if beta.params.p == 2:
+        raise UnsupportedPrime("the multiplicative family needs p odd")
+    problem = ExponentialProblem.from_beta(beta)
+    base, cert = _verified_base(problem)
+    return SolutionFamily(problem, base, enumerate_constants(beta.params), cert)
 
 
-def _solve_artin_schreier(params, c):
-    """A solution h of h^p - h = c over F_q, or None when Tr(c) != 0."""
-    if c.trace() != 0:
-        return None
-    p, f = params.p, params.f
-    cols = _artin_schreier_matrix(params)
-    # Gaussian elimination on the augmented f x (f+1) system
-    rows = [[cols[j][i] for j in range(f)] + [c.coeffs[i]] for i in range(f)]
-    pivots = []
-    r = 0
-    for col in range(f):
-        piv = next((i for i in range(r, f) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(f):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if any(row[f] % p for row in rows[r:]):
-        return None  # inconsistent; cannot happen once the trace vanishes
-    h = [0] * f
-    for i, col in enumerate(pivots):
-        h[col] = rows[i][f] % p
-    return FqElement(params, tuple(h))
+def verify_exponential(u, problem, base=None):
+    """Certificate for u against psi(u)=beta and its two equivalent forms.
+
+    When ``base`` is omitted the self-verified base is recomputed from the
+    problem, so the membership check (u/base Teichmuller) is always present.
+    """
+    if not u.is_unit():
+        raise NonUnit("candidate solutions must be units")
+    p = u.params.p
+    beta, eps, alpha = problem.beta, problem.epsilon, problem.alpha
+    up = u ** p
+    phi_u = frobenius(u)
+    phi_res = phi_u - eps * up
+    delta_res = fermat_quotient(u) - alpha * up
+    psi_res = psi(u) - beta
+    if base is None:
+        base, _ = _verified_base(problem)
+    ratio = u * base.inv()
+    ratio_res = fermat_quotient(ratio)
+    forms = tuple(
+        (agreement_precision(r, r.params.zero(r.prec)), r.prec)
+        for r in (phi_res, delta_res, psi_res, ratio_res))
+    return ExponentialCertificate(
+        phi_form=forms[0], delta_form=forms[1], psi_form=forms[2],
+        ratio=forms[3],
+        constants_count=p ** u.params.f - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +212,14 @@ def _solve_artin_schreier(params, c):
 
 @dataclass(frozen=True)
 class Obstruction:
-    """Why phi(u) = eps*u has no solution at some lifting stage.
+    """Why phi(u) = eps*u has no solution: the norm N(eps) is not 1.
 
-    ``stage`` is "mod-p" or the lift step k >= 1.  The witness is the residue
-    value whose recomputation reproduces the failure: for "power-residue" it
-    is eps_bar^((q-1)/gcd(p-1, q-1)) != 1; for "trace" it is the
-    Artin-Schreier right-hand side c with Tr(c) != 0, together with the
-    partial solution it was derived from.
+    ``stage`` is "mod-p" or k = v_p(N(eps) - 1) >= 1.  The witness is the
+    residue value whose recomputation reproduces the failure: for
+    "power-residue" it is the residue of N(eps), which equals
+    eps_bar^((q-1)/(p-1)) != 1; for "trace" it is
+    c = -((phi(u)/(eps*u) - 1)/p^k mod p) with Tr(c) != 0, computed from the
+    partial u, which solves the equation mod p^k.
     """
 
     stage: object
@@ -309,44 +243,46 @@ def phi_norm(eps):
 def solve_difference(eps):
     """Solve phi(u) = eps * u over Z_q, to the precision of eps.
 
-    Staged lifting: solve u^(p-1) = eps mod p in F_q^*, then correct
-    u <- u(1 + p^k h) where h solves an Artin-Schreier equation at each step.
-    Returns a unit solution, or the first Obstruction as a value.
+    Closed form by Hilbert 90 for the cyclic group <phi>: with
+    b_0 = 1 and b_(i+1) = b_i * phi^i(eps^-1), the sum
+    u = sum_(i<f) b_i phi^i(c) satisfies phi(u) = eps*u + eps*c*(N(eps)^-1 - 1),
+    and some basis element c in 1, g, ..., g^(f-1) makes u a unit.  u is
+    scaled so that its first coefficient prime to p is 1.  Returns u, or an
+    Obstruction as a value when N(eps) != 1.
     """
     params = eps.params
-    eps_bar = eps.residue()
-    if eps_bar.is_zero():
+    if not eps.is_unit():
         raise NonUnit("eps must be a unit")
     p, f, K = params.p, params.f, eps.prec
-    q1 = p ** f - 1
-    d = gcd(p - 1, q1)
-    if q1 > 1:
-        exponent = q1 // d
-        power = eps_bar ** exponent
-        if power != params.fq_from_int(1):
-            return Obstruction(stage="mod-p", kind="power-residue",
-                               witness=power, exponent=exponent)
-        gen = _fq_generator(params)
-        e = _fq_dlog(gen, eps_bar)
-        step = (p - 1) // d
-        modulus = q1 // d
-        t = (e // d) * pow(step, -1, modulus) % modulus if modulus > 1 else 0
-        u = (gen ** t).lift(K)
+    norm = phi_norm(eps)
+    if norm.residue() != params.fq_from_int(1):
+        return Obstruction(stage="mod-p", kind="power-residue",
+                           witness=norm.residue(), exponent=(p ** f - 1) // (p - 1))
+    twists = [params.one(K)]
+    t = eps.inv()
+    for _ in range(f - 1):
+        twists.append(twists[-1] * t)
+        t = frobenius(t)
+    for i in range(f):
+        c = params.from_coeffs(tuple(int(j == i) for j in range(f)), K)
+        u = params.zero(K)
+        for b in twists:
+            u = u + b * c
+            c = frobenius(c)
+        if u.is_unit():
+            break
     else:
-        u = params.one(K)
-    for k in range(1, K):
-        r = frobenius(u) * (eps * u).inv()
-        d_el = (r - 1).exact_div_p(k)
-        c = -d_el.residue()
-        h = _solve_artin_schreier(params, c)
-        if h is None:
-            return Obstruction(stage=k, kind="trace", witness=c,
-                               trace=c.trace(), partial=u)
-        u = u * (h.lift(K).mul_p_power(k) + 1)
+        raise ArithmeticError("no basis element gives a unit solution")
+    u = u * pow(next(a for a in u.coeffs if a % p), -1, p ** K)
+    if not (norm - 1).is_zero():
+        # N(eps) = 1 + p^k s with s a unit; N(phi(u)/(eps*u)) = N(eps)^-1 makes
+        # the trace of the witness -s mod p, which is nonzero
+        k = (norm - 1).valuation()
+        c = -(frobenius(u) * (eps * u).inv() - 1).exact_div_p(k).residue()
+        return Obstruction(stage=k, kind="trace", witness=c,
+                           trace=c.trace(), partial=u)
     if frobenius(u) != eps * u:
-        raise ArithmeticError("difference lift lost the invariant")
-    if phi_norm(eps) != eps.params.one(K):
-        raise ArithmeticError("solution found although the phi-norm of eps is not 1")
+        raise ArithmeticError("difference solution lost the invariant")
     return u
 
 
@@ -499,46 +435,3 @@ def verify_matrix_linear(u, beta):
         agreement_precision(e, e.params.zero(e.prec))
         for row in res.entries for e in row)
 
-
-def solve_matrix_functional(beta, series_grid, seed=None):
-    """Hook for connection-style equations delta(u) = beta * Phi(u).
-
-    ``series_grid`` is an n x n grid of RestrictedSeries, each of arity n*n,
-    evaluated on the flattened entries of u (row-major).  The same staged
-    lifting applies because the p factor in front of beta*Phi(u) makes the
-    equation vacuous mod p and evaluation is 1-Lipschitz.  Shipped for
-    completeness; nothing in-repo constructs such a grid.
-    """
-    params = beta.params
-    n = beta.n
-    order = max(s.order for row in series_grid for s in row)
-    target = beta.prec - order
-    if target < 2:
-        raise PrecisionExhausted("not enough precision for the series order")
-    if seed is None:
-        seed_res = tuple(
-            tuple(params.fq_from_int(1 if i == j else 0) for j in range(n))
-            for i in range(n))
-    else:
-        seed_res = tuple(tuple(e if isinstance(e, FqElement) else params.fq(e)
-                               for e in row) for row in seed)
-    if not _residue_invertible(params, seed_res):
-        raise SingularSeed("seed matrix is not invertible over F_q")
-    u = ZqMatrix.from_residues(params, seed_res, beta.prec)
-    pbeta = beta.map(lambda e: e.mul_p_power(1))
-
-    def residual(mat):
-        flat = [e for row in mat.entries for e in row]
-        phi_mat = ZqMatrix(tuple(
-            tuple(eval_delta_function(series_grid[i][j], flat)
-                  for j in range(n)) for i in range(n)))
-        return (mat.pow_entries_p() + pbeta @ phi_mat) - mat.frobenius()
-
-    for k in range(1, target):
-        c = residual(u).exact_div_p(k)
-        h = tuple(tuple(e.residue().frobenius_inv() for e in row) for row in c.entries)
-        u = u + ZqMatrix.from_residues(params, h, beta.prec).map(
-            lambda e: e.mul_p_power(k))
-    if any(not e.is_zero() for row in residual(u).entries for e in row):
-        raise ArithmeticError("matrix lift lost the invariant")
-    return u

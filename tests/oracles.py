@@ -1,0 +1,121 @@
+"""Slow reference implementations kept as differential oracles.
+
+``staged_solve_difference`` is the staged lift for phi(u) = eps*u: solve
+u^(p-1) = eps mod p in F_q^* through a generator and a baby-step giant-step
+discrete log, then correct u <- u(1 + p^k h) where h solves the
+Artin-Schreier equation h^p - h = c at every step.  Its cost grows like
+sqrt(q) and it factors q-1 by trial division, so it is only run at small q.
+"""
+
+from math import gcd, isqrt
+
+from wittcalc import FqElement, Obstruction, frobenius
+from wittcalc.conway import prime_factors
+
+
+def _fq_elements(params):
+    """All residue-field elements, the first basis coefficient varying slowest."""
+    p, f = params.p, params.f
+    for n in range(p ** f):
+        coeffs = []
+        for _ in range(f):
+            n, r = divmod(n, p)
+            coeffs.append(r)
+        yield FqElement(params, tuple(reversed(coeffs)))
+
+
+def _fq_generator(params):
+    """The first generator of F_q^* in enumeration order."""
+    q1 = params.p ** params.f - 1
+    ells = prime_factors(q1) if q1 > 1 else []
+    one = params.fq_from_int(1)
+    for a in _fq_elements(params):
+        if not a.is_zero() and all(a ** (q1 // ell) != one for ell in ells):
+            return a
+    raise ArithmeticError("no generator found")
+
+
+def _fq_dlog(gen, a):
+    """Discrete log of a in base gen over F_q^*, by baby-step giant-step."""
+    params = gen.params
+    q1 = params.p ** params.f - 1
+    m = isqrt(q1) + 1
+    baby = {}
+    x = params.fq_from_int(1)
+    for j in range(m):
+        baby.setdefault(x.coeffs, j)
+        x = x * gen
+    giant = gen.inv() ** m
+    y = a
+    for i in range(m + 1):
+        j = baby.get(y.coeffs)
+        if j is not None:
+            return (i * m + j) % q1
+        y = y * giant
+    raise ArithmeticError("discrete log not found")
+
+
+def _solve_artin_schreier(params, c):
+    """A solution h of h^p - h = c over F_q, or None when Tr(c) != 0."""
+    if c.trace() != 0:
+        return None
+    p, f = params.p, params.f
+    cols = []
+    for i in range(f):
+        b = FqElement(params, tuple(1 if j == i else 0 for j in range(f)))
+        cols.append((b.frobenius() - b).coeffs)
+    # Gaussian elimination on the augmented f x (f+1) system
+    rows = [[cols[j][i] for j in range(f)] + [c.coeffs[i]] for i in range(f)]
+    pivots = []
+    r = 0
+    for col in range(f):
+        piv = next((i for i in range(r, f) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(f):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    if any(row[f] % p for row in rows[r:]):
+        return None
+    h = [0] * f
+    for i, col in enumerate(pivots):
+        h[col] = rows[i][f] % p
+    return FqElement(params, tuple(h))
+
+
+def staged_solve_difference(eps):
+    """A unit u with phi(u) = eps*u to the precision of eps, or the first Obstruction."""
+    params = eps.params
+    eps_bar = eps.residue()
+    p, f, K = params.p, params.f, eps.prec
+    q1 = p ** f - 1
+    d = gcd(p - 1, q1)
+    if q1 > 1:
+        exponent = q1 // d
+        power = eps_bar ** exponent
+        if power != params.fq_from_int(1):
+            return Obstruction(stage="mod-p", kind="power-residue",
+                               witness=power, exponent=exponent)
+        gen = _fq_generator(params)
+        e = _fq_dlog(gen, eps_bar)
+        step = (p - 1) // d
+        modulus = q1 // d
+        t = (e // d) * pow(step, -1, modulus) % modulus if modulus > 1 else 0
+        u = (gen ** t).lift(K)
+    else:
+        u = params.one(K)
+    for k in range(1, K):
+        r = frobenius(u) * (eps * u).inv()
+        c = -(r - 1).exact_div_p(k).residue()
+        h = _solve_artin_schreier(params, c)
+        if h is None:
+            return Obstruction(stage=k, kind="trace", witness=c,
+                               trace=c.trace(), partial=u)
+        u = u * (h.lift(K).mul_p_power(k) + 1)
+    return u

@@ -109,6 +109,20 @@ def test_relations_none_reports_bounds():
     assert doc["bounds"] == {"d": 2, "H": 10, "M": 40, "mode": "lattice"}
 
 
+def test_relations_bounds_report_searched_precision():
+    # a long-form value at prec 12 in an N = 20 ring is searched at M = 12
+    value = json.dumps([{"p": 3, "f": 2, "prec": 12, "poly": [2, 2, 1],
+                         "coeffs": ["0", "1475898883"]}])
+    argv = FIXTURES["relations"][:8] + [value] + FIXTURES["relations"][9:]
+    code, out = invoke_twice(argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bounds"]["M"] == doc["certificate"]["bounds"]["M"] == 12
+    code, out = invoke_twice(argv + ["--precision", "10"])
+    doc = json.loads(out)
+    assert doc["bounds"]["M"] == doc["certificate"]["bounds"]["M"] == 10
+
+
 def test_relations_random_units_requires_seed():
     base = ["--p", "3", "--f", "1", "--prec", "40", "relations",
             "--deg", "2", "--height", "10", "--random-units", "3"]
@@ -180,6 +194,10 @@ def test_exit_code_budget_exceeded():
                          "--budget-monomials", "2", "relations",
                          "--values", '[["7"]]', "--deg", "2", "--height", "1"])
     assert code == 5
+    # --min-poly searches degree by degree and holds each query to the budget
+    argv = FIXTURES["relations"][:6] + ["--budget-monomials", "2"] + FIXTURES["relations"][6:]
+    code, _, err = invoke(argv)
+    assert code == 5 and "budget" in err
 
 
 def test_stdin_input():

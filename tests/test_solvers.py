@@ -12,17 +12,16 @@ from wittcalc import (
     SingularSeed,
     UnsupportedPrime,
     ZqMatrix,
-    RestrictedSeries,
     agreement_precision,
     enumerate_constants,
     fermat_quotient,
     frobenius,
+    new_params,
     phi_norm,
     psi,
     random_element,
     solve_difference,
     solve_exponential,
-    solve_matrix_functional,
     solve_matrix_linear,
     teichmuller,
     verify_exponential,
@@ -30,6 +29,7 @@ from wittcalc import (
 )
 
 from conftest import get_params, oracle_exp
+from oracles import staged_solve_difference
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,66 @@ def test_difference_solution_survives_norm_one_inputs():
         assert frobenius(u) == eps * u
 
 
+def _normalised(v):
+    """v scaled so that its first coefficient prime to p is 1."""
+    p = v.params.p
+    return v * pow(next(a for a in v.coeffs if a % p), -1, p ** v.prec)
+
+
+def test_difference_closed_form_is_the_normalised_solution():
+    rng = random.Random(13)
+    for p, f, N in [(2, 3, 8), (3, 2, 8), (5, 3, 6), (7, 1, 5), (2, 1, 6)]:
+        P = get_params(p, f, N)
+        for _ in range(8):
+            v = random_element(P, rng, unit=True)
+            assert solve_difference(frobenius(v) * v.inv()) == _normalised(v)
+
+
+def test_difference_norm_one_on_a_66_bit_prime():
+    P = new_params(36893488147419104219, 1, 4)
+    assert solve_difference(P.one()) == 1
+
+
+def test_difference_matches_staged_oracle():
+    # the staged lift (generator, discrete log, one Artin-Schreier system per
+    # step) against the closed form, on random eps of every kind
+    rng = random.Random(14)
+    rings = [(2, 1, 6), (2, 2, 7), (2, 3, 6), (3, 1, 6), (3, 2, 7), (3, 3, 5),
+             (5, 1, 5), (5, 2, 6), (7, 2, 5), (13, 1, 4)]
+    kinds = set()
+    for p, f, N in rings:
+        P = get_params(p, f, N)
+        for trial in range(12):
+            v = random_element(P, rng, unit=True)
+            eps = frobenius(v) * v.inv()  # norm 1: solvable
+            if trial % 3 == 1:
+                # N(eps) - 1 gets valuation k when Tr(c mod p) != 0
+                k = rng.randrange(1, N)
+                eps = eps * (random_element(P, rng).mul_p_power(k) + 1)
+            elif trial % 3 == 2:
+                eps = random_element(P, rng, unit=True)
+            new, old = solve_difference(eps), staged_solve_difference(eps)
+            assert isinstance(new, Obstruction) == isinstance(old, Obstruction)
+            if not isinstance(new, Obstruction):
+                kinds.add("solution")
+                assert frobenius(new) == eps * new
+                ratio = new * old.inv()
+                assert frobenius(ratio) == ratio
+                continue
+            kinds.add(new.kind)
+            assert (new.stage, new.kind, new.trace, new.exponent) == \
+                (old.stage, old.kind, old.trace, old.exponent)
+            if new.kind == "power-residue":
+                assert new.witness == old.witness
+                assert eps.residue() ** new.exponent == new.witness
+                continue
+            k, u = new.stage, new.partial
+            r = frobenius(u) * (eps * u).inv() - 1
+            assert -r.exact_div_p(k).residue() == new.witness
+            assert new.witness.trace() == new.trace != 0
+    assert kinds == {"solution", "power-residue", "trace"}
+
+
 # ---------------------------------------------------------------------------
 # matrix family
 
@@ -321,21 +381,3 @@ def test_matrix_solutions_form_torsor_over_seeds():
         sols.append(u)
     assert len({tuple(e.coeffs for row in u.entries for e in row) for u in sols}) == 3
 
-
-def test_matrix_functional_hook_reproduces_linear_case():
-    # Phi(u) = u^(p) expressed as order-0 series in the 4 matrix entries
-    P = get_params(5, 1, 8)
-    rng = random.Random(12)
-    beta = _rand_matrix(P, rng, 2)
-    n = 2
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            exps = tuple(P.p if (i * n + j) == k else 0 for k in range(n * n))
-            row.append(RestrictedSeries(order=0, arity=n * n,
-                                        terms=((exps, P.one()),)))
-        grid.append(tuple(row))
-    u_hook = solve_matrix_functional(beta, tuple(grid))
-    u_lin = solve_matrix_linear(beta)
-    assert u_hook == u_lin
