@@ -112,37 +112,48 @@ def _require_odd(p):
         raise UnsupportedPrime("p = 2 is outside the convergence domain used here")
 
 
+def _series(x, terms, target):
+    """sum c * x^n / p^v over ascending (n, v, c), exact mod p^target.
+
+    Powers of the canonical representative of x are taken at guard modulus
+    p^(target + max v), so every exact division by p^v stays right mod
+    p^target; c only needs to be right mod p^target.
+    """
+    params = x.params
+    p, f = params.p, params.f
+    mod = p ** (target + max((v for _, v, _ in terms), default=0))
+    acc = pa.vec_zero(f)
+    xp = pa.vec_one(f)
+    done = 0
+    for n, v, c in terms:
+        for _ in range(n - done):
+            xp = pa.vec_mul(xp, x.coeffs, params.poly, mod)
+        done = n
+        acc = pa.vec_add(acc, pa.vec_scale(pa.vec_divexact_p(xp, p ** v), c, mod), mod)
+    return ZqElement(params, pa.vec_mask(acc, p ** target), target)
+
+
 def padic_log(u):
     """log on 1 + pZ_q (p odd), exact at the precision of u.
 
     log(u) = sum_{n>=1} (-1)^(n-1) (u-1)^n / n; terms with
-    n - floor(log_p n) >= prec vanish modulo p^prec and are dropped.
+    n - floor(log_p n) >= prec vanish modulo p^prec and are dropped (the
+    bound is non-decreasing in n, so the first such term ends the sum).
     """
     params = u.params
     _require_odd(params.p)
     t = u - 1
     if not t.is_zero() and t.valuation() < 1:
         raise DomainError("log is only defined on 1 + p*Z_q")
-    target = u.prec
-    p = params.p
-    n_max = 1
-    while n_max + 1 - _ilog(p, n_max + 1) < target:
-        n_max += 1
-    guard = _ilog(p, n_max)
-    mod = p ** (target + guard)
-    tv = t.coeffs  # exact lift of the canonical representative
-    acc = pa.vec_zero(params.f)
-    tp = pa.vec_one(params.f)
-    for n in range(1, n_max + 1):
-        tp = pa.vec_mul(tp, tv, params.poly, mod)
-        if n - _ilog(p, n) >= target:
-            continue
+    target, p = u.prec, params.p
+    mod = p ** target
+    terms = []
+    n = 1
+    while n - _ilog(p, n) < target:
         v = _vp(p, n)
-        unit = n // p ** v
-        term = pa.vec_divexact_p(tp, p ** v)
-        term = pa.vec_scale(term, pow(unit, -1, mod), mod)
-        acc = pa.vec_add(acc, term, mod) if n % 2 else pa.vec_sub(acc, term, mod)
-    return ZqElement(params, pa.vec_mask(acc, p ** target), target)
+        terms.append((n, v, (-1) ** (n - 1) * pow(n // p ** v, -1, mod)))
+        n += 1
+    return _series(t, terms, target)
 
 
 def padic_exp(x):
@@ -154,27 +165,18 @@ def padic_exp(x):
     _require_odd(params.p)
     if not x.is_zero() and x.valuation() < 1:
         raise DomainError("exp is only defined on p*Z_q")
-    target = x.prec
-    p = params.p
+    target, p = x.prec, params.p
+    mod = p ** target
     # n - v_p(n!) >= n(p-2)/(p-1) + 1/(p-1): everything beyond n_hard is dead
     n_hard = ((p - 1) * target - 1 + (p - 3)) // (p - 2)
-    guard = _vp_factorial(p, n_hard)
-    mod = p ** (target + guard)
-    xv = x.coeffs
-    acc = pa.vec_one(params.f)
-    xp = pa.vec_one(params.f)
+    terms = [(0, 0, 1)]
     fact = 1
     for n in range(1, n_hard + 1):
-        xp = pa.vec_mul(xp, xv, params.poly, mod)
         fact *= n
         v = _vp_factorial(p, n)
-        if n - v >= target:
-            continue
-        unit = fact // p ** v
-        term = pa.vec_divexact_p(xp, p ** v)
-        term = pa.vec_scale(term, pow(unit % mod, -1, mod), mod)
-        acc = pa.vec_add(acc, term, mod)
-    return ZqElement(params, pa.vec_mask(acc, p ** target), target)
+        if n - v < target:
+            terms.append((n, v, pow(fact // p ** v, -1, mod)))
+    return _series(x, terms, target)
 
 
 def psi(u):
@@ -192,14 +194,15 @@ def psi(u):
     inv_up = u.inv() ** params.p
     z = frobenius(u) * inv_up
     via_log = padic_log(z).exact_div_p(1)
-    via_series = _psi_series_value(fermat_quotient(u) * inv_up, params)
+    w = fermat_quotient(u) * inv_up
+    via_series = _series(w, _psi_coefficients(params.p, w.prec, params.p ** w.prec), w.prec)
     if via_log != via_series:
         raise ArithmeticError("psi computation paths disagree")
     return via_log
 
 
 def _psi_coefficients(p, target, mod):
-    """(n, c_n) for the terms of sum (-1)^(n-1) (p^(n-1)/n) x^n alive mod p^target.
+    """(n, 0, c_n) for the terms of sum (-1)^(n-1) (p^(n-1)/n) x^n alive mod p^target.
 
     v(c_n) = n - 1 - v_p(n) >= n - 1 - floor(log_p n); c_n is reduced mod ``mod``.
     """
@@ -212,23 +215,8 @@ def _psi_coefficients(p, target, mod):
             continue
         v = _vp(p, n)
         c = p ** (n - 1 - v) * pow(n // p ** v, -1, mod) % mod
-        out.append((n, c if n % 2 else (-c) % mod))
+        out.append((n, 0, c if n % 2 else (-c) % mod))
     return out
-
-
-def _psi_series_value(w, params):
-    # sum (-1)^(n-1) (p^(n-1)/n) w^n at the precision of w
-    target = w.prec
-    mod = params.p ** target
-    acc = pa.vec_zero(params.f)
-    wp = pa.vec_one(params.f)
-    done = 0
-    for n, c in _psi_coefficients(params.p, target, mod):
-        for _ in range(n - done):
-            wp = pa.vec_mul(wp, w.coeffs, params.poly, mod)
-        done = n
-        acc = pa.vec_add(acc, pa.vec_scale(wp, c, mod), mod)
-    return ZqElement(params, acc, target)
 
 
 @dataclass(frozen=True)
@@ -323,5 +311,5 @@ def psi_series_truncation(params, target_prec):
     p = params.p
     terms = tuple(
         ((-p * n, n), params.from_coeffs((c,) + (0,) * (params.f - 1)))
-        for n, c in _psi_coefficients(p, target_prec, p ** params.N))
+        for n, _, c in _psi_coefficients(p, target_prec, p ** params.N))
     return RestrictedSeries(order=1, arity=1, terms=terms, denominator=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .conway import prime_factors
 from .delta import fermat_quotient, padic_exp, padic_log, psi
 from .errors import (
     DomainError,
@@ -137,13 +138,20 @@ def _fq_all(params):
 def enumerate_constants(params):
     """All q-1 solutions of delta(u) = 0 among units: the Teichmuller lifts.
 
-    Ordered lexicographically by residue coefficient vector.
+    They are the powers of omega(gamma), gamma the first generator of F_q^*
+    in ``_fq_all`` order (the class of g need not be one), ordered
+    lexicographically by residue coefficient vector.
     """
-    out = []
-    for a in _fq_all(params):
-        if not a.is_zero():
-            out.append(teichmuller(a))
-    return tuple(out)
+    q1 = params.p ** params.f - 1
+    ells = prime_factors(q1)
+    one = params.fq_from_int(1)
+    gamma = next(a for a in _fq_all(params) if not a.is_zero()
+                 and all(a ** (q1 // ell) != one for ell in ells))
+    z = teichmuller(gamma)
+    out = [params.one()]
+    for _ in range(q1 - 1):
+        out.append(out[-1] * z)
+    return tuple(sorted(out, key=lambda u: u.residue().coeffs))
 
 
 def _verified_base(problem):
@@ -351,9 +359,6 @@ class ZqMatrix:
     def frobenius(self):
         return self.map(frobenius)
 
-    def exact_div_p(self, k=1):
-        return self.map(lambda e: e.exact_div_p(k))
-
     def mask(self, prec):
         return self.map(lambda e: e.mask(prec))
 
@@ -392,10 +397,10 @@ def _residue_invertible(params, residues):
 def solve_matrix_linear(beta, seed=None):
     """Solve delta(u) = beta * u^(p) with u invertible, from a mod-p seed.
 
-    Rewritten as phi(u) = (I + p*beta) * u^(p) the equation is vacuous mod p,
-    so the seed is free; the step-k correction u <- u + p^k * lift(h) with
-    h = phi^(-1)(c), p^k c = (I + p*beta) u^(p) - phi(u), is always solvable
-    and unique, so every invertible seed lifts to exactly one solution.
+    Rewritten as u = T(u) = phi^(-1)((I + p*beta) * u^(p)) the equation is
+    vacuous mod p, so the seed is free.  T fixes residues, and u = v mod p^k
+    gives u^(p) = v^(p) mod p^(k+1), so T(u) = T(v) mod p^(k+1): W-1
+    applications of T lift the seed to the unique solution mod p^W.
     """
     params = beta.params
     if beta.prec < 2:
@@ -414,15 +419,10 @@ def solve_matrix_linear(beta, seed=None):
             raise DomainError("seed shape does not match beta")
     if not _residue_invertible(params, seed_res):
         raise SingularSeed("seed matrix is not invertible over F_q")
-    coupling = ZqMatrix.identity(params, n, W) + beta.mask(W).map(
-        lambda e: e.mul_p_power(1).mask(W))
+    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
     u = ZqMatrix.from_residues(params, seed_res, W)
-    for k in range(1, W):
-        r = coupling @ u.pow_entries_p() - u.frobenius()
-        c = r.exact_div_p(k)
-        h = tuple(tuple(e.residue().frobenius_inv() for e in row) for row in c.entries)
-        u = u + ZqMatrix.from_residues(params, h, W).map(
-            lambda e: e.mul_p_power(k).mask(W))
+    for _ in range(W - 1):
+        u = (coupling @ u.pow_entries_p()).map(frobenius_inv)
     if coupling @ u.pow_entries_p() != u.frobenius():
         raise ArithmeticError("matrix lift lost the invariant")
     return u

@@ -456,40 +456,29 @@ class TeichmullerDigits:
 
 def frobenius(u):
     """The ring automorphism lifting a -> a^p; precision is preserved."""
-    params = u.params
-    mod = params.p ** u.prec
-    pows = tuple(pa.vec_mask(v, mod) for v in params._phi_pows)
-    return ZqElement(params, PadicParams._apply(u.coeffs, pows, mod), u.prec)
+    mod = u.params.p ** u.prec
+    return ZqElement(u.params, PadicParams._apply(u.coeffs, u.params._phi_pows, mod), u.prec)
 
 
 def frobenius_inv(u):
     """The inverse automorphism, phi^(f-1) (phi has order f on Z_q)."""
-    params = u.params
-    mod = params.p ** u.prec
-    pows = tuple(pa.vec_mask(v, mod) for v in params._phi_inv_pows)
-    return ZqElement(params, PadicParams._apply(u.coeffs, pows, mod), u.prec)
+    mod = u.params.p ** u.prec
+    return ZqElement(u.params, PadicParams._apply(u.coeffs, u.params._phi_inv_pows, mod), u.prec)
 
 
 def teichmuller(a, prec=None):
     """The unique lift omega(a) with omega(a)^q = omega(a).
 
-    Computed by iterating x -> x^q from any lift, which gains one digit per
-    pass; results are cached per ring at full precision N.
+    A unit lift right mod p^k has its q-th power right mod p^(k+f), so from
+    the residue's own lift, right mod p, the power q^m with m = ceil((N-1)/f)
+    is omega(a) mod p^N.  Results are cached per ring at full precision N.
     """
     params = a.params
     prec = params._prec(prec)
     cached = params._teich.get(a.coeffs)
     if cached is None:
         p, f, N = params.p, params.f, params.N
-        mod = p ** N
-        q = p ** f
-        x = a.coeffs
-        for _ in range(N):
-            nxt = pa.vec_pow(x, q, params.poly, mod)
-            if nxt == x:
-                break
-            x = nxt
-        cached = x
+        cached = pa.vec_pow(a.coeffs, p ** (f * -(-(N - 1) // f)), params.poly, p ** N)
         params._teich[a.coeffs] = cached
     return ZqElement(params, pa.vec_mask(cached, params.p ** prec), prec)
 

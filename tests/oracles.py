@@ -5,12 +5,20 @@ u^(p-1) = eps mod p in F_q^* through a generator and a baby-step giant-step
 discrete log, then correct u <- u(1 + p^k h) where h solves the
 Artin-Schreier equation h^p - h = c at every step.  Its cost grows like
 sqrt(q) and it factors q-1 by trial division, so it is only run at small q.
+
+``iterated_teichmuller`` iterates x -> x^q until x is fixed, and
+``per_residue_constants`` runs it once for each nonzero residue.
+
+``staged_solve_matrix_linear`` lifts a residue seed of
+phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
+p^k and adds p^k times a lift of phi^(-1) of its residue.
 """
 
 from math import gcd, isqrt
 
-from wittcalc import FqElement, Obstruction, frobenius
+from wittcalc import FqElement, Obstruction, ZqMatrix, frobenius
 from wittcalc.conway import prime_factors
+from wittcalc.polyarith import vec_pow
 
 
 def _fq_elements(params):
@@ -118,4 +126,36 @@ def staged_solve_difference(eps):
             return Obstruction(stage=k, kind="trace", witness=c,
                                trace=c.trace(), partial=u)
         u = u * (h.lift(K).mul_p_power(k) + 1)
+    return u
+
+
+def iterated_teichmuller(a):
+    """The coefficients of omega(a) at precision N, by x -> x^q until fixed."""
+    params = a.params
+    mod = params.p ** params.N
+    x = a.coeffs
+    for _ in range(params.N):
+        nxt = vec_pow(x, params.p ** params.f, params.poly, mod)
+        if nxt == x:
+            break
+        x = nxt
+    return x
+
+
+def per_residue_constants(params):
+    """The coefficients of the q-1 Teichmuller units, in residue order."""
+    return tuple(iterated_teichmuller(a) for a in _fq_elements(params) if not a.is_zero())
+
+
+def staged_solve_matrix_linear(beta, seed):
+    """The solution of phi(u) = (I + p*beta) u^(p) with residues ``seed``."""
+    params, n, W = beta.params, beta.n, beta.prec
+    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
+    u = ZqMatrix.from_residues(params, seed, W)
+    for k in range(1, W):
+        r = coupling @ u.pow_entries_p() - u.frobenius()
+        c = r.map(lambda e: e.exact_div_p(k))
+        h = tuple(tuple(e.residue().frobenius_inv() for e in row) for row in c.entries)
+        u = u + ZqMatrix.from_residues(params, h, W).map(
+            lambda e: e.mul_p_power(k).mask(W))
     return u

@@ -1,0 +1,70 @@
+"""Property tests of the closed-form lifts over random small rings, p = 2 included."""
+
+import pytest
+
+from wittcalc import (
+    SingularSeed,
+    ZqMatrix,
+    enumerate_constants,
+    fermat_quotient,
+    solve_matrix_linear,
+    teichmuller,
+    verify_matrix_linear,
+)
+
+from conftest import get_params
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+RINGS = st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(2, 7))
+SETTINGS = hypothesis.settings(max_examples=40, deadline=None)
+
+
+def _residue(data, P):
+    return P.fq(data.draw(st.tuples(*[st.integers(0, P.p - 1)] * P.f)))
+
+
+def _element(data, P):
+    return P.from_coeffs(data.draw(st.tuples(*[st.integers(0, P.p ** P.N - 1)] * P.f)))
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_teichmuller_is_the_multiplicative_root_of_unity_lift(ring, data):
+    P = get_params(*ring)
+    a, b = _residue(data, P), _residue(data, P)
+    w = teichmuller(a)
+    assert w ** (P.p ** P.f) == w
+    assert w.residue() == a
+    assert w.prec == P.N
+    assert teichmuller(a * b) == w * teichmuller(b)
+
+
+@SETTINGS
+@hypothesis.given(RINGS)
+def test_constants_are_the_sorted_teichmuller_units(ring):
+    P = get_params(*ring)
+    consts = enumerate_constants(P)
+    residues = [z.residue().coeffs for z in consts]
+    assert len(consts) == P.p ** P.f - 1
+    assert residues == sorted(set(residues))
+    for z in consts:
+        assert z.is_unit()
+        assert fermat_quotient(z) == 0
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.integers(1, 3), st.data())
+def test_matrix_solution_meets_invariant_and_keeps_seed(ring, n, data):
+    P = get_params(*ring)
+    beta = ZqMatrix(tuple(tuple(_element(data, P) for _ in range(n)) for _ in range(n)))
+    seed = tuple(tuple(_residue(data, P) for _ in range(n)) for _ in range(n))
+    try:
+        u = solve_matrix_linear(beta, seed)
+    except SingularSeed:
+        hypothesis.assume(False)
+    coupling = ZqMatrix.identity(P, n) + beta.map(lambda e: e.mul_p_power(1).mask(P.N))
+    assert coupling @ u.pow_entries_p() == u.frobenius()
+    assert verify_matrix_linear(u, beta) == P.N - 1
+    assert u.residues() == seed

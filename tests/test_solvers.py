@@ -29,7 +29,7 @@ from wittcalc import (
 )
 
 from conftest import get_params, oracle_exp
-from oracles import staged_solve_difference
+from oracles import per_residue_constants, staged_solve_difference, staged_solve_matrix_linear
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,18 @@ def test_enumerate_constants_frozen_and_properties():
         assert fermat_quotient(z) == 0
     # distinct mod p
     assert len({z.residue().coeffs for z in consts}) == 8
+
+
+def test_constants_match_per_residue_oracle():
+    # powers of omega(first generator) against one iterated lift per residue
+    P = new_params(3, 2, 6, (1, 0, 1))
+    assert P.gen().residue() ** 4 == P.fq_from_int(1)  # g has order 4 in F_9^*, not 8
+    rings = [P] + [new_params(p, f, N) for p, f, N in
+                   [(2, 1, 6), (2, 2, 5), (2, 3, 7), (3, 1, 8), (3, 3, 5),
+                    (5, 1, 6), (5, 2, 5), (7, 2, 4), (13, 1, 4)]]
+    rings.append(new_params(2, 4, 6, (1, 1, 1, 1, 1)))  # g has order 5 in F_16^*
+    for P in rings:
+        assert tuple(z.coeffs for z in enumerate_constants(P)) == per_residue_constants(P)
 
 
 # ---------------------------------------------------------------------------
@@ -380,4 +392,30 @@ def test_matrix_solutions_form_torsor_over_seeds():
         assert u.residues() == grid
         sols.append(u)
     assert len({tuple(e.coeffs for row in u.entries for e in row) for u in sols}) == 3
+
+
+def test_matrix_lift_matches_staged_oracle():
+    # the fixed-point lift against the one-digit-per-step residual correction,
+    # from the default identity seed and from random invertible seeds
+    rng = random.Random(16)
+    rings = [(2, 1, 7, None), (2, 2, 6, None), (3, 1, 7, None), (3, 2, 6, (1, 0, 1)),
+             (5, 1, 6, None), (5, 3, 4, None), (7, 2, 5, None)]
+    for p, f, N, poly in rings:
+        P = new_params(p, f, N, poly)
+        for n in (1, 2, 3):
+            beta = _rand_matrix(P, rng, n)
+            one = tuple(tuple(P.fq_from_int(int(i == j)) for j in range(n)) for i in range(n))
+            solved = [(solve_matrix_linear(beta), one)]
+            while len(solved) < 3:
+                seed = tuple(tuple(P.fq(rng.randrange(p) for _ in range(f))
+                                   for _ in range(n)) for _ in range(n))
+                try:
+                    solved.append((solve_matrix_linear(beta, seed), seed))
+                except SingularSeed:
+                    pass
+            for new, seed in solved:
+                old = staged_solve_matrix_linear(beta, seed)
+                assert [[e.coeffs for e in row] for row in new.entries] == \
+                    [[e.coeffs for e in row] for row in old.entries]
+                assert new.prec == old.prec == N
 

@@ -1,5 +1,6 @@
 """Ring layer: parameters, arithmetic, Frobenius, Teichmuller lifts, digits."""
 
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from wittcalc import (
 from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
 
 from conftest import get_params
+from oracles import iterated_teichmuller
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +235,19 @@ def test_teichmuller_root_of_unity_and_multiplicative():
             b = random_element(P, rng, unit=True).residue()
             assert teichmuller(a) ** (q - 1) == 1
             assert teichmuller(a * b) == teichmuller(a) * teichmuller(b)
+
+
+def test_teichmuller_matches_iterated_oracle():
+    # one power a^(q^ceil((N-1)/f)) against x -> x^q iterated until fixed,
+    # on every residue; x^2+1 over F_3 is a modulus whose root is not primitive
+    for p, f, N, poly in [(2, 1, 7, None), (2, 3, 6, None), (2, 4, 9, None),
+                          (3, 1, 9, None), (3, 2, 6, (1, 0, 1)), (5, 2, 7, None),
+                          (7, 3, 5, None), (11, 1, 4, None)]:
+        P = new_params(p, f, N, poly)
+        for c in itertools.product(range(p), repeat=f):
+            a = P.fq(c)
+            assert teichmuller(a).coeffs == iterated_teichmuller(a)
+            assert teichmuller(a, 2).coeffs == tuple(x % p ** 2 for x in iterated_teichmuller(a))
 
 
 # ---------------------------------------------------------------------------
