@@ -208,7 +208,7 @@ class ZqElement:
 
     def _coerce(self, other):
         if isinstance(other, ZqElement):
-            if other.params != self.params:
+            if other.params is not self.params and other.params != self.params:
                 raise ParamsMismatch("operands live in different rings")
             return other
         if isinstance(other, int):
@@ -359,7 +359,7 @@ class FqElement:
 
     def _coerce(self, other):
         if isinstance(other, FqElement):
-            if other.params != self.params:
+            if other.params is not self.params and other.params != self.params:
                 raise ParamsMismatch("operands live in different fields")
             return other
         if isinstance(other, int):

@@ -12,11 +12,27 @@ sqrt(q) and it factors q-1 by trial division, so it is only run at small q.
 ``staged_solve_matrix_linear`` lifts a residue seed of
 phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
 p^k and adds p^k times a lift of phi^(-1) of its residue.
+
+``termwise_series`` sums c * x^n / p^v one power of x at a time, and
+``termwise_eval_delta_function`` raises each jet entry to each exponent by
+its own square-and-multiply: one or more ring products per term, where the
+library's Paterson-Stockmeyer sum and power tables need about sqrt(n).
 """
 
 from math import gcd, isqrt
 
-from wittcalc import FqElement, Obstruction, ZqMatrix, frobenius
+from wittcalc import (
+    FqElement,
+    NonUnit,
+    Obstruction,
+    ParamsMismatch,
+    PrecisionExhausted,
+    ZqElement,
+    ZqMatrix,
+    delta_jet,
+    frobenius,
+)
+from wittcalc import polyarith as pa
 from wittcalc.conway import prime_factors
 from wittcalc.polyarith import vec_pow
 
@@ -159,3 +175,54 @@ def staged_solve_matrix_linear(beta, seed):
         u = u + ZqMatrix.from_residues(params, h, W).map(
             lambda e: e.mul_p_power(k).mask(W))
     return u
+
+
+def termwise_series(x, terms, target):
+    """sum c * x^n / p^v over ascending (n, v, c), exact mod p^target, term by term."""
+    params = x.params
+    p, f = params.p, params.f
+    mod = p ** (target + max((v for _, v, _ in terms), default=0))
+    acc = pa.vec_zero(f)
+    xp = pa.vec_one(f)
+    done = 0
+    for n, v, c in terms:
+        for _ in range(n - done):
+            xp = pa.vec_mul(xp, x.coeffs, params.poly, mod)
+        done = n
+        acc = pa.vec_add(acc, pa.vec_scale(pa.vec_divexact_p(xp, p ** v), c, mod), mod)
+    return ZqElement(params, pa.vec_mask(acc, p ** target), target)
+
+
+def termwise_eval_delta_function(series, args):
+    """eval_delta_function with a fresh power of a jet entry for every exponent."""
+    args = list(args)
+    params = args[0].params
+    if any(a.params != params for a in args):
+        raise ParamsMismatch("arguments live in different rings")
+    r = series.order
+    jets = [delta_jet(a, r) for a in args]
+    prec = min(
+        min((c.prec for _, c in series.terms), default=params.N),
+        min(a.prec for a in args) - r,
+    )
+    if prec < 1:
+        raise PrecisionExhausted("no precision left after taking jets")
+    inv_cache = {}
+    acc = params.zero(prec)
+    for exps, coeff in series.terms:
+        term = coeff.mask(min(prec, coeff.prec))
+        for idx, e in enumerate(exps):
+            if e == 0:
+                continue
+            j, i = divmod(idx, r + 1)
+            x = jets[j][i]
+            if e < 0:
+                if j not in inv_cache:
+                    if not args[j].is_unit():
+                        raise NonUnit(f"argument {j} must be a unit")
+                    inv_cache[j] = x.inv()
+                x = inv_cache[j]
+                e = -e
+            term = term * x.mask(min(x.prec, prec)) ** e
+        acc = acc + term
+    return acc.mask(prec)

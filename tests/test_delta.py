@@ -24,7 +24,11 @@ from wittcalc import (
     teichmuller,
 )
 
+from wittcalc import delta
+from wittcalc import polyarith as pa
+
 from conftest import get_params, oracle_exp, oracle_log
+from oracles import termwise_eval_delta_function, termwise_series
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +287,84 @@ def test_series_serialization_round_trip():
     assert len(back.terms) == len(F.terms)
     u = P.from_int(7)
     assert eval_delta_function(back, [u]) == eval_delta_function(F, [u])
+
+
+# ---------------------------------------------------------------------------
+# the Paterson-Stockmeyer sum and the power tables against the term-by-term loops
+
+ORACLE_RINGS = [(3, 1, 2), (3, 1, 9), (5, 1, 6), (7, 1, 5), (11, 1, 4),
+                (3, 2, 3), (5, 2, 8), (7, 2, 6), (11, 2, 3), (3, 4, 12)]
+
+
+def _same(a, b):
+    assert (a.coeffs, a.prec) == (b.coeffs, b.prec)
+
+
+def test_series_matches_termwise_oracle(monkeypatch):
+    rng = random.Random(10)
+    for ring in ORACLE_RINGS:
+        P = get_params(*ring)
+        p = P.p
+        for _ in range(8):
+            target = rng.randint(2, P.N)
+            x = random_element(P, rng, prec=target).mul_p_power(1).mask(target)
+            mod = p ** target
+            ns = sorted(rng.sample(range(30), rng.randint(2, 6)))
+            for terms in ([], [(0, 0, 1)], [(rng.randint(1, 9), 0, rng.randrange(mod))],
+                          [(n, rng.randint(0, n), rng.randrange(mod)) for n in ns],
+                          delta._psi_coefficients(p, target, mod)):
+                _same(delta._series(x, terms, target), termwise_series(x, terms, target))
+            w = random_element(P, rng, prec=target)
+            terms = delta._psi_coefficients(p, target, mod)
+            _same(delta._series(w, terms, target), termwise_series(w, terms, target))
+            u = random_element(P, rng, prec=target, unit=True)
+            new = padic_log(1 + x), padic_exp(x), psi(u)
+            with monkeypatch.context() as m:
+                m.setattr(delta, "_series", termwise_series)
+                old = padic_log(1 + x), padic_exp(x), psi(u)
+            for a, b in zip(new, old):
+                _same(a, b)
+
+
+def _random_series(P, rng, order, arity, n_terms):
+    seen, terms = set(), []
+    while len(terms) < n_terms:
+        exps = tuple(rng.randint(-9, 9) if i % (order + 1) == 0 else rng.randint(0, 6)
+                     for i in range((order + 1) * arity))
+        if exps not in seen:
+            seen.add(exps)
+            terms.append((exps, random_element(P, rng, prec=rng.randint(1, P.N))))
+    return RestrictedSeries(order=order, arity=arity, terms=tuple(terms), denominator=True)
+
+
+def test_eval_delta_function_matches_termwise_oracle():
+    rng = random.Random(11)
+    for ring in ORACLE_RINGS:
+        P = get_params(*ring)
+        cases = [(_random_series(P, rng, 0, 1, rng.randint(0, 1)), 1)]
+        if P.p != 2:
+            cases.append((psi_series_truncation(P, P.N - 1), 1))
+        if P.N >= 3:
+            cases += [(_random_series(P, rng, 2, 2, rng.randint(2, 6)), 2) for _ in range(6)]
+        for F, arity in cases:
+            args = [random_element(P, rng, prec=rng.randint(F.order + 1, P.N), unit=True)
+                    for _ in range(arity)]
+            _same(eval_delta_function(F, args), termwise_eval_delta_function(F, args))
+
+
+def test_series_cost_in_ring_products(monkeypatch):
+    # Deterministic vec_mul counts at (3, 6, 60); the term-by-term loops
+    # took 62, 114, 144 and 1,159.
+    P = get_params(3, 6, 60)
+    rng = random.Random(12)
+    u = random_element(P, rng, unit=True)
+    x = random_element(P, rng).mul_p_power(1)
+    F = psi_series_truncation(P, 59)
+    calls = []
+    vec_mul = pa.vec_mul
+    monkeypatch.setattr(pa, "vec_mul", lambda *a: calls.append(1) or vec_mul(*a))
+    for run, bound in ((lambda: padic_log(1 + x), 16), (lambda: padic_exp(x), 24),
+                       (lambda: psi(u), 50), (lambda: eval_delta_function(F, [u]), 300)):
+        calls.clear()
+        run()
+        assert 0 < len(calls) <= bound

@@ -1,4 +1,5 @@
-"""Property tests of the closed-form lifts over random small rings, p = 2 included."""
+"""Property tests over random small rings: the closed-form lifts (p = 2
+included) and the exp/log and psi laws (p odd)."""
 
 import pytest
 
@@ -7,6 +8,9 @@ from wittcalc import (
     ZqMatrix,
     enumerate_constants,
     fermat_quotient,
+    padic_exp,
+    padic_log,
+    psi,
     solve_matrix_linear,
     teichmuller,
     verify_matrix_linear,
@@ -18,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 RINGS = st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(2, 7))
+ODD_RINGS = st.tuples(st.sampled_from((3, 5, 7, 11)), st.integers(1, 3), st.integers(2, 8))
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None)
 
 
@@ -68,3 +73,21 @@ def test_matrix_solution_meets_invariant_and_keeps_seed(ring, n, data):
     assert coupling @ u.pow_entries_p() == u.frobenius()
     assert verify_matrix_linear(u, beta) == P.N - 1
     assert u.residues() == seed
+
+
+@SETTINGS
+@hypothesis.given(ODD_RINGS, st.data())
+def test_exp_inverts_log_on_one_units(ring, data):
+    P = get_params(*ring)
+    u = 1 + _element(data, P).mul_p_power(1)
+    assert padic_exp(padic_log(u)) == u
+
+
+@SETTINGS
+@hypothesis.given(ODD_RINGS, st.data())
+def test_psi_is_a_homomorphism(ring, data):
+    P = get_params(*ring)
+    units = st.tuples(*[st.integers(0, P.p ** P.N - 1)] * P.f).filter(
+        lambda c: any(x % P.p for x in c))
+    u, v = (P.from_coeffs(data.draw(units)) for _ in range(2))
+    assert psi(u * v) == psi(u) + psi(v)
