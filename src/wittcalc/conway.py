@@ -6,16 +6,25 @@ norm-compatible with C_{p,d} for every proper divisor d of f.  Computing it
 by direct search is cheap at the field sizes this package targets and keeps
 serialized elements portable: any implementation that picks the same
 polynomial produces bit-identical coefficients.
+
+Compatibility with C_{p,1} = x - g fixes the norm (-1)^f a_0 of a root to g,
+the smallest primitive root mod p, so the search scans only the p^(f-1)
+words with that constant term, lazily and in order, and raises
+``BudgetExceeded`` after ``MAX_WORDS`` of them.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import count
+from math import gcd
 
-from .errors import NotPrime
+from .errors import BudgetExceeded, NotPrime
 from .polyarith import pp_gcd, pp_mod, pp_mul, pp_powmod, pp_trim
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Words the Conway search examines for one degree before it gives up.
+MAX_WORDS = 100_000
 
 
 def is_prime(n):
@@ -45,18 +54,39 @@ def is_prime(n):
 
 
 def prime_factors(n):
-    """Sorted distinct prime factors, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Sorted distinct prime factors of n >= 1: primes below 41 by division,
+    the rest by Pollard's rho with Brent's cycle finding (BIT 20, 1980) from
+    fixed seeds, so the result and its cost are deterministic."""
+    out = {ell for ell in _MR_WITNESSES if n % ell == 0}
+    for ell in out:
+        while n % ell == 0:
+            n //= ell
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
+    return sorted(out)
+
+
+def _rho_factor(n):
+    """A proper factor of a composite n with no prime factor below 41: y -> y^2 + c
+    from y = 2, c = 1, 2, ..., the tortoise x catching up at powers of two."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(y - x, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def is_irreducible_mod_p(poly, p):
@@ -98,28 +128,32 @@ def conway_polynomial(p, f):
     """C_{p,f} as a tuple of f+1 ints in [0, p), ascending degree."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    g = smallest_primitive_root(p)
     if f == 1:
-        return ((-smallest_primitive_root(p)) % p, 1)
+        return ((-g) % p, 1)
     q1 = p ** f - 1
-    ells = prime_factors(q1)
-    divisors = [d for d in range(1, f) if f % d == 0]
+    r = q1 // (p - 1)
+    # x^r == g, the d = 1 norm check, gives x^(q1/ell) = g^((p-1)/ell) != 1
+    # for each prime ell not dividing r: only the primes of r need a test.
+    ells = prime_factors(r)
+    divisors = [d for d in range(2, f) if f % d == 0]
     x = [0, 1]
     # Word ordering: the tuple (b_{f-1}, ..., b_0) with b_i = (-1)^{f-i} a_i
-    # is compared lexicographically; product() enumerates words in that order.
-    for word in product(range(p), repeat=f):
-        a = [0] * (f + 1)
-        a[f] = 1
-        for idx, b in enumerate(word):
-            i = f - 1 - idx
-            a[i] = b if (f - i) % 2 == 0 else (-b) % p
-        m = a
-        if pp_powmod(x, q1, m, p) != [1]:
+    # is compared lexicographically; b_0 = g and word n holds the base-p
+    # digits of n in b_{f-1}, ..., b_1, most significant first.
+    for n in range(min(p ** (f - 1), MAX_WORDS)):
+        m = [g if f % 2 == 0 else p - g] + [0] * (f - 1) + [1]
+        for i in range(1, f):
+            n, b = divmod(n, p)
+            m[i] = b if (f - i) % 2 == 0 else (-b) % p
+        if pp_powmod(x, r, m, p) != [g]:
             continue
         if any(pp_powmod(x, q1 // ell, m, p) == [1] for ell in ells):
             continue
         if all(_norm_compatible(m, p, f, d) for d in divisors):
             return tuple(m)
-    raise ArithmeticError(f"no Conway polynomial found for p={p}, f={f}")
+    # C_{p,f} exists, so only the budget ends the scan without a hit
+    raise BudgetExceeded(f"Conway search for p={p}, f={f} passed {MAX_WORDS} words")
 
 
 def _norm_compatible(m, p, f, d):

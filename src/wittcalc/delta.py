@@ -306,9 +306,10 @@ def eval_delta_function(series, args):
     if prec < 1:
         raise PrecisionExhausted("no precision left after taking jets")
     tables = {}
+    mod = params.p ** prec
     acc = params.zero(prec)
     for exps, coeff in series.terms:
-        term = coeff.mask(prec)
+        term = None
         for idx, e in enumerate(exps):
             if e == 0:
                 continue
@@ -321,7 +322,15 @@ def eval_delta_function(series, args):
                         raise NonUnit(f"argument {j} must be a unit")
                     x = x.inv()
                 table = tables[idx, e < 0] = {1: x}
-            term = term * _power(table, abs(e))
+            power = _power(table, abs(e))
+            term = power if term is None else term * power
+        if term is None:
+            term = coeff.mask(prec)
+        elif coeff.params is params and not any(coeff.coeffs[1:]):
+            # an integer coefficient costs a scaling, not a ring product
+            term = ZqElement(params, pa.vec_scale(term.coeffs, coeff.coeffs[0], mod), prec)
+        else:
+            term = coeff.mask(prec) * term
         acc = acc + term
     return acc.mask(prec)
 

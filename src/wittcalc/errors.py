@@ -54,4 +54,4 @@ class SingularSeed(WittError):
 
 
 class BudgetExceeded(WittError):
-    """A relation search exceeded its configured budget."""
+    """A search (relation probe or Conway polynomial) exceeded its budget."""

@@ -17,8 +17,16 @@ p^k and adds p^k times a lift of phi^(-1) of its residue.
 ``termwise_eval_delta_function`` raises each jet entry to each exponent by
 its own square-and-multiply: one or more ring products per term, where the
 library's Paterson-Stockmeyer sum and power tables need about sqrt(n).
+
+``trial_division_prime_factors`` factors by trial division, where the
+library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
+every one of the p^f words for primitivity by factoring q-1 and for norm
+compatibility with every proper subfield, C_{p,1} included, where the
+library scans only the p^(f-1) words whose norm is the root of C_{p,1}.
 """
 
+from functools import lru_cache
+from itertools import count, product
 from math import gcd, isqrt
 
 from wittcalc import (
@@ -33,8 +41,60 @@ from wittcalc import (
     frobenius,
 )
 from wittcalc import polyarith as pa
-from wittcalc.conway import prime_factors
-from wittcalc.polyarith import vec_pow
+from wittcalc.polyarith import pp_mod, pp_mul, pp_powmod, pp_trim, vec_pow
+
+
+def trial_division_prime_factors(n):
+    """Sorted distinct prime factors, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def full_scan_conway_polynomial(p, f):
+    """C_{p,f} as a tuple of f+1 ints in [0, p), ascending degree."""
+    if f == 1:
+        ells = trial_division_prime_factors(p - 1)
+        g = next(g for g in count(1) if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells))
+        return ((-g) % p, 1)
+    q1 = p ** f - 1
+    ells = trial_division_prime_factors(q1)
+    divisors = [d for d in range(1, f) if f % d == 0]
+    x = [0, 1]
+    # Word ordering: the tuple (b_{f-1}, ..., b_0) with b_i = (-1)^{f-i} a_i
+    # is compared lexicographically; product() enumerates words in that order.
+    for word in product(range(p), repeat=f):
+        m = [0] * (f + 1)
+        m[f] = 1
+        for idx, b in enumerate(word):
+            i = f - 1 - idx
+            m[i] = b if (f - i) % 2 == 0 else (-b) % p
+        if pp_powmod(x, q1, m, p) != [1]:
+            continue
+        if any(pp_powmod(x, q1 // ell, m, p) == [1] for ell in ells):
+            continue
+        if all(_full_scan_norm_compatible(m, p, f, d) for d in divisors):
+            return tuple(m)
+    raise ArithmeticError(f"no Conway polynomial found for p={p}, f={f}")
+
+
+def _full_scan_norm_compatible(m, p, f, d):
+    """Does C_{p,d} vanish at x^((p^f-1)/(p^d-1)) modulo m?"""
+    y = pp_powmod([0, 1], (p ** f - 1) // (p ** d - 1), m, p)
+    acc = []
+    for c in reversed(full_scan_conway_polynomial(p, d)):
+        acc = pp_mod(pp_mul(acc, y, p), m, p) or [0]
+        acc = pp_trim([(acc[0] + c) % p] + acc[1:])
+    return not acc
 
 
 def _fq_elements(params):
@@ -51,7 +111,7 @@ def _fq_elements(params):
 def _fq_generator(params):
     """The first generator of F_q^* in enumeration order."""
     q1 = params.p ** params.f - 1
-    ells = prime_factors(q1) if q1 > 1 else []
+    ells = trial_division_prime_factors(q1) if q1 > 1 else []
     one = params.fq_from_int(1)
     for a in _fq_elements(params):
         if not a.is_zero() and all(a ** (q1 // ell) != one for ell in ells):

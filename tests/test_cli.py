@@ -3,6 +3,7 @@
 import io
 import json
 
+from wittcalc import conway
 from wittcalc.cli import run
 from wittcalc.serialize import element_from_obj
 
@@ -198,6 +199,21 @@ def test_exit_code_budget_exceeded():
     argv = FIXTURES["relations"][:6] + ["--budget-monomials", "2"] + FIXTURES["relations"][6:]
     code, _, err = invoke(argv)
     assert code == 5 and "budget" in err
+
+
+def test_exit_code_budget_exceeded_in_conway_search(monkeypatch):
+    monkeypatch.setattr(conway, "MAX_WORDS", 100)
+    conway.conway_polynomial.cache_clear()
+    code, out, err = invoke(["--p", "7", "--f", "6", "--prec", "4", "delta", '["1"]'])
+    assert code == 5 and out == "" and "Conway search" in err
+
+
+def test_large_p_field():
+    # The Conway scan at p = 10^9+7 examines four words.
+    code, out = invoke_twice(["--p", "1000000007", "--f", "2", "--prec", "4",
+                              "delta", '["1","1"]'])
+    assert code == 0
+    assert json.loads(out)["poly"] == [5, 1000000004, 1]
 
 
 def test_stdin_input():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from wittcalc import (
+    BudgetExceeded,
     NonUnit,
     NotPrime,
     ParamsMismatch,
@@ -23,10 +24,12 @@ from wittcalc import (
     random_element,
     teichmuller,
 )
+from wittcalc import conway
+from wittcalc.polyarith import pp_powmod
 from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
 
 from conftest import get_params
-from oracles import iterated_teichmuller
+from oracles import full_scan_conway_polynomial, iterated_teichmuller, trial_division_prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +79,86 @@ def test_conway_table_spot_checks():
         assert pow(g, (p - 1), p) == 1
         ells = [ell for ell in range(2, p) if (p - 1) % ell == 0]
         assert all(pow(g, (p - 1) // ell, p) != 1 for ell in ells if ell > 1)
+
+
+# Every p = 2 field up to 2^8, fields with f prime (2,7), (3,5), (5,3), and
+# composite f with one and with two proper subfields: (3,6), (5,4), (7,6).
+CONWAY_FIELDS = [(2, f) for f in range(2, 9)] + [
+    (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4),
+    (7, 2), (7, 3), (7, 4), (7, 6), (11, 2), (13, 3), (101, 2)]
+
+
+def test_conway_matches_full_scan_oracle():
+    for p, f in CONWAY_FIELDS:
+        conway.conway_polynomial.cache_clear()
+        assert conway_polynomial(p, f) == full_scan_conway_polynomial(p, f), (p, f)
+
+
+def test_conway_search_cost_in_powmods(monkeypatch):
+    # Deterministic pp_powmod count for a cold C_{7,6}, subfields included;
+    # the scan over all p^f words took 6,137.
+    calls = []
+    powmod = conway.pp_powmod
+    monkeypatch.setattr(conway, "pp_powmod", lambda *a: calls.append(1) or powmod(*a))
+    conway.conway_polynomial.cache_clear()
+    assert conway_polynomial(7, 6) == (3, 6, 4, 5, 1, 0, 1)
+    assert len(calls) <= 908
+
+
+def test_conway_search_is_bounded(monkeypatch):
+    # C_{7,6} is word 470 among those with norm 3; C_{7,2} and C_{7,3} are
+    # words 1 and 7, so only the degree-6 scan runs out.
+    monkeypatch.setattr(conway, "MAX_WORDS", 100)
+    conway.conway_polynomial.cache_clear()
+    with pytest.raises(BudgetExceeded, match="100 words"):
+        conway_polynomial(7, 6)
+    assert conway_polynomial(7, 3) == (4, 0, 6, 1)
+    monkeypatch.setattr(conway, "MAX_WORDS", 471)
+    assert conway_polynomial(7, 6) == (3, 6, 4, 5, 1, 0, 1)
+
+
+def test_conway_search_at_large_p():
+    # The words are enumerated lazily and b_0 is fixed to the norm, so the
+    # scan stops at b_1 = 3 instead of materialising range(p).
+    p = 1000000007
+    m = new_params(p, 2, 4).poly
+    assert m == (5, p - 3, 1)
+    ells = sorted(set(trial_division_prime_factors(p - 1) + trial_division_prime_factors(p + 1)))
+    q1 = p * p - 1
+
+    def primitive(m):
+        x = [0, 1]
+        return (pp_powmod(x, q1, m, p) == [1]
+                and all(pp_powmod(x, q1 // ell, m, p) != [1] for ell in ells))
+
+    assert pow(m[1] ** 2 - 4 * m[0], (p - 1) // 2, p) == p - 1  # irreducible
+    assert primitive(list(m))
+    # the norm is the smallest primitive root mod p
+    assert [g for g in range(2, 6)
+            if all(pow(g, (p - 1) // ell, p) != 1 for ell in trial_division_prime_factors(p - 1))
+            ] == [5]
+    for b1 in range(3):
+        assert not primitive([5, (-b1) % p, 1])
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(6)
+    ns = list(range(1, 3000))
+    ns += [rng.randrange(3000, 10 ** 9) for _ in range(300)]
+    ns += [41 * 43, 1009 ** 3, 2 ** 30, 3 ** 5 * 7919 ** 2, 30011 * 30013, 46337 ** 2]
+    for n in ns:
+        assert conway.prime_factors(n) == trial_division_prime_factors(n), n
+
+
+def test_prime_factors_of_a_large_q_minus_one():
+    # (10^9+7)^3 - 1 is about 1e27; trial division needs ~1e13 steps.
+    n = (10 ** 9 + 7) ** 3 - 1
+    ells = conway.prime_factors(n)
+    assert ells == [2, 6067, 500000003, 164826110927971]
+    for ell in ells:
+        while n % ell == 0:
+            n //= ell
+    assert n == 1
 
 
 # ---------------------------------------------------------------------------
