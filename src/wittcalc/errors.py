@@ -54,4 +54,4 @@ class SingularSeed(WittError):
 
 
 class BudgetExceeded(WittError):
-    """A search (relation probe or Conway polynomial) exceeded its budget."""
+    """A search (relation probe, Conway polynomial) or constants list exceeded its budget."""

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .conway import prime_factors
 from .delta import fermat_quotient, padic_exp, padic_log, psi
 from .errors import (
+    BudgetExceeded,
     DomainError,
     NonUnit,
     ParamsMismatch,
@@ -43,6 +44,9 @@ from .zq import (
     frobenius_inv,
     teichmuller,
 )
+
+# The most constants (q - 1 of them) that enumerate_constants will list.
+MAX_CONSTANTS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +147,8 @@ def enumerate_constants(params):
     lexicographically by residue coefficient vector.
     """
     q1 = params.p ** params.f - 1
+    if q1 > MAX_CONSTANTS:
+        raise BudgetExceeded(f"q - 1 = {q1} constants exceed the budget of {MAX_CONSTANTS}")
     ells = prime_factors(q1)
     one = params.fq_from_int(1)
     gamma = next(a for a in _fq_all(params) if not a.is_zero()
@@ -182,9 +188,10 @@ def solve_exponential(beta):
     """Solve psi(u) = beta over Z_q; returns the full solution family."""
     if beta.params.p == 2:
         raise UnsupportedPrime("the multiplicative family needs p odd")
+    constants = enumerate_constants(beta.params)  # first, to fail at once past the budget
     problem = ExponentialProblem.from_beta(beta)
     base, cert = _verified_base(problem)
-    return SolutionFamily(problem, base, enumerate_constants(beta.params), cert)
+    return SolutionFamily(problem, base, constants, cert)
 
 
 def verify_exponential(u, problem, base=None):

@@ -12,7 +12,7 @@ Besides the ring structure this module provides:
 * ``frobenius`` -- the lift of the residue Frobenius a -> a^p, computed once
   per ring as the Hensel root of m nearest g^p and cached as a power table;
 * ``teichmuller`` -- the multiplicative section of reduction mod p, i.e. the
-  unique root-of-unity-or-zero lift of each residue;
+  unique root-of-unity-or-zero lift of each residue, one power per orbit;
 * ``digits``/``from_digits`` -- the expansion u = sum_i omega(c_i) p^i with
   residue digits c_i, on which the Frobenius acts digit-wise by c -> c^p.
 
@@ -471,16 +471,23 @@ def teichmuller(a, prec=None):
 
     A unit lift right mod p^k has its q-th power right mod p^(k+f), so from
     the residue's own lift, right mod p, the power q^m with m = ceil((N-1)/f)
-    is omega(a) mod p^N.  Results are cached per ring at full precision N.
+    is omega(a) mod p^N.  A cache miss pays that one power for the orbit of
+    a under <phi, -1>: phi(omega(a)) = omega(a^p) and, for p odd,
+    omega(-a) = -omega(a) hold exactly mod p^N.  Cached per ring at full N.
     """
     params = a.params
     prec = params._prec(prec)
-    cached = params._teich.get(a.coeffs)
-    if cached is None:
-        p, f, N = params.p, params.f, params.N
-        cached = pa.vec_pow(a.coeffs, p ** (f * -(-(N - 1) // f)), params.poly, p ** N)
-        params._teich[a.coeffs] = cached
-    return ZqElement(params, pa.vec_mask(cached, params.p ** prec), prec)
+    if a.coeffs not in params._teich:
+        p, f, N, key = params.p, params.f, params.N, a.coeffs
+        mod = p ** N
+        w = pa.vec_pow(key, p ** (f * -(-(N - 1) // f)), params.poly, mod)
+        while key not in params._teich:
+            params._teich[key] = w
+            if p > 2:
+                params._teich[tuple(-c % p for c in key)] = pa.vec_neg(w, mod)
+            w = PadicParams._apply(w, params._phi_pows, mod)
+            key = tuple(c % p for c in w)
+    return ZqElement(params, pa.vec_mask(params._teich[a.coeffs], params.p ** prec), prec)
 
 
 def digits(u):

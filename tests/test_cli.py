@@ -3,7 +3,7 @@
 import io
 import json
 
-from wittcalc import conway
+from wittcalc import conway, solvers
 from wittcalc.cli import run
 from wittcalc.serialize import element_from_obj
 
@@ -206,6 +206,22 @@ def test_exit_code_budget_exceeded_in_conway_search(monkeypatch):
     conway.conway_polynomial.cache_clear()
     code, out, err = invoke(["--p", "7", "--f", "6", "--prec", "4", "delta", '["1"]'])
     assert code == 5 and out == "" and "Conway search" in err
+
+
+def test_exit_code_budget_exceeded_in_constants(monkeypatch):
+    # q - 1 = 3.7e19 constants are refused before any q-sized work starts:
+    # neither the generator search nor the lift runs.
+    calls = []
+    for name in ("teichmuller", "prime_factors"):
+        fn = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    ring = ["--p", "36893488147419104219", "--f", "1", "--prec", "4"]
+    for cmd in (["constants"], ["solve-mult", "--beta", '["1"]']):
+        code, out, err = invoke(ring + cmd)
+        assert code == 5 and out == "" and "budget" in err
+    assert calls == []
+    code, out, _ = invoke(["--p", "7", "--f", "1", "--prec", "4", "constants"])
+    assert code == 0 and len(calls) == 2
 
 
 def test_large_p_field():

@@ -1,5 +1,6 @@
-"""Property tests over random small rings: the closed-form lifts (p = 2
-included) and the exp/log and psi laws (p odd)."""
+"""Property tests over random small rings: the closed-form lifts and the
+laws the Teichmuller orbit fill relies on (p = 2 included), and the exp/log
+and psi laws (p odd)."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from wittcalc import (
     ZqMatrix,
     enumerate_constants,
     fermat_quotient,
+    frobenius,
     padic_exp,
     padic_log,
     psi,
@@ -17,6 +19,7 @@ from wittcalc import (
 )
 
 from conftest import get_params
+from oracles import iterated_teichmuller
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -44,6 +47,29 @@ def test_teichmuller_is_the_multiplicative_root_of_unity_lift(ring, data):
     assert w.residue() == a
     assert w.prec == P.N
     assert teichmuller(a * b) == w * teichmuller(b)
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_teichmuller_commutes_with_frobenius_and_sign(ring, data):
+    # the laws the orbit fill relies on, checked on the iterated lift
+    P = get_params(*ring)
+    a = _residue(data, P)
+    w = P.from_coeffs(iterated_teichmuller(a))
+    assert teichmuller(a) == w
+    assert P.from_coeffs(iterated_teichmuller(a ** P.p)) == frobenius(w) == teichmuller(a ** P.p)
+    # at p = 2, -a = a but -omega(a) != omega(a), so the fill skips the sign
+    assert P.from_coeffs(iterated_teichmuller(-a)) == (w if P.p == 2 else -w) == teichmuller(-a)
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_frobenius_has_order_f(ring, data):
+    P = get_params(*ring)
+    u = v = _element(data, P)
+    for _ in range(P.f):
+        v = frobenius(v)
+    assert v.coeffs == u.coeffs
 
 
 @SETTINGS

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wittcalc import (
+    BudgetExceeded,
     ExponentialProblem,
     NonUnit,
     Obstruction,
@@ -27,6 +28,7 @@ from wittcalc import (
     verify_exponential,
     verify_matrix_linear,
 )
+from wittcalc import solvers
 
 from conftest import get_params, oracle_exp
 from oracles import per_residue_constants, staged_solve_difference, staged_solve_matrix_linear
@@ -279,6 +281,20 @@ def test_difference_closed_form_is_the_normalised_solution():
         for _ in range(8):
             v = random_element(P, rng, unit=True)
             assert solve_difference(frobenius(v) * v.inv()) == _normalised(v)
+
+
+def test_constants_are_bounded(monkeypatch):
+    with pytest.raises(BudgetExceeded):
+        solve_exponential(new_params(36893488147419104219, 1, 4).one())
+    # q - 1 = 24 constants at (5, 2): refused one below, listed at the bound
+    P = get_params(5, 2, 6)
+    monkeypatch.setattr(solvers, "MAX_CONSTANTS", 23)
+    with pytest.raises(BudgetExceeded, match="q - 1 = 24"):
+        enumerate_constants(P)
+    with pytest.raises(BudgetExceeded):
+        solve_exponential(P.zero())
+    monkeypatch.setattr(solvers, "MAX_CONSTANTS", 24)
+    assert len(solve_exponential(P.zero()).constants) == 24
 
 
 def test_difference_norm_one_on_a_66_bit_prime():

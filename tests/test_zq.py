@@ -24,7 +24,7 @@ from wittcalc import (
     random_element,
     teichmuller,
 )
-from wittcalc import conway
+from wittcalc import conway, polyarith
 from wittcalc.polyarith import pp_powmod
 from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
 
@@ -321,16 +321,47 @@ def test_teichmuller_root_of_unity_and_multiplicative():
 
 
 def test_teichmuller_matches_iterated_oracle():
-    # one power a^(q^ceil((N-1)/f)) against x -> x^q iterated until fixed,
-    # on every residue; x^2+1 over F_3 is a modulus whose root is not primitive
+    # the table against x -> x^q iterated until fixed, on every residue; the
+    # residues are asked for in shuffled orders on fresh rings, so each entry
+    # is met as a power, as a Frobenius image or as a negation; x^2+1 over
+    # F_3 is a modulus whose root is not primitive
     for p, f, N, poly in [(2, 1, 7, None), (2, 3, 6, None), (2, 4, 9, None),
-                          (3, 1, 9, None), (3, 2, 6, (1, 0, 1)), (5, 2, 7, None),
-                          (7, 3, 5, None), (11, 1, 4, None)]:
+                          (3, 1, 9, None), (3, 2, 6, (1, 0, 1)), (3, 6, 12, None),
+                          (5, 2, 7, None), (7, 3, 5, None), (11, 1, 4, None)]:
         P = new_params(p, f, N, poly)
+        oracle = {c: iterated_teichmuller(P.fq(c)) for c in itertools.product(range(p), repeat=f)}
+        for seed in range(3):
+            order = sorted(oracle)
+            random.Random(seed).shuffle(order)
+            P = new_params(p, f, N, poly)
+            for c in order:
+                assert teichmuller(P.fq(c)).coeffs == oracle[c]
+                assert teichmuller(P.fq(c), 2).coeffs == tuple(x % p ** 2 for x in oracle[c])
+            assert len(P._teich) == p ** f
+
+
+def test_teichmuller_table_cost_in_powers(monkeypatch):
+    # One vec_pow per orbit of <phi, -1> on F_q: one per residue took q.
+    calls = []
+    vec_pow = polyarith.vec_pow
+    monkeypatch.setattr(polyarith, "vec_pow", lambda *a: calls.append(1) or vec_pow(*a))
+    for (p, f, N), bound in {(3, 6, 60): 68, (5, 4, 40): 87, (2, 8, 30): 36}.items():
+        P = new_params(p, f, N)
+        calls.clear()
         for c in itertools.product(range(p), repeat=f):
-            a = P.fq(c)
-            assert teichmuller(a).coeffs == iterated_teichmuller(a)
-            assert teichmuller(a, 2).coeffs == tuple(x % p ** 2 for x in iterated_teichmuller(a))
+            teichmuller(P.fq(c))
+        assert len(P._teich) == p ** f
+        assert len(calls) <= bound
+        # a cold call makes one power and fills at most its orbit, 2f entries
+        P = new_params(p, f, N)
+        a = P.fq((1,) * f)
+        ap = a ** p
+        calls.clear()
+        w = teichmuller(a)
+        assert len(calls) == 1 and 1 <= len(P._teich) <= 2 * f
+        assert teichmuller(ap) == frobenius(w)
+        assert teichmuller(-a) == (w if p == 2 else -w)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
