@@ -29,14 +29,18 @@ All three series are summed by ``_series``: the terms c x^n / p^v are
 brought to the common denominator p^V, V = max v, and the integer polynomial
 sum c p^(V-v) x^n is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2(1),
 1973) in about 2 sqrt(n) ring products, the rest being scalar multiples of
-cached powers.  ``eval_delta_function`` keeps one table of powers per
-variable and sign, so each new exponent costs one product.
+cached powers.  ``eval_delta_function`` writes each exponent vector as g*d,
+d primitive, and sums two or more integer-coefficient terms of one
+direction, such as all of psi's (-p*n, n), as the series sum c_g m^g in the
+monomial m = x^d by the same routine; other terms are products from the
+power tables, a lone integer coefficient being a scaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 from . import polyarith as pa
 from .errors import (
@@ -146,11 +150,8 @@ def _series(x, terms, target):
         pows.append(pa.vec_mul(pows[-1], pows[1], poly, mod))
     acc = None
     for start in range(top - top % k, -1, -k):
-        block = pa.vec_zero(f)
-        for i in range(k):
-            c = scaled.get(start + i)
-            if c:
-                block = pa.vec_add(block, pa.vec_scale(pows[i], c, mod), mod)
+        pairs = [(scaled[start + i], pows[i]) for i in range(k) if scaled.get(start + i)]
+        block = tuple(sum(c * w[j] for c, w in pairs) % mod for j in range(f))
         acc = block if acc is None else pa.vec_add(
             pa.vec_mul(acc, pows[k], poly, mod), block, mod)
     return ZqElement(params, pa.vec_mask(pa.vec_divexact_p(acc, p ** big_v), p ** target),
@@ -169,15 +170,18 @@ def padic_log(u):
     t = u - 1
     if not t.is_zero() and t.valuation() < 1:
         raise DomainError("log is only defined on 1 + p*Z_q")
-    target, p = u.prec, params.p
-    mod = p ** target
+    return _series(t, _log_terms(params.p, u.prec), u.prec)
+
+
+@lru_cache(maxsize=256)
+def _log_terms(p, target):
     terms = []
     n = 1
     while n - _ilog(p, n) < target:
         v = _vp(p, n)
-        terms.append((n, v, (-1) ** (n - 1) * pow(n // p ** v, -1, mod)))
+        terms.append((n, v, (-1) ** (n - 1) * pow(n // p ** v, -1, p ** target)))
         n += 1
-    return _series(t, terms, target)
+    return tuple(terms)
 
 
 def padic_exp(x):
@@ -189,8 +193,11 @@ def padic_exp(x):
     _require_odd(params.p)
     if not x.is_zero() and x.valuation() < 1:
         raise DomainError("exp is only defined on p*Z_q")
-    target, p = x.prec, params.p
-    mod = p ** target
+    return _series(x, _exp_terms(params.p, x.prec), x.prec)
+
+
+@lru_cache(maxsize=256)
+def _exp_terms(p, target):
     # n - v_p(n!) >= n(p-2)/(p-1) + 1/(p-1): everything beyond n_hard is dead
     n_hard = ((p - 1) * target - 1 + (p - 3)) // (p - 2)
     terms = [(0, 0, 1)]
@@ -199,8 +206,8 @@ def padic_exp(x):
         fact *= n
         v = _vp_factorial(p, n)
         if n - v < target:
-            terms.append((n, v, pow(fact // p ** v, -1, mod)))
-    return _series(x, terms, target)
+            terms.append((n, v, pow(fact // p ** v, -1, p ** target)))
+    return tuple(terms)
 
 
 def psi(u):
@@ -226,6 +233,7 @@ def psi(u):
     return via_log
 
 
+@lru_cache(maxsize=256)
 def _psi_coefficients(p, target, mod):
     """(n, 0, c_n) for the terms of sum (-1)^(n-1) (p^(n-1)/n) x^n alive mod p^target.
 
@@ -241,7 +249,7 @@ def _psi_coefficients(p, target, mod):
         v = _vp(p, n)
         c = p ** (n - 1 - v) * pow(n // p ** v, -1, mod) % mod
         out.append((n, 0, c if n % 2 else (-c) % mod))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -306,9 +314,8 @@ def eval_delta_function(series, args):
     if prec < 1:
         raise PrecisionExhausted("no precision left after taking jets")
     tables = {}
-    mod = params.p ** prec
-    acc = params.zero(prec)
-    for exps, coeff in series.terms:
+
+    def monomial(exps):
         term = None
         for idx, e in enumerate(exps):
             if e == 0:
@@ -324,14 +331,25 @@ def eval_delta_function(series, args):
                 table = tables[idx, e < 0] = {1: x}
             power = _power(table, abs(e))
             term = power if term is None else term * power
-        if term is None:
-            term = coeff.mask(prec)
-        elif coeff.params is params and not any(coeff.coeffs[1:]):
-            # an integer coefficient costs a scaling, not a ring product
-            term = ZqElement(params, pa.vec_scale(term.coeffs, coeff.coeffs[0], mod), prec)
+        return term
+
+    acc = params.zero(prec)
+    groups = {}
+    for exps, coeff in series.terms:
+        g = gcd(*exps)
+        if g and (coeff.params is params or coeff.params == params) \
+                and not any(coeff.coeffs[1:]):
+            groups.setdefault(tuple(e // g for e in exps), []).append((g, 0, coeff.coeffs[0]))
         else:
-            term = coeff.mask(prec) * term
-        acc = acc + term
+            acc = acc + (coeff.mask(prec) * monomial(exps) if g else coeff.mask(prec))
+    for d, terms in groups.items():
+        if len(terms) > 1:
+            acc = acc + _series(monomial(d), terms, prec)
+        else:
+            # a lone integer coefficient costs a scaling, not a series
+            (g, _, c), = terms
+            term = monomial(tuple(g * e for e in d))
+            acc = acc + ZqElement(params, pa.vec_scale(term.coeffs, c, params.p ** prec), prec)
     return acc.mask(prec)
 
 
@@ -340,7 +358,7 @@ def _power(table, e):
 
     A new exponent is the highest cached one below it times the power for
     the difference, itself cached; so a run of exponents in arithmetic
-    progression, like psi's (-p*n, n), costs one product per term.
+    progression costs one product per term.
     """
     if e not in table:
         below = max(d for d in table if d < e)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import polyarith as pa
 from .conway import prime_factors
 from .delta import fermat_quotient, padic_exp, padic_log, psi
 from .errors import (
@@ -164,20 +165,21 @@ def _verified_base(problem):
     """The distinguished solution with its self-verification certificate.
 
     base = exp(sum_{n>=1} p^n phi^(-n)(beta)); the sum is exact since the
-    n-th term has valuation >= n.  The base is verified against all three
-    equation forms before returning.
+    n-th term has valuation >= n, and phi has order f, so it is taken as
+    sum_{i=1..f} c_i phi^(-i)(beta), c_i = sum of p^n over n = i mod f.
+    The base is verified against all three equation forms before returning.
     """
     beta = problem.beta
     params = beta.params
     if beta.prec < 2:
         raise PrecisionExhausted("solve_exponential needs precision >= 2")
-    s_prec = min(beta.prec + 1, params.N)
-    s = params.zero(s_prec)
-    term = beta
-    for n in range(1, s_prec):
+    p, f, s_prec = params.p, params.f, min(beta.prec + 1, params.N)
+    s, term = pa.vec_zero(f), beta
+    for i in range(1, f + 1):
         term = frobenius_inv(term)
-        s = s + term.mul_p_power(n)
-    base = padic_exp(s)
+        c = sum(p ** n for n in range(i, s_prec, f))
+        s = pa.vec_add(s, pa.vec_scale(term.coeffs, c, p ** s_prec), p ** s_prec)
+    base = padic_exp(ZqElement(params, s, s_prec))
     cert = verify_exponential(base, problem, base=base)
     if not cert.ok:
         raise ArithmeticError("base solution failed self-verification")
@@ -316,14 +318,14 @@ class ZqMatrix:
             raise DomainError("matrix must be square and non-empty")
         params = entries[0][0].params
         prec = min(e.prec for row in entries for e in row)
-        for row in entries:
-            for e in row:
-                if e.params != params:
-                    raise ParamsMismatch("matrix entries live in different rings")
+        if any(e.params is not params and e.params != params for row in entries for e in row):
+            raise ParamsMismatch("matrix entries live in different rings")
         self.params = params
         self.n = n
         self.prec = prec
-        self.entries = tuple(tuple(e.mask(prec) for e in row) for row in entries)
+        # entries already at the common precision are reduced mod p^prec
+        self.entries = tuple(tuple(e if e.prec == prec else e.mask(prec) for e in row)
+                             for row in entries)
 
     @classmethod
     def identity(cls, params, n, prec=None):

@@ -13,6 +13,10 @@ sqrt(q) and it factors q-1 by trial division, so it is only run at small q.
 phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
 p^k and adds p^k times a lift of phi^(-1) of its residue.
 
+``termwise_frobenius_sum`` applies phi^(-1) once per term of
+sum_{n>=1} p^n phi^(-n)(beta), where the library groups the terms by n mod f
+and needs f applications.
+
 ``termwise_series`` sums c * x^n / p^v one power of x at a time, and
 ``termwise_eval_delta_function`` raises each jet entry to each exponent by
 its own square-and-multiply: one or more ring products per term, where the
@@ -39,6 +43,7 @@ from wittcalc import (
     ZqMatrix,
     delta_jet,
     frobenius,
+    frobenius_inv,
 )
 from wittcalc import polyarith as pa
 from wittcalc.polyarith import pp_mod, pp_mul, pp_powmod, pp_trim, vec_pow
@@ -235,6 +240,18 @@ def staged_solve_matrix_linear(beta, seed):
         u = u + ZqMatrix.from_residues(params, h, W).map(
             lambda e: e.mul_p_power(k).mask(W))
     return u
+
+
+def termwise_frobenius_sum(beta):
+    """sum_{n=1..s-1} p^n phi^(-n)(beta) at precision s = min(prec + 1, N)."""
+    params = beta.params
+    s_prec = min(beta.prec + 1, params.N)
+    s = params.zero(s_prec)
+    term = beta
+    for n in range(1, s_prec):
+        term = frobenius_inv(term)
+        s = s + term.mul_p_power(n)
+    return s
 
 
 def termwise_series(x, terms, target):

@@ -1,7 +1,7 @@
 """Fermat quotient, jets, p-adic exp/log, psi, and series evaluation."""
 
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -9,6 +9,7 @@ from wittcalc import (
     ArityMismatch,
     DomainError,
     NonUnit,
+    PadicParams,
     PrecisionExhausted,
     RestrictedSeries,
     UnsupportedPrime,
@@ -352,20 +353,74 @@ def test_eval_delta_function_matches_termwise_oracle():
             _same(eval_delta_function(F, args), termwise_eval_delta_function(F, args))
 
 
+def _directional_series(P, Q, rng):
+    # order 1, arity 2: variables (u, delta u, v, delta v); two or three
+    # primitive directions d, the first with a negative exponent on u, each
+    # carrying one or more terms g*d whose coefficients are integers of P,
+    # integers of the equal but distinct Q, or ring elements; plus a constant
+    p, f, N = P.p, P.f, P.N
+    dirs = [(-rng.randint(1, 3), 1, rng.randint(0, 2), rng.randint(0, 1))]
+    while len(dirs) < rng.randint(2, 3):
+        d = tuple(rng.randint(-3, 3) if i % 2 == 0 else rng.randint(0, 2) for i in range(4))
+        if gcd(*d) == 1 and d not in dirs:
+            dirs.append(d)
+    terms = {(0, 0, 0, 0): random_element(P, rng, prec=rng.randint(2, N))}
+    for d in dirs:
+        for g in rng.sample(range(1, 14), rng.randint(1, 6)):
+            prec = rng.randint(2, N)
+            kind = rng.randrange(4)
+            if kind == 0:
+                c = random_element(P, rng, prec=prec)
+            else:
+                c = (Q if kind == 1 else P).from_coeffs(
+                    (rng.randrange(p ** prec),) + (0,) * (f - 1), prec)
+            terms[tuple(g * e for e in d)] = c
+    items = list(terms.items())
+    rng.shuffle(items)
+    return RestrictedSeries(order=1, arity=2, terms=tuple(items), denominator=True)
+
+
+def test_grouped_directions_match_termwise_oracle():
+    rng = random.Random(13)
+    for ring in ORACLE_RINGS[1:] + [(2, 1, 7), (2, 3, 5)]:
+        P = get_params(*ring)
+        Q = PadicParams(*ring)
+        assert Q == P and Q is not P
+        for _ in range(6):
+            F = _directional_series(P, Q, rng)
+            assert len({gcd(*e) and tuple(x // gcd(*e) for x in e) for e, _ in F.terms}) >= 3
+            args = [random_element(P, rng, prec=rng.randint(2, P.N), unit=True)
+                    for _ in range(2)]
+            _same(eval_delta_function(F, args), termwise_eval_delta_function(F, args))
+            # u a non-unit: the negative direction needs its inverse
+            args[0] = args[0].mul_p_power(1).mask(args[0].prec)
+            with pytest.raises(NonUnit):
+                eval_delta_function(F, args)
+            with pytest.raises(NonUnit):
+                termwise_eval_delta_function(F, args)
+
+
 def test_series_cost_in_ring_products(monkeypatch):
-    # Deterministic vec_mul counts at (3, 6, 60); the term-by-term loops
-    # took 62, 114, 144 and 1,159.  The psi truncation's coefficients are
-    # integers, which eval_delta_function applies by scaling.
-    P = get_params(3, 6, 60)
-    rng = random.Random(12)
-    u = random_element(P, rng, unit=True)
-    x = random_element(P, rng).mul_p_power(1)
-    F = psi_series_truncation(P, 59)
+    # Deterministic vec_mul counts; the term-by-term loops took 62, 114, 144
+    # and 1,159 at (3, 6, 60).  The psi truncation's terms all lie along the
+    # direction (-p, 1), so eval_delta_function sums them as one series.  In
+    # u*du + du^2 + 3u^2*du each term is its own direction and costs what the
+    # per-term products did (7 and 8, jets included).
     calls = []
     vec_mul = pa.vec_mul
     monkeypatch.setattr(pa, "vec_mul", lambda *a: calls.append(1) or vec_mul(*a))
-    for run, bound in ((lambda: padic_log(1 + x), 16), (lambda: padic_exp(x), 24),
-                       (lambda: psi(u), 50), (lambda: eval_delta_function(F, [u]), 202)):
-        calls.clear()
-        run()
-        assert 0 < len(calls) <= bound
+    for ring, bounds in (((3, 6, 60), (14, 20, 45, 33, 7)),
+                         ((5, 4, 40), (11, 13, 40, 32, 8))):
+        P = get_params(*ring)
+        rng = random.Random(12)
+        u = random_element(P, rng, unit=True)
+        x = random_element(P, rng).mul_p_power(1)
+        F = psi_series_truncation(P, P.N - 1)
+        mixed = RestrictedSeries(order=1, arity=1, terms=(
+            ((1, 1), P.from_int(1)), ((0, 2), P.from_int(1)), ((2, 1), P.from_int(3))))
+        runs = (lambda: padic_log(1 + x), lambda: padic_exp(x), lambda: psi(u),
+                lambda: eval_delta_function(F, [u]), lambda: eval_delta_function(mixed, [u]))
+        for run, bound in zip(runs, bounds):
+            calls.clear()
+            run()
+            assert 0 < len(calls) <= bound

@@ -1,6 +1,8 @@
-"""Property tests over random small rings: the closed-form lifts and the
-laws the Teichmuller orbit fill relies on (p = 2 included), and the exp/log
-and psi laws (p odd)."""
+"""Property tests over random small rings: the closed-form lifts, the laws
+the Teichmuller orbit fill relies on and the delta sum and product laws
+(p = 2 included), and the exp/log and psi laws (p odd)."""
+
+from math import comb
 
 import pytest
 
@@ -70,6 +72,18 @@ def test_frobenius_has_order_f(ring, data):
     for _ in range(P.f):
         v = frobenius(v)
     assert v.coeffs == u.coeffs
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_delta_product_and_sum_laws(ring, data):
+    P = get_params(*ring)
+    p = P.p
+    a, b = _element(data, P), _element(data, P)
+    da, db = fermat_quotient(a), fermat_quotient(b)
+    assert fermat_quotient(a * b) == a ** p * db + b ** p * da + (da * db).mul_p_power(1)
+    cross = sum((comb(p, i) // p * a ** i * b ** (p - i) for i in range(1, p)), P.zero())
+    assert fermat_quotient(a + b) == da + db - cross
 
 
 @SETTINGS

@@ -10,14 +10,17 @@ from wittcalc import (
     ExponentialProblem,
     NonUnit,
     Obstruction,
+    ParamsMismatch,
     SingularSeed,
     UnsupportedPrime,
+    ZqElement,
     ZqMatrix,
     agreement_precision,
     enumerate_constants,
     fermat_quotient,
     frobenius,
     new_params,
+    padic_exp,
     phi_norm,
     psi,
     random_element,
@@ -31,7 +34,12 @@ from wittcalc import (
 from wittcalc import solvers
 
 from conftest import get_params, oracle_exp
-from oracles import per_residue_constants, staged_solve_difference, staged_solve_matrix_linear
+from oracles import (
+    per_residue_constants,
+    staged_solve_difference,
+    staged_solve_matrix_linear,
+    termwise_frobenius_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,26 @@ def test_exhaustive_toy_scale_cross_check():
             if ((u - u ** 3) // 3 - a * u ** 3) % 27 == 0:
                 brute.add(u)
         assert brute == solver_set
+
+
+def test_verified_base_matches_termwise_oracle(monkeypatch):
+    # the base from f applications of phi^(-1) against one per term of the sum
+    rng = random.Random(17)
+    for p, f, N in [(3, 1, 7), (5, 1, 5), (3, 2, 8), (5, 2, 6), (7, 2, 4), (3, 3, 9),
+                    (5, 3, 5), (11, 3, 3)]:
+        P = get_params(p, f, N)
+        for prec in [2, 3, N - 1, N] * 2:
+            beta = random_element(P, rng, prec=max(2, prec))
+            problem = ExponentialProblem.from_beta(beta)
+            calls = []
+            inv = solvers.frobenius_inv
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "frobenius_inv", lambda u: calls.append(1) or inv(u))
+                base, cert = solvers._verified_base(problem)
+            assert len(calls) == f
+            old = padic_exp(termwise_frobenius_sum(beta))
+            assert (base.coeffs, base.prec) == (old.coeffs, old.prec)
+            assert cert.ok
 
 
 def test_solve_exponential_rejects_p2():
@@ -435,3 +463,22 @@ def test_matrix_lift_matches_staged_oracle():
                     [[e.coeffs for e in row] for row in old.entries]
                 assert new.prec == old.prec == N
 
+
+def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
+    # the constructor masks only entries above the common precision, so map,
+    # +, - and @ re-mask nothing (masking every entry, one solve took 585)
+    P = get_params(7, 3, 20)
+    beta = _rand_matrix(P, random.Random(18), 3)
+    calls = []
+    mask = ZqElement.mask
+    monkeypatch.setattr(ZqElement, "mask", lambda e, prec: calls.append(1) or mask(e, prec))
+    u = solve_matrix_linear(beta)
+    assert len(calls) <= 9
+    assert verify_matrix_linear(u, beta) == P.N - 1
+    # a map that changes some precisions still yields one common precision
+    mixed = u.map(lambda e: e.mask(5) if e is u.entries[0][0] else e)
+    assert mixed.prec == 5 and all(e.prec == 5 for row in mixed.entries for e in row)
+    assert mixed - u == ZqMatrix(tuple(tuple(P.zero(5) for _ in range(3)) for _ in range(3)))
+    # and a map into another ring for some entries is still refused
+    with pytest.raises(ParamsMismatch):
+        u.map(lambda e: get_params(7, 2, 20).from_int(1) if e is u.entries[0][0] else e)
