@@ -124,33 +124,40 @@ def _require_odd(p):
         raise UnsupportedPrime("p = 2 is outside the convergence domain used here")
 
 
-def _series(x, terms, target):
-    """sum c * x^n / p^v over the triples (n, v, c), exact mod p^target.
+def _scaled(p, terms, target):
+    """(V, c) for the triples (n, v, c): V = max v, c[n] = sum c p^(V-v) mod p^(target+V)."""
+    big_v = max((v for _, v, _ in terms), default=0)
+    mod = p ** (target + big_v)
+    cs = [0] * (max((n for n, _, _ in terms), default=0) + 1)
+    for n, v, c in terms:
+        cs[n] = (cs[n] + c * p ** (big_v - v)) % mod
+    return big_v, tuple(cs)
 
-    With V = max v, each term is scaled to c * p^(V-v) * x^n, an integer
-    polynomial in x evaluated mod p^(target + V) by Paterson-Stockmeyer:
-    the powers x^0..x^k, k = isqrt(top + 1), are computed once, and Horner
-    in x^k runs over blocks of k terms, each block a scalar combination of
-    the cached powers.  That is about 2*sqrt(top) ring products instead of
-    top.  Every term is p^V times an integer vector (p^v divides x^n), so
-    the sum divides exactly by p^V and is then right mod p^target; c only
-    needs to be right mod p^target.
+
+def _series(x, table, target):
+    """sum c * x^n / p^v, exact mod p^target, from its table (V, c) = ``_scaled``.
+
+    Each term is scaled to c * p^(V-v) * x^n, an integer polynomial in x
+    evaluated mod p^(target + V) by Paterson-Stockmeyer: the powers
+    x^0..x^k, k = isqrt(top + 1), are computed once, and Horner in x^k runs
+    over blocks of k terms, each block a scalar combination of the cached
+    powers.  That is about 2*sqrt(top) ring products instead of top.  Every
+    term is p^V times an integer vector (p^v divides x^n), so the sum
+    divides exactly by p^V and is then right mod p^target; c only needs to
+    be right mod p^target.
     """
     params = x.params
     p, f, poly = params.p, params.f, params.poly
-    big_v = max((v for _, v, _ in terms), default=0)
+    big_v, cs = table
     mod = p ** (target + big_v)
-    scaled = {}
-    for n, v, c in terms:
-        scaled[n] = (scaled.get(n, 0) + c * p ** (big_v - v)) % mod
-    top = max(scaled, default=0)
+    top = len(cs) - 1
     k = isqrt(top + 1)
     pows = [pa.vec_one(f), x.coeffs]
     for _ in range(k - 1):
         pows.append(pa.vec_mul(pows[-1], pows[1], poly, mod))
     acc = None
     for start in range(top - top % k, -1, -k):
-        pairs = [(scaled[start + i], pows[i]) for i in range(k) if scaled.get(start + i)]
+        pairs = [(c, pows[i]) for i, c in enumerate(cs[start:start + k]) if c]
         block = tuple(sum(c * w[j] for c, w in pairs) % mod for j in range(f))
         acc = block if acc is None else pa.vec_add(
             pa.vec_mul(acc, pows[k], poly, mod), block, mod)
@@ -181,7 +188,7 @@ def _log_terms(p, target):
         v = _vp(p, n)
         terms.append((n, v, (-1) ** (n - 1) * pow(n // p ** v, -1, p ** target)))
         n += 1
-    return tuple(terms)
+    return _scaled(p, terms, target)
 
 
 def padic_exp(x):
@@ -207,7 +214,7 @@ def _exp_terms(p, target):
         v = _vp_factorial(p, n)
         if n - v < target:
             terms.append((n, v, pow(fact // p ** v, -1, p ** target)))
-    return tuple(terms)
+    return _scaled(p, terms, target)
 
 
 def psi(u):
@@ -222,15 +229,24 @@ def psi(u):
         raise NonUnit("psi is defined on units only")
     if u.prec < 2:
         raise PrecisionExhausted("psi needs precision >= 2")
-    phi_u = frobenius(u)
-    up = u ** params.p
+    return _psi(frobenius(u), u ** params.p)
+
+
+def _psi(phi_u, up):
+    """psi(u) from phi(u) and u^p, by both routes, checked to agree."""
+    p = up.params.p
     inv_up = up.inv()
     via_log = padic_log(phi_u * inv_up).exact_div_p(1)
     w = (phi_u - up).exact_div_p(1) * inv_up
-    via_series = _series(w, _psi_coefficients(params.p, w.prec, params.p ** w.prec), w.prec)
+    via_series = _series(w, _psi_terms(p, w.prec), w.prec)
     if via_log != via_series:
         raise ArithmeticError("psi computation paths disagree")
     return via_log
+
+
+@lru_cache(maxsize=256)
+def _psi_terms(p, target):
+    return _scaled(p, _psi_coefficients(p, target, p ** target), target)
 
 
 @lru_cache(maxsize=256)
@@ -344,7 +360,7 @@ def eval_delta_function(series, args):
             acc = acc + (coeff.mask(prec) * monomial(exps) if g else coeff.mask(prec))
     for d, terms in groups.items():
         if len(terms) > 1:
-            acc = acc + _series(monomial(d), terms, prec)
+            acc = acc + _series(monomial(d), _scaled(params.p, terms, prec), prec)
         else:
             # a lone integer coefficient costs a scaling, not a series
             (g, _, c), = terms

@@ -60,6 +60,12 @@ def vec_mul(a, b, poly, mod):
         if x:
             for j, y in enumerate(b):
                 t[i + j] += x * y
+    return _reduce(t, poly, mod)
+
+
+def _reduce(t, poly, mod):
+    """The integer product coefficients t, of length 2f-1, mod (poly, mod)."""
+    f = len(poly) - 1
     for i in range(2 * f - 2, f - 1, -1):
         c = t[i] % mod
         if c:
@@ -70,29 +76,37 @@ def vec_mul(a, b, poly, mod):
 
 
 def vec_pow(a, e, poly, mod):
-    """a**e for e >= 0 by square-and-multiply."""
+    """a**e for e >= 0 by square-and-multiply from the top bit."""
     if e < 0:
         raise ValueError("negative exponent at the vector level")
-    f = len(a)
-    acc = vec_one(f)
-    base = vec_mask(a, mod)
-    while e:
-        if e & 1:
+    if e == 0:
+        return vec_one(len(a))
+    base = acc = vec_mask(a, mod)
+    for bit in bin(e)[3:]:
+        acc = vec_mul(acc, acc, poly, mod)
+        if bit == "1":
             acc = vec_mul(acc, base, poly, mod)
-        e >>= 1
-        if e:
-            base = vec_mul(base, base, poly, mod)
     return acc
+
+
+def vec_dot(xs, ys, poly, mod):
+    """sum_k xs[k]*ys[k] in Z[g]/(poly, mod): products summed unreduced, reduced once."""
+    t = [0] * (2 * len(poly) - 3)
+    for a, b in zip(xs, ys):
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    t[i + j] += x * y
+    return _reduce(t, poly, mod)
 
 
 def vec_eval_int_poly(cs, y, poly, mod):
     """Evaluate the scalar-coefficient polynomial cs (ascending) at vector y."""
-    f = len(y)
-    acc = vec_zero(f)
-    for c in reversed(cs):
+    acc = vec_from_int(cs[-1], len(y), mod)
+    for c in reversed(cs[:-1]):
         acc = vec_mul(acc, y, poly, mod)
         acc = (acc[0] + c) % mod, *acc[1:]
-    return tuple(acc)
+    return acc
 
 
 def vec_divexact_p(a, p_pow):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import polyarith as pa
 from .conway import prime_factors
-from .delta import fermat_quotient, padic_exp, padic_log, psi
+from .delta import _psi, fermat_quotient, padic_exp, padic_log
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -145,20 +145,25 @@ def enumerate_constants(params):
 
     They are the powers of omega(gamma), gamma the first generator of F_q^*
     in ``_fq_all`` order (the class of g need not be one), ordered
-    lexicographically by residue coefficient vector.
+    lexicographically by residue coefficient vector.  For p odd,
+    omega(gamma)^((q-1)/2) = -1 exactly, so only the first (q-1)/2 powers
+    are multiplied out and the rest are their negatives.
     """
-    q1 = params.p ** params.f - 1
+    p, q1 = params.p, params.p ** params.f - 1
     if q1 > MAX_CONSTANTS:
         raise BudgetExceeded(f"q - 1 = {q1} constants exceed the budget of {MAX_CONSTANTS}")
     ells = prime_factors(q1)
     one = params.fq_from_int(1)
     gamma = next(a for a in _fq_all(params) if not a.is_zero()
                  and all(a ** (q1 // ell) != one for ell in ells))
-    z = teichmuller(gamma)
-    out = [params.one()]
-    for _ in range(q1 - 1):
-        out.append(out[-1] * z)
-    return tuple(sorted(out, key=lambda u: u.residue().coeffs))
+    z, mod = teichmuller(gamma).coeffs, p ** params.N
+    out = [pa.vec_one(params.f)]
+    for _ in range((q1 if p == 2 else q1 // 2) - 1):
+        out.append(pa.vec_mul(out[-1], z, params.poly, mod))
+    if p > 2:
+        out += [pa.vec_neg(w, mod) for w in out]
+    out.sort(key=lambda w: tuple(c % p for c in w))
+    return tuple(ZqElement(params, w, params.N) for w in out)
 
 
 def _verified_base(problem):
@@ -208,9 +213,10 @@ def verify_exponential(u, problem, base=None):
     beta, eps, alpha = problem.beta, problem.epsilon, problem.alpha
     up = u ** p
     phi_u = frobenius(u)
+    du = (phi_u - up).exact_div_p(1)
     phi_res = phi_u - eps * up
-    delta_res = fermat_quotient(u) - alpha * up
-    psi_res = psi(u) - beta
+    delta_res = du - alpha * up
+    psi_res = _psi(phi_u, up) - beta
     if base is None:
         base, _ = _verified_base(problem)
     ratio = u * base.inv()
@@ -354,12 +360,10 @@ class ZqMatrix:
     def __matmul__(self, other):
         if other.n != self.n or other.params != self.params:
             raise ParamsMismatch("matrix shapes or rings differ")
-        n = self.n
-        return ZqMatrix(tuple(
-            tuple(sum((self.entries[i][k] * other.entries[k][j] for k in range(n)),
-                      self.params.zero(min(self.prec, other.prec)))
-                  for j in range(n))
-            for i in range(n)))
+        params, prec = self.params, min(self.prec, other.prec)
+        rows = _mat_mul(_coeff_grid(self.entries), _coeff_grid(other.entries),
+                        params.poly, params.p ** prec)
+        return ZqMatrix(tuple(tuple(ZqElement(params, c, prec) for c in row) for row in rows))
 
     def pow_entries_p(self):
         p = self.params.p
@@ -385,6 +389,16 @@ class ZqMatrix:
         return f"ZqMatrix({self.n}x{self.n}, prec={self.prec})"
 
 
+def _coeff_grid(rows):
+    return tuple(tuple(e.coeffs for e in row) for row in rows)
+
+
+def _mat_mul(a, b, poly, mod):
+    """The product of two grids of coefficient vectors, one vec_dot per entry."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(pa.vec_dot(row, col, poly, mod) for col in cols) for row in a)
+
+
 def _residue_invertible(params, residues):
     """Gaussian elimination over F_q on a residue grid."""
     n = len(residues)
@@ -408,8 +422,10 @@ def solve_matrix_linear(beta, seed=None):
 
     Rewritten as u = T(u) = phi^(-1)((I + p*beta) * u^(p)) the equation is
     vacuous mod p, so the seed is free.  T fixes residues, and u = v mod p^k
-    gives u^(p) = v^(p) mod p^(k+1), so T(u) = T(v) mod p^(k+1): W-1
-    applications of T lift the seed to the unique solution mod p^W.
+    gives u^(p) = v^(p) mod p^(k+1), so T(u) mod p^(k+1) depends only on
+    u mod p^k: from the seed, T taken mod p^k for k = 2, ..., W lifts at
+    rising precision to the unique solution mod p^W, which is then checked
+    against the equation at full precision.
     """
     params = beta.params
     if beta.prec < 2:
@@ -429,9 +445,13 @@ def solve_matrix_linear(beta, seed=None):
     if not _residue_invertible(params, seed_res):
         raise SingularSeed("seed matrix is not invertible over F_q")
     coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
-    u = ZqMatrix.from_residues(params, seed_res, W)
-    for _ in range(W - 1):
-        u = (coupling @ u.pow_entries_p()).map(frobenius_inv)
+    p, poly, c, u = params.p, params.poly, _coeff_grid(coupling.entries), _coeff_grid(seed_res)
+    for k in range(2, W + 1):
+        mod = p ** k
+        x = tuple(tuple(pa.vec_pow(e, p, poly, mod) for e in row) for row in u)
+        u = tuple(tuple(frobenius_inv(ZqElement(params, e, k)).coeffs for e in row)
+                  for row in _mat_mul(c, x, poly, mod))
+    u = ZqMatrix(tuple(tuple(ZqElement(params, e, W) for e in row) for row in u))
     if coupling @ u.pow_entries_p() != u.frobenius():
         raise ArithmeticError("matrix lift lost the invariant")
     return u

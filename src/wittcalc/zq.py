@@ -89,28 +89,32 @@ class PadicParams:
         self._phi_inv_pows = tuple(pa.vec_pow(h, i, self.poly, mod) for i in range(f))
 
     def _hensel_root_near_gp(self):
-        # Newton iteration y <- y - m(y)/m'(y) from y = g^p; m separable mod p
-        # makes m'(y) a unit, so convergence is quadratic.
-        p, f, mod = self.p, self.f, self.p ** self.N
-        deriv = tuple((i * c) % mod for i, c in enumerate(self.poly))[1:]
-        g = (0, 1) + (0,) * (f - 2)
-        y = pa.vec_pow(g, p, self.poly, mod)
-        for _ in range(self.N.bit_length() + 2):
-            fy = pa.vec_eval_int_poly(self.poly, y, self.poly, mod)
-            if not any(fy):
-                return y
-            dy = pa.vec_eval_int_poly(deriv, y, self.poly, mod)
-            corr = pa.vec_mul(fy, pa.vec_inv(dy, self.poly, p, self.N), self.poly, mod)
-            y = pa.vec_sub(y, corr, mod)
-        raise ArithmeticError("Frobenius lift did not converge")
+        # Newton y <- y - m(y) z from y = g^p, a root mod p, at doubling
+        # precision; m separable mod p makes m'(y) a unit.  With y right mod
+        # p^k, z = 1/m'(y) right mod p^(k/2) is made right mod p^k by one
+        # Newton step z <- z (2 - m'(y) z), and then y is right mod p^(2k).
+        p, f, N, poly = self.p, self.f, self.N, self.poly
+        deriv = tuple(i * c for i, c in enumerate(poly))[1:]
+        y = pa.vec_pow((0, 1) + (0,) * (f - 2), p, poly, p)
+        z = pa.vec_inv(pa.vec_eval_int_poly(deriv, y, poly, p), poly, p, 1)
+        k = 1
+        while k < N:
+            if k > 1:
+                mod = p ** k
+                dz = pa.vec_mul(pa.vec_eval_int_poly(deriv, y, poly, mod), z, poly, mod)
+                z = pa.vec_mul(z, pa.vec_sub(pa.vec_from_int(2, f, mod), dz, mod), poly, mod)
+            k = min(2 * k, N)
+            mod = p ** k
+            fy = pa.vec_eval_int_poly(poly, y, poly, mod)
+            y = pa.vec_sub(y, pa.vec_mul(fy, z, poly, mod), mod)
+        if any(pa.vec_eval_int_poly(poly, y, poly, p ** N)):
+            raise ArithmeticError("Frobenius lift did not converge")
+        return y
 
     @staticmethod
     def _apply(coeffs, pows, mod):
-        acc = pa.vec_zero(len(coeffs))
-        for a, gi in zip(coeffs, pows):
-            if a:
-                acc = pa.vec_add(acc, pa.vec_scale(gi, a, mod), mod)
-        return acc
+        # sum_i coeffs[i] * pows[i], one column of the power table at a time
+        return tuple(sum(map(int.__mul__, coeffs, col)) % mod for col in zip(*pows))
 
     # -- constructors -------------------------------------------------------
 

@@ -13,14 +13,23 @@ sqrt(q) and it factors q-1 by trial division, so it is only run at small q.
 phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
 p^k and adds p^k times a lift of phi^(-1) of its residue.
 
+``fixed_point_solve_matrix_linear`` applies the same map W-1 times, every
+time at full precision, where the library takes it mod p^k for rising k.
+``full_precision_frobenius_root`` runs Newton for the root of the modulus
+nearest g^p at p^N with a fresh inverse of m'(y) each pass, where the
+library doubles the precision and updates the inverse by one Newton step.
+``chained_constants`` multiplies out all q-1 powers of omega(gamma), where
+the library takes the second half of them as negatives of the first.
+
 ``termwise_frobenius_sum`` applies phi^(-1) once per term of
 sum_{n>=1} p^n phi^(-n)(beta), where the library groups the terms by n mod f
 and needs f applications.
 
-``termwise_series`` sums c * x^n / p^v one power of x at a time, and
-``termwise_eval_delta_function`` raises each jet entry to each exponent by
-its own square-and-multiply: one or more ring products per term, where the
-library's Paterson-Stockmeyer sum and power tables need about sqrt(n).
+``termwise_series`` sums c * x^n / p^v one power of x at a time,
+``termwise_table_series`` does the same for a table already scaled to p^V,
+and ``termwise_eval_delta_function`` raises each jet entry to each exponent
+by its own square-and-multiply: one or more ring products per term, where
+the library's Paterson-Stockmeyer sum and power tables need about sqrt(n).
 
 ``trial_division_prime_factors`` factors by trial division, where the
 library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
@@ -44,6 +53,7 @@ from wittcalc import (
     delta_jet,
     frobenius,
     frobenius_inv,
+    teichmuller,
 )
 from wittcalc import polyarith as pa
 from wittcalc.polyarith import pp_mod, pp_mul, pp_powmod, pp_trim, vec_pow
@@ -242,6 +252,44 @@ def staged_solve_matrix_linear(beta, seed):
     return u
 
 
+def fixed_point_solve_matrix_linear(beta, seed):
+    """The same solution by W-1 applications of u <- phi^(-1)((I + p*beta) u^(p)),
+    each at full precision, with matrix products summed entry by entry."""
+    params, n, W = beta.params, beta.n, beta.prec
+    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
+    c = coupling.entries
+    u = ZqMatrix.from_residues(params, seed, W)
+    for _ in range(W - 1):
+        x = u.pow_entries_p().entries
+        u = ZqMatrix(tuple(tuple(
+            frobenius_inv(sum((c[i][k] * x[k][j] for k in range(n)), params.zero(W)))
+            for j in range(n)) for i in range(n)))
+    return u
+
+
+def full_precision_frobenius_root(params):
+    """The root of the modulus m nearest g^p, by Newton at p^N with a fresh inverse of m'(y)."""
+    p, f, mod, poly = params.p, params.f, params.p ** params.N, params.poly
+    deriv = tuple((i * c) % mod for i, c in enumerate(poly))[1:]
+    y = vec_pow((0, 1) + (0,) * (f - 2), p, poly, mod)
+    for _ in range(params.N.bit_length() + 2):
+        fy = pa.vec_eval_int_poly(poly, y, poly, mod)
+        if not any(fy):
+            return y
+        dy = pa.vec_eval_int_poly(deriv, y, poly, mod)
+        y = pa.vec_sub(y, pa.vec_mul(fy, pa.vec_inv(dy, poly, p, params.N), poly, mod), mod)
+    raise ArithmeticError("Frobenius lift did not converge")
+
+
+def chained_constants(params):
+    """The q-1 Teichmuller units as all q-1 powers of omega(first generator), in residue order."""
+    z = teichmuller(_fq_generator(params))
+    out = [params.one()]
+    for _ in range(params.p ** params.f - 2):
+        out.append(out[-1] * z)
+    return tuple(sorted(out, key=lambda u: u.residue().coeffs))
+
+
 def termwise_frobenius_sum(beta):
     """sum_{n=1..s-1} p^n phi^(-n)(beta) at precision s = min(prec + 1, N)."""
     params = beta.params
@@ -268,6 +316,19 @@ def termwise_series(x, terms, target):
         done = n
         acc = pa.vec_add(acc, pa.vec_scale(pa.vec_divexact_p(xp, p ** v), c, mod), mod)
     return ZqElement(params, pa.vec_mask(acc, p ** target), target)
+
+
+def termwise_table_series(x, table, target):
+    """sum c_n * x^n / p^V over a table (V, (c_0, c_1, ...)), one power of x at a time."""
+    params = x.params
+    p, f = params.p, params.f
+    big_v, cs = table
+    mod = p ** (target + big_v)
+    acc, xp = pa.vec_zero(f), pa.vec_one(f)
+    for c in cs:
+        acc = pa.vec_add(acc, pa.vec_scale(xp, c, mod), mod)
+        xp = pa.vec_mul(xp, x.coeffs, params.poly, mod)
+    return ZqElement(params, pa.vec_mask(pa.vec_divexact_p(acc, p ** big_v), p ** target), target)
 
 
 def termwise_eval_delta_function(series, args):

@@ -29,7 +29,7 @@ from wittcalc import delta
 from wittcalc import polyarith as pa
 
 from conftest import get_params, oracle_exp, oracle_log
-from oracles import termwise_eval_delta_function, termwise_series
+from oracles import termwise_eval_delta_function, termwise_series, termwise_table_series
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +313,20 @@ def test_series_matches_termwise_oracle(monkeypatch):
             ns = sorted(rng.sample(range(30), rng.randint(2, 6)))
             for terms in ([], [(0, 0, 1)], [(rng.randint(1, 9), 0, rng.randrange(mod))],
                           [(n, rng.randint(0, n), rng.randrange(mod)) for n in ns],
+                          [(n, rng.randint(0, n), rng.randrange(mod)) for n in sorted(ns + ns)],
                           delta._psi_coefficients(p, target, mod)):
-                _same(delta._series(x, terms, target), termwise_series(x, terms, target))
+                table = delta._scaled(p, terms, target)
+                _same(delta._series(x, table, target), termwise_series(x, terms, target))
             w = random_element(P, rng, prec=target)
             terms = delta._psi_coefficients(p, target, mod)
-            _same(delta._series(w, terms, target), termwise_series(w, terms, target))
+            assert delta._psi_terms(p, target) == delta._scaled(p, terms, target)
+            _same(delta._series(w, delta._psi_terms(p, target), target),
+                  termwise_series(w, terms, target))
             u = random_element(P, rng, prec=target, unit=True)
             new = padic_log(1 + x), padic_exp(x), psi(u)
+            # the cached log, exp and psi tables, summed one power at a time
             with monkeypatch.context() as m:
-                m.setattr(delta, "_series", termwise_series)
+                m.setattr(delta, "_series", termwise_table_series)
                 old = padic_log(1 + x), padic_exp(x), psi(u)
             for a, b in zip(new, old):
                 _same(a, b)

@@ -1,7 +1,9 @@
 """Property tests over random small rings: the closed-form lifts, the laws
-the Teichmuller orbit fill relies on and the delta sum and product laws
-(p = 2 included), and the exp/log and psi laws (p odd)."""
+the Teichmuller orbit fill relies on, phi as the lift of the p-power map
+(also for random moduli) and the delta sum and product laws (p = 2
+included), and the exp/log and psi laws (p odd)."""
 
+import random
 from math import comb
 
 import pytest
@@ -12,6 +14,7 @@ from wittcalc import (
     enumerate_constants,
     fermat_quotient,
     frobenius,
+    new_params,
     padic_exp,
     padic_log,
     psi,
@@ -19,6 +22,7 @@ from wittcalc import (
     teichmuller,
     verify_matrix_linear,
 )
+from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
 from oracles import iterated_teichmuller
@@ -72,6 +76,28 @@ def test_frobenius_has_order_f(ring, data):
     for _ in range(P.f):
         v = frobenius(v)
     assert v.coeffs == u.coeffs
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_frobenius_lifts_the_p_power_map(ring, data):
+    # over the default modulus and a random irreducible one lifted mod p^N;
+    # these laws pin the Frobenius root found by Newton
+    p, f, N = ring
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    while True:
+        poly = tuple(rng.randrange(p ** N) for _ in range(f)) + (1,)
+        if is_irreducible_mod_p(poly, p):
+            break
+    for P in (get_params(p, f, N), new_params(p, f, N, poly)):
+        a, b = _element(data, P), _element(data, P)
+        assert frobenius(a * b) == frobenius(a) * frobenius(b)
+        assert frobenius(a + b) == frobenius(a) + frobenius(b)
+        assert frobenius(a).residue() == (a ** p).residue()
+        v = a
+        for _ in range(f):
+            v = frobenius(v)
+        assert v.coeffs == a.coeffs
 
 
 @SETTINGS

@@ -31,10 +31,13 @@ from wittcalc import (
     verify_exponential,
     verify_matrix_linear,
 )
+from wittcalc import polyarith as pa
 from wittcalc import solvers
 
 from conftest import get_params, oracle_exp
 from oracles import (
+    chained_constants,
+    fixed_point_solve_matrix_linear,
     per_residue_constants,
     staged_solve_difference,
     staged_solve_matrix_linear,
@@ -191,7 +194,11 @@ def test_constants_match_per_residue_oracle():
                     (5, 1, 6), (5, 2, 5), (7, 2, 4), (13, 1, 4)]]
     rings.append(new_params(2, 4, 6, (1, 1, 1, 1, 1)))  # g has order 5 in F_16^*
     for P in rings:
-        assert tuple(z.coeffs for z in enumerate_constants(P)) == per_residue_constants(P)
+        consts = enumerate_constants(P)
+        assert tuple(z.coeffs for z in consts) == per_residue_constants(P)
+        # the half chain and its negatives against all q-1 powers multiplied out
+        assert [(z.coeffs, z.prec) for z in consts] == \
+            [(z.coeffs, z.prec) for z in chained_constants(P)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +446,9 @@ def test_matrix_solutions_form_torsor_over_seeds():
 
 
 def test_matrix_lift_matches_staged_oracle():
-    # the fixed-point lift against the one-digit-per-step residual correction,
-    # from the default identity seed and from random invertible seeds
+    # the lift at rising precision against the one-digit-per-step residual
+    # correction and against the fixed point taken W-1 times at full
+    # precision, from the default identity seed and random invertible seeds
     rng = random.Random(16)
     rings = [(2, 1, 7, None), (2, 2, 6, None), (3, 1, 7, None), (3, 2, 6, (1, 0, 1)),
              (5, 1, 6, None), (5, 3, 4, None), (7, 2, 5, None)]
@@ -458,10 +466,11 @@ def test_matrix_lift_matches_staged_oracle():
                 except SingularSeed:
                     pass
             for new, seed in solved:
-                old = staged_solve_matrix_linear(beta, seed)
-                assert [[e.coeffs for e in row] for row in new.entries] == \
-                    [[e.coeffs for e in row] for row in old.entries]
-                assert new.prec == old.prec == N
+                for old in (staged_solve_matrix_linear(beta, seed),
+                            fixed_point_solve_matrix_linear(beta, seed)):
+                    assert [[e.coeffs for e in row] for row in new.entries] == \
+                        [[e.coeffs for e in row] for row in old.entries]
+                    assert new.prec == old.prec == N
 
 
 def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
@@ -482,3 +491,32 @@ def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
     # and a map into another ring for some entries is still refused
     with pytest.raises(ParamsMismatch):
         u.map(lambda e: get_params(7, 2, 20).from_int(1) if e is u.entries[0][0] else e)
+
+
+def test_solve_layer_cost_in_ring_products(monkeypatch):
+    # Deterministic (vec_mul, vec_dot) counts.  With a fresh inverse of m'(y)
+    # per pass at p^N, the fixed point at full precision and all q-1 powers
+    # of omega(gamma), these took 105 and 192 (the two rings), 1,449 (the
+    # matrix solve) and 580 (the constants, ring included) vec_mul calls.
+    calls = {"vec_mul": [], "vec_dot": []}
+    for name in calls:
+        fn = getattr(pa, name)
+        monkeypatch.setattr(pa, name, lambda *a, c=calls[name], fn=fn: c.append(a[-1]) or fn(*a))
+
+    def count(run):
+        for c in calls.values():
+            c.clear()
+        run()
+        return len(calls["vec_mul"]), list(calls["vec_dot"])
+
+    P = new_params(7, 3, 20)
+    beta = _rand_matrix(P, random.Random(18), 3)
+    runs = ((lambda: new_params(7, 3, 20), (47, 0)),
+            (lambda: new_params(3, 6, 60), (106, 0)),
+            (lambda: solve_matrix_linear(beta), (729, 180)),
+            (lambda: enumerate_constants(new_params(7, 3, 20)), (345, 0)))
+    for run, (muls, dots) in runs:
+        m, d = count(run)
+        assert 0 < m <= muls and len(d) <= dots
+    # the matrix lift takes its passes mod p^2, ..., p^20, the check mod p^20
+    assert set(count(lambda: solve_matrix_linear(beta))[1]) == {7 ** k for k in range(2, 21)}

@@ -29,7 +29,12 @@ from wittcalc.polyarith import pp_powmod
 from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
 
 from conftest import get_params
-from oracles import full_scan_conway_polynomial, iterated_teichmuller, trial_division_prime_factors
+from oracles import (
+    full_precision_frobenius_root,
+    full_scan_conway_polynomial,
+    iterated_teichmuller,
+    trial_division_prime_factors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +290,26 @@ def test_frobenius_vieta_on_conway_quadratic():
     g = P.gen()
     assert g + frobenius(g) == -2
     assert g * frobenius(g) == 2
+
+
+def test_frobenius_root_matches_full_precision_oracle():
+    # Newton at doubling precision with an updated inverse against Newton at
+    # p^N with a fresh inverse each pass; default moduli, a non-Conway one,
+    # N = 2, and random irreducible moduli with coefficients lifted mod p^N
+    rng = random.Random(19)
+    rings = [new_params(p, f, N) for p, f, N in
+             [(2, 2, 2), (2, 3, 7), (2, 8, 30), (3, 2, 2), (3, 6, 60), (5, 4, 40),
+              (7, 3, 20), (13, 2, 9), (101, 2, 5)]]
+    rings.append(new_params(3, 2, 6, (1, 0, 1)))
+    while len(rings) < 40:
+        p, f, N = rng.choice((2, 3, 5, 7)), rng.randint(2, 5), rng.randint(2, 17)
+        poly = tuple(rng.randrange(p ** N) for _ in range(f)) + (1,)
+        if conway.is_irreducible_mod_p(poly, p):
+            rings.append(new_params(p, f, N, poly))
+    for P in rings:
+        y = full_precision_frobenius_root(P)
+        assert P._hensel_root_near_gp() == y == P._phi_pows[1]
+        assert frobenius(P.gen()).coeffs == y
 
 
 # ---------------------------------------------------------------------------
