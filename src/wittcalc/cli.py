@@ -31,6 +31,8 @@ from .errors import (
     WittError,
 )
 from .relations import (
+    DEFAULT_HEIGHT_BUDGET,
+    DEFAULT_MONOMIAL_BUDGET,
     RelationQuery,
     find_relation,
     minimal_polynomial,
@@ -69,9 +71,9 @@ def build_parser():
                         help="RNG seed; required by randomized subcommands")
     parser.add_argument("--format", choices=("json", "digits"), default="json",
                         help="render result elements canonically or as digits")
-    parser.add_argument("--budget-monomials", type=int, default=None,
+    parser.add_argument("--budget-monomials", type=int, default=DEFAULT_MONOMIAL_BUDGET,
                         help="cap on the relation-search monomial count")
-    parser.add_argument("--budget-height", type=int, default=None,
+    parser.add_argument("--budget-height", type=int, default=DEFAULT_HEIGHT_BUDGET,
                         help="cap on the relation-search height bound")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,12 +248,7 @@ def _dispatch(args, params, stdin):
 
 
 def _query_kwargs(args):
-    kw = {}
-    if args.budget_monomials is not None:
-        kw["monomial_budget"] = args.budget_monomials
-    if args.budget_height is not None:
-        kw["height_budget"] = args.budget_height
-    return kw
+    return {"monomial_budget": args.budget_monomials, "height_budget": args.budget_height}
 
 
 def _relations(args, params, stdin):
@@ -330,7 +327,7 @@ def _verify(args, params, stdin):
             cert = ser.relation_certificate_from_obj(item["certificate"])
             values = [_element_from_arg(o, params) for o in item["values"]]
             k = int(item.get("precision", cert.verified_precision))
-            ok = verify_relation(cert, values, k)
+            ok = verify_relation(cert, values, k, args.budget_monomials)
             results.append({"index": i, "kind": kind, "ok": ok, "precision": k})
         else:
             raise DomainError(f"unknown verification kind {kind!r}")

@@ -152,9 +152,7 @@ def _series(x, table, target):
     mod = p ** (target + big_v)
     top = len(cs) - 1
     k = isqrt(top + 1)
-    pows = [pa.vec_one(f), x.coeffs]
-    for _ in range(k - 1):
-        pows.append(pa.vec_mul(pows[-1], pows[1], poly, mod))
+    pows = pa.vec_powers(x.coeffs, k, poly, mod)
     acc = None
     for start in range(top - top % k, -1, -k):
         pairs = [(c, pows[i]) for i, c in enumerate(cs[start:start + k]) if c]
@@ -253,15 +251,15 @@ def _psi_terms(p, target):
 def _psi_coefficients(p, target, mod):
     """(n, 0, c_n) for the terms of sum (-1)^(n-1) (p^(n-1)/n) x^n alive mod p^target.
 
-    v(c_n) = n - 1 - v_p(n) >= n - 1 - floor(log_p n); c_n is reduced mod ``mod``.
+    v(c_n) = n - 1 - v_p(n) >= n - 1 - floor(log_p n), a bound that never
+    decreases in n; for target >= 1, n_max is the last n where it is below
+    the target.  c_n is reduced mod ``mod``.
     """
     n_max = 1
     while n_max - _ilog(p, n_max + 1) < target:
         n_max += 1
     out = []
     for n in range(1, n_max + 1):
-        if n - 1 - _ilog(p, n) >= target:
-            continue
         v = _vp(p, n)
         c = p ** (n - 1 - v) * pow(n // p ** v, -1, mod) % mod
         out.append((n, 0, c if n % 2 else (-c) % mod))
@@ -392,6 +390,8 @@ def psi_series_truncation(params, target_prec):
     (-1)^(n-1) (p^(n-1)/n) * x1^n * x0^(-p n).
     """
     _require_odd(params.p)
+    if target_prec < 1:
+        raise DomainError("target precision must be >= 1")
     p = params.p
     terms = tuple(
         ((-p * n, n), params.from_coeffs((c,) + (0,) * (params.f - 1)))

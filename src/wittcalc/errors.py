@@ -14,7 +14,7 @@ class NotPrime(WittError):
 
 
 class ReduciblePolynomial(WittError):
-    """A defining polynomial is not irreducible (or not separable) mod p."""
+    """A defining polynomial is not monic of degree f, or is reducible mod p."""
 
 
 class PrecisionTooSmall(WittError):

@@ -89,6 +89,14 @@ def vec_pow(a, e, poly, mod):
     return acc
 
 
+def vec_powers(a, n, poly, mod):
+    """(a^0, a^1, ..., a^n), one product per power above the first."""
+    out = [vec_one(len(a)), vec_mask(a, mod)][:n + 1]
+    for _ in range(n - 1):
+        out.append(vec_mul(out[-1], out[1], poly, mod))
+    return tuple(out)
+
+
 def vec_dot(xs, ys, poly, mod):
     """sum_k xs[k]*ys[k] in Z[g]/(poly, mod): products summed unreduced, reduced once."""
     t = [0] * (2 * len(poly) - 3)

@@ -7,17 +7,19 @@ whose status is always "proven-congruence": finite precision can certify the
 congruence, never exact vanishing, and a ``None`` result means only that
 nothing inside the searched box passed -- it is not a transcendence claim.
 
-Two modes:
+Two modes propose integer coefficient vectors:
 
-* exhaustive -- enumerate every coefficient vector in the box (sign
-  normalized); feasible only at tiny budgets but complete within them;
-* lattice   -- reduce the lattice spanned by [identity | monomial values]
-  rows augmented with p^M rows, using the exact-arithmetic LLL below with
-  quality parameter 0.99, and accept a reduced vector iff its integer part
-  is nonzero, within the height bound, and reproduces the congruence.
+* exhaustive -- every vector in the box; feasible only at tiny budgets but
+  complete within them;
+* lattice   -- the integer parts of the rows of the lattice spanned by
+  [identity | monomial values] rows augmented with p^M rows, reduced by the
+  exact-arithmetic LLL below with quality parameter 0.99, and the sums and
+  differences of pairs of those rows.
 
-Ties are broken by (degree of the relation, height, lexicographic
-coefficient order), so output is deterministic.
+One filter serves both: a vector is sign normalized and accepted iff it is
+nonzero, within the height bound, and reproduces the congruence.  Ties are
+broken by (degree of the relation, height, lexicographic coefficient order),
+so output is deterministic.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, log2
 
+from . import polyarith as pa
 from .errors import BudgetExceeded, DomainError, MixedParams
 from .zq import agreement_precision
 
@@ -116,36 +119,39 @@ class RelationCertificate:
             raise DomainError("certificate must have a nonzero coefficient")
         if any(abs(c) > self.height_bound for c in self.coeffs):
             raise DomainError("certificate exceeds its own height bound")
+        if len(self.monomials) != len(self.coeffs):
+            raise DomainError("certificate needs one coefficient per monomial")
+        if any(x < 0 for e in self.monomials for x in e) or self.degree > self.deg_bound:
+            raise DomainError("certificate exponents must be >= 0, of degree <= d")
 
     @property
     def degree(self):
         return max(sum(e) for e in self.monomials)
 
 
-def _monomial_values(values, monos, M):
-    masked = [v.mask(M) for v in values]
+def _monomial_values(values, monos, k):
+    """The monomials at the values mod p^k, from one power list per variable."""
+    params = values[0].params
+    mod = params.p ** k
+    pows = [pa.vec_powers(v.mask(k).coeffs, max(e[j] for e in monos), params.poly, mod)
+            for j, v in enumerate(values)]
     out = []
     for e in monos:
-        w = masked[0].params.one(M)
-        for v, k in zip(masked, e):
-            if k:
-                w = w * v ** k
+        w = pa.vec_one(params.f)
+        for row, kk in zip(pows, e):
+            if kk:
+                w = pa.vec_mul(w, row[kk], params.poly, mod)
         out.append(w)
     return out
 
 
 def _evaluate(monos, coeffs, values, k):
-    acc = values[0].params.zero(k)
-    vals = [v.mask(k) for v in values]
-    for e, c in zip(monos, coeffs):
-        if c == 0:
-            continue
-        w = values[0].params.from_int(c, k)
-        for v, kk in zip(vals, e):
-            if kk:
-                w = w * v ** kk
-        acc = acc + w
-    return acc
+    """sum c*w over the monomial values w, mod p^k."""
+    params = values[0].params
+    mod = params.p ** k
+    cs = [pa.vec_from_int(c, params.f, mod) for c in coeffs]
+    ws = _monomial_values(values, monos, k)
+    return params.from_coeffs(pa.vec_dot(cs, ws, params.poly, mod), k)
 
 
 def _sign_normalized(c):
@@ -164,28 +170,38 @@ def _candidate_key(monos, c):
 
 
 def find_relation(query):
-    """Search the query box; return the best certificate found, or None."""
+    """Search the query box; return the best certificate found, or None.
+
+    The mode proposes raw vectors; each is sign normalized, kept once, held
+    to the height bound and to the congruence in every coefficient column.
+    """
     monos = monomials(len(query.values), query.deg_bound)
-    M = query.precision
-    w = _monomial_values(query.values, monos, M)
-    if query.mode == "exhaustive":
-        candidates = _exhaustive_candidates(query, monos, w)
-    else:
-        candidates = _lattice_candidates(query, monos, w)
-    if not candidates:
+    w = _monomial_values(query.values, monos, query.precision)
+    vectors = (_exhaustive_vectors if query.mode == "exhaustive" else _lattice_vectors)(query, w)
+    mod = query.params.p ** query.precision
+    H = query.height_bound
+    columns = list(zip(*w))
+    seen = set()
+    hits = []
+    for raw in vectors:
+        c = _sign_normalized(raw)
+        if c is None or c in seen or max(map(abs, c)) > H:
+            continue
+        seen.add(c)
+        if all(sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns):
+            hits.append(c)
+    if not hits:
         return None
-    best = min(candidates, key=lambda c: _candidate_key(monos, c))
-    return _certify(query, monos, best)
+    return _certify(query, monos, min(hits, key=lambda c: _candidate_key(monos, c)))
 
 
 def _certify(query, monos, coeffs):
     minprec = min(v.prec for v in query.values)
-    support = tuple((e, c) for e, c in zip(monos, coeffs) if c)
-    result = _evaluate([e for e, _ in support], [c for _, c in support],
-                       list(query.values), minprec)
+    result = _evaluate(monos, coeffs, query.values, minprec)
     achieved = agreement_precision(result, query.params.zero(minprec))
     if achieved < query.precision:
         raise ArithmeticError("candidate relation failed re-verification")
+    support = [(e, c) for e, c in zip(monos, coeffs) if c]
     return RelationCertificate(
         monomials=tuple(e for e, _ in support),
         coeffs=tuple(c for _, c in support),
@@ -196,65 +212,38 @@ def _certify(query, monos, coeffs):
         mode=query.mode)
 
 
-def _exhaustive_candidates(query, monos, w):
+def _exhaustive_vectors(query, w):
     H = query.height_bound
-    count = len(monos)
-    total = (2 * H + 1) ** count
+    total = (2 * H + 1) ** len(w)
     if total > EXHAUSTIVE_CAP:
         raise BudgetExceeded(
             f"exhaustive enumeration of {total} vectors exceeds {EXHAUSTIVE_CAP}")
-    mod = query.params.p ** query.precision
-    coords = [x.coeffs for x in w]
-    f = query.params.f
-    seen = set()
-    hits = []
-    for c in product(range(-H, H + 1), repeat=count):
-        cn = _sign_normalized(c)
-        if cn is None or cn in seen:
-            continue
-        seen.add(cn)
-        if all(sum(cc * coords[j][i] for j, cc in enumerate(cn)) % mod == 0
-               for i in range(f)):
-            hits.append(cn)
-    return hits
+    return product(range(-H, H + 1), repeat=len(w))
 
 
-def _lattice_candidates(query, monos, w):
-    count = len(monos)
+def _lattice_vectors(query, w):
+    count = len(w)
     f = query.params.f
     dim = count + f
     if dim > LATTICE_DIM_CAP:
         raise BudgetExceeded(f"lattice dimension {dim} exceeds {LATTICE_DIM_CAP}")
     mod = query.params.p ** query.precision
-    H = query.height_bound
     # Any height-H relation vector has norm <= H*sqrt(count); scaling the
     # value columns by kappa pushes every non-relation vector well past the
     # LLL approximation factor, so relations surface as reduced rows.
-    kappa = (H * count + 1) << dim
-    rows = []
-    for j, x in enumerate(w):
-        rows.append([1 if i == j else 0 for i in range(count)]
-                    + [kappa * c for c in x.coeffs])
-    for i in range(f):
-        rows.append([0] * count + [kappa * mod if k == i else 0 for k in range(f)])
-    reduced = lll_reduce(rows, LLL_DELTA)
-    coords = [x.coeffs for x in w]
-    candidates = [row[:count] for row in reduced]
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            candidates.append([a + b for a, b in zip(reduced[i][:count], reduced[j][:count])])
-            candidates.append([a - b for a, b in zip(reduced[i][:count], reduced[j][:count])])
-    hits = []
-    seen = set()
-    for raw in candidates:
-        c = _sign_normalized(raw)
-        if c is None or c in seen or max(abs(x) for x in c) > H:
-            continue
-        seen.add(c)
-        if all(sum(cc * coords[j][i] for j, cc in enumerate(c)) % mod == 0
-               for i in range(f)):
-            hits.append(c)
-    return hits
+    kappa = (query.height_bound * count + 1) << dim
+    rows = [[1 if i == j else 0 for i in range(count)] + [kappa * c for c in x]
+            for j, x in enumerate(w)]
+    rows += [[0] * count + [kappa * mod if k == i else 0 for k in range(f)]
+             for i in range(f)]
+    reduced = [row[:count] for row in lll_reduce(rows, LLL_DELTA)]
+    # The pairwise sums and differences are load-bearing under this LLL: in
+    # a few queries the best relation is one of them and no reduced row.
+    vectors = list(reduced)
+    for i, a in enumerate(reduced):
+        for b in reduced[i + 1:]:
+            vectors += [[x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]]
+    return vectors
 
 
 def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
@@ -276,11 +265,16 @@ def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
     return None
 
 
-def verify_relation(cert, values, k):
-    """Re-evaluate the certificate exactly modulo p^k."""
+def verify_relation(cert, values, k, monomial_budget=DEFAULT_MONOMIAL_BUDGET):
+    """Re-evaluate the certificate exactly modulo p^k; its box is held to the monomial budget."""
     minprec = min(v.prec for v in values)
     if k > minprec or k < 1:
         raise DomainError(f"verification precision {k} outside 1..{minprec}")
+    if any(len(e) != len(values) for e in cert.monomials):
+        raise DomainError(f"certificate exponents are not all of length {len(values)}")
+    count = comb(len(values) + cert.deg_bound, cert.deg_bound)
+    if count > monomial_budget:
+        raise BudgetExceeded(f"{count} monomials exceed the budget of {monomial_budget}")
     result = _evaluate(list(cert.monomials), list(cert.coeffs), list(values), k)
     return result.is_zero()
 

@@ -157,9 +157,7 @@ def enumerate_constants(params):
     gamma = next(a for a in _fq_all(params) if not a.is_zero()
                  and all(a ** (q1 // ell) != one for ell in ells))
     z, mod = teichmuller(gamma).coeffs, p ** params.N
-    out = [pa.vec_one(params.f)]
-    for _ in range((q1 if p == 2 else q1 // 2) - 1):
-        out.append(pa.vec_mul(out[-1], z, params.poly, mod))
+    out = list(pa.vec_powers(z, (q1 if p == 2 else q1 // 2) - 1, params.poly, mod))
     if p > 2:
         out += [pa.vec_neg(w, mod) for w in out]
     out.sort(key=lambda w: tuple(c % p for c in w))
@@ -371,9 +369,6 @@ class ZqMatrix:
 
     def frobenius(self):
         return self.map(frobenius)
-
-    def mask(self, prec):
-        return self.map(lambda e: e.mask(prec))
 
     def residues(self):
         return tuple(tuple(e.residue() for e in row) for row in self.entries)

@@ -68,9 +68,6 @@ class PadicParams:
             if not is_irreducible_mod_p(poly, p):
                 raise ReduciblePolynomial(
                     "defining polynomial is reducible mod p")
-            if not _separable_mod_p(poly, p):
-                raise ReduciblePolynomial(
-                    "defining polynomial is not separable mod p")
             self.poly = poly
         self._teich = {}
         self._build_frobenius()
@@ -82,17 +79,18 @@ class PadicParams:
             self._phi_inv_pows = ((1,),)
             return
         y = self._hensel_root_near_gp()
-        self._phi_pows = tuple(pa.vec_pow(y, i, self.poly, mod) for i in range(f))
+        self._phi_pows = pa.vec_powers(y, f - 1, self.poly, mod)
         h = y
         for _ in range(f - 2):
             h = self._apply(h, self._phi_pows, mod)
-        self._phi_inv_pows = tuple(pa.vec_pow(h, i, self.poly, mod) for i in range(f))
+        self._phi_inv_pows = pa.vec_powers(h, f - 1, self.poly, mod)
 
     def _hensel_root_near_gp(self):
         # Newton y <- y - m(y) z from y = g^p, a root mod p, at doubling
-        # precision; m separable mod p makes m'(y) a unit.  With y right mod
-        # p^k, z = 1/m'(y) right mod p^(k/2) is made right mod p^k by one
-        # Newton step z <- z (2 - m'(y) z), and then y is right mod p^(2k).
+        # precision; m is irreducible over the perfect field F_p, hence
+        # separable, so m'(y) is a unit.  With y right mod p^k, z = 1/m'(y)
+        # right mod p^(k/2) is made right mod p^k by one Newton step
+        # z <- z (2 - m'(y) z), and then y is right mod p^(2k).
         p, f, N, poly = self.p, self.f, self.N, self.poly
         deriv = tuple(i * c for i, c in enumerate(poly))[1:]
         y = pa.vec_pow((0, 1) + (0,) * (f - 2), p, poly, p)
@@ -170,11 +168,6 @@ class PadicParams:
 
     def __repr__(self):
         return f"PadicParams(p={self.p}, f={self.f}, N={self.N}, poly={list(self.poly)})"
-
-
-def _separable_mod_p(poly, p):
-    deriv = [(i * c) % p for i, c in enumerate(poly)][1:]
-    return len(pa.pp_gcd([c % p for c in poly], deriv, p)) == 1
 
 
 def new_params(p, f, N, m=None):

@@ -31,6 +31,12 @@ and ``termwise_eval_delta_function`` raises each jet entry to each exponent
 by its own square-and-multiply: one or more ring products per term, where
 the library's Paterson-Stockmeyer sum and power tables need about sqrt(n).
 
+``candidate_find_relation`` is the relation probe with one evaluation loop
+per use, each raising every value to every exponent by its own power, and
+one candidate filter per search mode, where the library builds one power
+list per variable and runs one filter over the vectors either mode
+proposes.
+
 ``trial_division_prime_factors`` factors by trial division, where the
 library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
 every one of the p^f words for primitivity by factoring q-1 and for norm
@@ -38,6 +44,7 @@ compatibility with every proper subfield, C_{p,1} included, where the
 library scans only the p^(f-1) words whose norm is the root of C_{p,1}.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, isqrt
@@ -48,15 +55,19 @@ from wittcalc import (
     Obstruction,
     ParamsMismatch,
     PrecisionExhausted,
+    RelationCertificate,
     ZqElement,
     ZqMatrix,
     delta_jet,
     frobenius,
     frobenius_inv,
+    lll_reduce,
+    monomials,
     teichmuller,
 )
 from wittcalc import polyarith as pa
 from wittcalc.polyarith import pp_mod, pp_mul, pp_powmod, pp_trim, vec_pow
+from wittcalc.zq import agreement_precision
 
 
 def trial_division_prime_factors(n):
@@ -364,3 +375,123 @@ def termwise_eval_delta_function(series, args):
             term = term * x.mask(min(x.prec, prec)) ** e
         acc = acc + term
     return acc.mask(prec)
+
+
+def _relation_monomial_values(values, monos, M):
+    masked = [v.mask(M) for v in values]
+    out = []
+    for e in monos:
+        w = masked[0].params.one(M)
+        for v, k in zip(masked, e):
+            if k:
+                w = w * v ** k
+        out.append(w)
+    return out
+
+
+def _relation_evaluate(monos, coeffs, values, k):
+    acc = values[0].params.zero(k)
+    vals = [v.mask(k) for v in values]
+    for e, c in zip(monos, coeffs):
+        if c == 0:
+            continue
+        w = values[0].params.from_int(c, k)
+        for v, kk in zip(vals, e):
+            if kk:
+                w = w * v ** kk
+        acc = acc + w
+    return acc
+
+
+def _sign_normalized(c):
+    for x in c:
+        if x > 0:
+            return tuple(c)
+        if x < 0:
+            return tuple(-y for y in c)
+    return None
+
+
+def _exhaustive_candidates(query, monos, w):
+    H = query.height_bound
+    count = len(monos)
+    mod = query.params.p ** query.precision
+    coords = [x.coeffs for x in w]
+    f = query.params.f
+    seen = set()
+    hits = []
+    for c in product(range(-H, H + 1), repeat=count):
+        cn = _sign_normalized(c)
+        if cn is None or cn in seen:
+            continue
+        seen.add(cn)
+        if all(sum(cc * coords[j][i] for j, cc in enumerate(cn)) % mod == 0
+               for i in range(f)):
+            hits.append(cn)
+    return hits
+
+
+def _lattice_candidates(query, monos, w):
+    count = len(monos)
+    f = query.params.f
+    dim = count + f
+    mod = query.params.p ** query.precision
+    H = query.height_bound
+    kappa = (H * count + 1) << dim
+    rows = []
+    for j, x in enumerate(w):
+        rows.append([1 if i == j else 0 for i in range(count)]
+                    + [kappa * c for c in x.coeffs])
+    for i in range(f):
+        rows.append([0] * count + [kappa * mod if k == i else 0 for k in range(f)])
+    reduced = lll_reduce(rows, Fraction(99, 100))
+    coords = [x.coeffs for x in w]
+    candidates = [row[:count] for row in reduced]
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            candidates.append([a + b for a, b in zip(reduced[i][:count], reduced[j][:count])])
+            candidates.append([a - b for a, b in zip(reduced[i][:count], reduced[j][:count])])
+    hits = []
+    seen = set()
+    for raw in candidates:
+        c = _sign_normalized(raw)
+        if c is None or c in seen or max(abs(x) for x in c) > H:
+            continue
+        seen.add(c)
+        if all(sum(cc * coords[j][i] for j, cc in enumerate(c)) % mod == 0
+               for i in range(f)):
+            hits.append(c)
+    return hits
+
+
+def candidate_find_relation(query):
+    """find_relation by per-mode candidate lists and a fresh power per monomial."""
+    monos = monomials(len(query.values), query.deg_bound)
+    w = _relation_monomial_values(query.values, monos, query.precision)
+    if query.mode == "exhaustive":
+        candidates = _exhaustive_candidates(query, monos, w)
+    else:
+        candidates = _lattice_candidates(query, monos, w)
+    if not candidates:
+        return None
+
+    def key(c):
+        deg = max((sum(e) for e, x in zip(monos, c) if x), default=0)
+        return (deg, max(abs(x) for x in c), c)
+
+    best = min(candidates, key=key)
+    minprec = min(v.prec for v in query.values)
+    support = tuple((e, c) for e, c in zip(monos, best) if c)
+    result = _relation_evaluate([e for e, _ in support], [c for _, c in support],
+                                list(query.values), minprec)
+    achieved = agreement_precision(result, query.params.zero(minprec))
+    if achieved < query.precision:
+        raise ArithmeticError("candidate relation failed re-verification")
+    return RelationCertificate(
+        monomials=tuple(e for e, _ in support),
+        coeffs=tuple(c for _, c in support),
+        verified_precision=achieved,
+        deg_bound=query.deg_bound,
+        height_bound=query.height_bound,
+        precision_bound=query.precision,
+        mode=query.mode)

@@ -144,6 +144,21 @@ def test_verify_fixture_results():
     assert [r["index"] for r in doc["results"]] == [0, 1, 2, 3]
 
 
+def test_verify_rejects_malformed_relation_certificates():
+    def verify(monos, coeffs, d, values='[["7"]]'):
+        item = {"kind": "relation", "values": json.loads(values), "precision": 6,
+                "certificate": {"monomials": monos, "coeffs": coeffs,
+                                "verified_precision": 6, "bounds": {"d": d, "H": 7, "M": 6},
+                                "mode": "exhaustive"}}
+        return invoke(["--p", "3", "--f", "1", "--prec", "6", "verify", json.dumps([item])])
+
+    assert verify([[-1], [1]], [1, -1], 1)[0] == 2  # negative exponent
+    assert verify([[0], [1]], [7, -1], 1, '[["7"], ["7"]]')[0] == 2  # short exponents
+    code, _, err = verify([[10 ** 9]], [1], 10 ** 9)  # huge exponent
+    assert code == 5 and "budget" in err
+    assert verify([[0], [1]], [7, -1], 1)[0] == 0
+
+
 def test_jet_and_digits_round_trip():
     _, out = invoke_twice(FIXTURES["jet"])
     doc = json.loads(out)

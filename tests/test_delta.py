@@ -277,6 +277,14 @@ def test_series_result_precision():
     assert out == delta_jet(P.from_int(3), 2)[2]
 
 
+def test_psi_series_truncation_needs_positive_target():
+    P = get_params(5, 1, 10)
+    for target in (0, -3):
+        with pytest.raises(DomainError):
+            psi_series_truncation(P, target)
+    assert len(psi_series_truncation(P, 1).terms) == 1
+
+
 def test_series_serialization_round_trip():
     from wittcalc.serialize import series_from_obj, series_to_obj
 

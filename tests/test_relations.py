@@ -21,6 +21,7 @@ from wittcalc import (
 from wittcalc.serialize import relation_certificate_from_obj, relation_certificate_to_obj
 
 from conftest import get_params
+from oracles import candidate_find_relation
 
 
 def test_integer_value_yields_linear_relation():
@@ -151,6 +152,32 @@ def test_exhaustive_and_lattice_agree_on_shared_budget():
                 assert verify_relation(cert, list(values), cert.verified_precision)
 
 
+def test_pipeline_matches_per_mode_candidate_oracle():
+    # one power list and one candidate filter give the certificates, or the
+    # None, of an evaluation loop per use and a filter per mode
+    rng = random.Random(10)
+    queries = []
+    # low precision keeps the exact-Fraction LLL of dimension 7 and 8 cheap
+    for P, H in ((get_params(5, 1, 10), 2), (get_params(3, 2, 6), 1)):
+        units = [random_element(P, rng, unit=True) for _ in range(8)]
+        # omega of a generator of F_q^*: its least relation has degree 4 at f = 2
+        gen = P.fq_from_int(2) if P.f == 1 else P.gen().residue()
+        roots = [teichmuller(gen)] + [
+            teichmuller(P.fq([rng.randrange(1, P.p)] + [rng.randrange(P.p)] * (P.f - 1)))
+            for _ in range(3)]
+        queries += [((w,), 4, 1) for w in roots] + [((roots[0], roots[1] ** 2), 2, H)]
+        queries += [((P.from_int(rng.randrange(-3, 4)),), 2, 3) for _ in range(6)]
+        queries += [((u, u * u), 2, H) for u in units[:2]]
+        queries += [((u,), 2, 3) for u in units[2:6]]
+        queries += [((units[6], units[7]), 1, 3), ((units[2], units[2] + 1), 1, 3),
+                    ((units[3], 2 * units[3] - 1), 1, 3)]
+    assert len(queries) == 40
+    for values, d, H in queries:
+        for mode in ("exhaustive", "lattice"):
+            query = RelationQuery(values=values, deg_bound=d, height_bound=H, mode=mode)
+            assert find_relation(query) == candidate_find_relation(query)
+
+
 def test_base_solution_with_algebraic_rhs_is_recovered():
     # beta = psi(1+p) makes 1+p the distinguished solution, so the probe
     # finds the linear relation x - (1+p) within height p+1.
@@ -202,6 +229,31 @@ def test_verify_relation_negative_case():
         deg_bound=1, height_bound=5, precision_bound=1, mode="exhaustive")
     assert not verify_relation(bad, [P.from_int(3)], 1)
     assert verify_relation(bad, [P.from_int(2)], 8)
+
+
+def test_verify_relation_rejects_malformed_certificates():
+    P = get_params(5, 1, 8)
+    u = P.from_int(3)
+
+    def cert(monos, coeffs, d):
+        return relation_certificate_from_obj({
+            "monomials": monos, "coeffs": coeffs, "verified_precision": 1,
+            "bounds": {"d": d, "H": 5, "M": 1}, "mode": "exhaustive"})
+
+    # u^-1 - u = 0 is false; a negative exponent is refused, not wrapped round
+    with pytest.raises(DomainError):
+        cert([[-1], [1]], [1, -1], 1)
+    with pytest.raises(DomainError):  # degree above the certificate's own bound
+        cert([[0], [3]], [1, -1], 2)
+    with pytest.raises(DomainError):  # one exponent vector per coefficient
+        cert([[0], [1]], [1], 1)
+    with pytest.raises(DomainError):  # exponents shorter than the values
+        verify_relation(cert([[0], [1]], [1, -1], 1), [u, u], 1)
+    # a huge exponent is refused at once by the monomial budget
+    with pytest.raises(BudgetExceeded):
+        verify_relation(cert([[10 ** 9]], [1], 10 ** 9), [u], 1)
+    assert verify_relation(cert([[0], [2]], [1, -1], 600), [P.from_int(-1)], 8,
+                           monomial_budget=601)
 
 
 def test_lll_reduces_known_lattice():

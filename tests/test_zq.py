@@ -64,6 +64,27 @@ def test_params_rejects_reducible():
         new_params(3, 2, 10, (2, 0, 1))
 
 
+def test_every_irreducible_modulus_builds_a_ring():
+    # F_p is perfect, so an irreducible m is separable (gcd(m, m') = 1 mod p):
+    # no irreducible monic modulus is refused, and phi has order exactly f
+    built = 0
+    for p, f in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)):
+        for low in itertools.product(range(p), repeat=f):
+            poly = low + (1,)
+            if not conway.is_irreducible_mod_p(poly, p):
+                continue
+            deriv = [(i * c) % p for i, c in enumerate(poly)][1:]
+            assert len(polyarith.pp_gcd(list(poly), deriv, p)) == 1
+            g = new_params(p, f, 6, poly).gen()
+            orbit = [g]
+            for _ in range(f):
+                orbit.append(frobenius(orbit[-1]))
+            assert orbit[f] == g and g not in orbit[1:f]
+            built += 1
+    # the counts of irreducible monic polynomials of degree f over F_p
+    assert built == 1 + 2 + 3 + 6 + 3 + 8 + 18 + 10 + 40 + 21
+
+
 def test_params_rejects_tiny_precision():
     with pytest.raises(PrecisionTooSmall):
         new_params(3, 1, 1)
