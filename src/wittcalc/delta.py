@@ -38,7 +38,6 @@ power tables, a lone integer coefficient being a scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -51,6 +50,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedPrime,
 )
+from .record import frozen_record
 from .zq import ZqElement, frobenius
 
 
@@ -61,7 +61,7 @@ def fermat_quotient(u):
     return (frobenius(u) - u ** u.params.p).exact_div_p(1)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DeltaJet:
     """The vector (u, delta u, ..., delta^r u); entry i has precision prec-i."""
 
@@ -266,7 +266,7 @@ def _psi_coefficients(p, target, mod):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RestrictedSeries:
     """A finite term list defining a delta-function of order r in m arguments.
 

@@ -7,37 +7,46 @@ whose status is always "proven-congruence": finite precision can certify the
 congruence, never exact vanishing, and a ``None`` result means only that
 nothing inside the searched box passed -- it is not a transcendence claim.
 
-Two modes propose integer coefficient vectors:
+Two modes propose nonzero, sign-normalized integer coefficient vectors:
 
-* exhaustive -- every vector in the box; feasible only at tiny budgets but
-  complete within them;
+* exhaustive -- every vector in the box whose first nonzero entry is
+  positive; feasible only at tiny budgets but complete within them;
 * lattice   -- the integer parts of the rows of the lattice spanned by
   [identity | monomial values] rows augmented with p^M rows, reduced by the
-  exact-arithmetic LLL below with quality parameter 0.99, and the sums and
-  differences of pairs of those rows.
+  integral LLL below with quality parameter 0.99, and the sums and
+  differences of pairs of those rows, each kept once.
 
-One filter serves both: a vector is sign normalized and accepted iff it is
-nonzero, within the height bound, and reproduces the congruence.  Ties are
-broken by (degree of the relation, height, lexicographic coefficient order),
-so output is deterministic.
+One filter serves both: a vector is accepted iff it is within the height
+bound and reproduces the congruence.  Ties are broken by (degree of the
+relation, height, lexicographic coefficient order), so output is
+deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb, log2
 
 from . import polyarith as pa
 from .errors import BudgetExceeded, DomainError, MixedParams
+from .record import frozen_record
 from .zq import agreement_precision
 
 DEFAULT_MONOMIAL_BUDGET = 512
 DEFAULT_HEIGHT_BUDGET = 1 << 20
 EXHAUSTIVE_CAP = 2_000_000
 LATTICE_DIM_CAP = 64
-LLL_DELTA = Fraction(99, 100)
+
+
+@frozen_record
+class _Ratio:
+    """An LLL quality parameter numerator/denominator, read like a Fraction."""
+
+    numerator: int
+    denominator: int
+
+
+LLL_DELTA = _Ratio(99, 100)
 
 
 def monomials(arity, deg_bound):
@@ -48,7 +57,7 @@ def monomials(arity, deg_bound):
     return out
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RelationQuery:
     """A bounded search request over values sharing one ring and precision M."""
 
@@ -97,7 +106,7 @@ class RelationQuery:
         return self.values[0].params
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RelationCertificate:
     """An integer polynomial congruence P(values) = 0 mod p^verified_precision.
 
@@ -172,8 +181,9 @@ def _candidate_key(monos, c):
 def find_relation(query):
     """Search the query box; return the best certificate found, or None.
 
-    The mode proposes raw vectors; each is sign normalized, kept once, held
-    to the height bound and to the congruence in every coefficient column.
+    The mode proposes sign-normalized vectors, each once; a vector is a hit
+    when it is within the height bound and reproduces the congruence in
+    every coefficient column.
     """
     monos = monomials(len(query.values), query.deg_bound)
     w = _monomial_values(query.values, monos, query.precision)
@@ -181,14 +191,10 @@ def find_relation(query):
     mod = query.params.p ** query.precision
     H = query.height_bound
     columns = list(zip(*w))
-    seen = set()
     hits = []
-    for raw in vectors:
-        c = _sign_normalized(raw)
-        if c is None or c in seen or max(map(abs, c)) > H:
-            continue
-        seen.add(c)
-        if all(sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns):
+    for c in vectors:
+        if max(map(abs, c)) <= H and all(
+                sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns):
             hits.append(c)
     if not hits:
         return None
@@ -213,12 +219,20 @@ def _certify(query, monos, coeffs):
 
 
 def _exhaustive_vectors(query, w):
+    """Every vector of the box whose first nonzero entry is positive.
+
+    The budget counts the whole box, since that is what the search covers;
+    the other half of it is these vectors negated.
+    """
     H = query.height_bound
-    total = (2 * H + 1) ** len(w)
+    n = len(w)
+    total = (2 * H + 1) ** n
     if total > EXHAUSTIVE_CAP:
         raise BudgetExceeded(
             f"exhaustive enumeration of {total} vectors exceeds {EXHAUSTIVE_CAP}")
-    return product(range(-H, H + 1), repeat=len(w))
+    return ((0,) * i + (lead,) + rest
+            for i in range(n) for lead in range(1, H + 1)
+            for rest in product(range(-H, H + 1), repeat=n - i - 1))
 
 
 def _lattice_vectors(query, w):
@@ -243,7 +257,9 @@ def _lattice_vectors(query, w):
     for i, a in enumerate(reduced):
         for b in reduced[i + 1:]:
             vectors += [[x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]]
-    return vectors
+    normalized = {_sign_normalized(v) for v in vectors}
+    normalized.discard(None)
+    return normalized
 
 
 def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
@@ -280,48 +296,66 @@ def verify_relation(cert, values, k, monomial_budget=DEFAULT_MONOMIAL_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# exact-arithmetic LLL
+# integral LLL
 
 def lll_reduce(basis, delta=LLL_DELTA):
-    """Lenstra-Lenstra-Lovasz reduction over Q, returning integer rows.
+    """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows.
 
-    Textbook version with exact Fractions: size-reduce against earlier
-    vectors, swap when the Lovasz condition fails.  Fine at the small
-    dimensions this package searches (the caller caps the dimension).
+    Integral LLL (Cohen, Alg. 2.6.7; de Weger 1987): it keeps the Gram
+    determinants d[i] of the first i rows (d[0] = 1) and the integers
+    lam[i][j] = d[j+1] * mu[i][j], and updates both by exact division, so no
+    rational number is ever formed.  Row k is size-reduced against every j
+    from k-1 down to 0, rounding mu half to even, before the Lovasz test
+    |b*_k|^2 >= (delta - mu[k][k-1]^2) |b*_{k-1}|^2, which with
+    |b*_k|^2 = d[k+1]/d[k] is an integer inequality; rows k-1 and k swap
+    when it fails.
+    ``delta`` is any ratio in (1/4, 1] with ``numerator`` and ``denominator``,
+    such as a Fraction.  Dependent rows raise DomainError (some d[i] is 0).
     """
+    dn, dd = delta.numerator, delta.denominator
+    if not 0 < dd < 4 * dn <= 4 * dd:
+        raise DomainError(f"LLL quality {dn}/{dd} must lie in (1/4, 1]")
     b = [list(map(int, row)) for row in basis]
     n = len(b)
-    if n == 0:
-        return b
-
-    # Gram-Schmidt data: mu[i][j] for j < i and squared norms of b*_i
-    def gram_schmidt():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = [Fraction(0)] * n
-        star = [None] * n
-        for i in range(n):
-            star[i] = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / norms[j]
-                star[i] = [x - mu[i][j] * y for x, y in zip(star[i], star[j])]
-            norms[i] = sum(x * x for x in star[i])
-        return mu, norms
-
-    mu, norms = gram_schmidt()
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise DomainError("LLL needs linearly independent rows")
+            else:
+                d[k + 1] = u
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round(mu[k][j])
+            if 2 * abs(lk[j]) > d[j + 1]:
+                # r = round(lk[j] / d[j+1]), ties to even
+                r, rem = divmod(2 * lk[j] + d[j + 1], 2 * d[j + 1])
+                if rem == 0 and r & 1:
+                    r -= 1
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lk[j] -= r * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+        lkk = lk[k - 1]
+        if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lkk ** 2:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        B = (d[k - 1] * d[k + 1] + lkk ** 2) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lkk * t) // d[k]
+            lam[i][k - 1] = (B * t + lkk * lam[i][k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return b

@@ -23,8 +23,6 @@ set is an exact GL_n(F_q)-torsor over seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import polyarith as pa
 from .conway import prime_factors
 from .delta import _psi, fermat_quotient, padic_exp, padic_log
@@ -37,6 +35,7 @@ from .errors import (
     SingularSeed,
     UnsupportedPrime,
 )
+from .record import frozen_record
 from .zq import (
     FqElement,
     ZqElement,
@@ -53,7 +52,7 @@ MAX_CONSTANTS = 100_000
 # ---------------------------------------------------------------------------
 # multiplicative / exponential family
 
-@dataclass(frozen=True)
+@frozen_record
 class ExponentialProblem:
     """The right-hand side beta along with eps = exp(p*beta) and alpha = (eps-1)/p."""
 
@@ -88,7 +87,7 @@ class ExponentialProblem:
         return cls(padic_log(eps).exact_div_p(1), eps, (eps - 1).exact_div_p(1))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ExponentialCertificate:
     """Achieved vs. available agreement precision for each equation form.
 
@@ -109,7 +108,7 @@ class ExponentialCertificate:
                    (self.phi_form, self.delta_form, self.psi_form, self.ratio))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SolutionFamily:
     """base plus the q-1 Teichmuller constants parameterizing all solutions.
 
@@ -231,7 +230,7 @@ def verify_exponential(u, problem, base=None):
 # ---------------------------------------------------------------------------
 # difference family
 
-@dataclass(frozen=True)
+@frozen_record
 class Obstruction:
     """Why phi(u) = eps*u has no solution: the norm N(eps) is not 1.
 

@@ -22,8 +22,6 @@ as reductions of ring elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import polyarith as pa
 from .conway import conway_polynomial, is_irreducible_mod_p, is_prime
 from .errors import (
@@ -34,6 +32,7 @@ from .errors import (
     PrecisionTooSmall,
     ReduciblePolynomial,
 )
+from .record import frozen_record
 
 
 class PadicParams:
@@ -175,7 +174,7 @@ def new_params(p, f, N, m=None):
     return PadicParams(p, f, N, m)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ValuationAtLeast:
     """A valuation only known to be >= ``bound`` (the element is 0 at its precision)."""
 
@@ -347,7 +346,7 @@ class ZqElement:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FqElement:
     """An element of the residue field F_q in the basis 1, g, ..., g^{f-1}."""
 
@@ -429,7 +428,7 @@ class FqElement:
         return f"Fq({ZqElement(self.params, self.coeffs, 1)._poly_str()})"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TeichmullerDigits:
     """The expansion u = sum_i omega(digits[i]) p^i, one residue per digit."""
 

@@ -31,11 +31,16 @@ and ``termwise_eval_delta_function`` raises each jet entry to each exponent
 by its own square-and-multiply: one or more ring products per term, where
 the library's Paterson-Stockmeyer sum and power tables need about sqrt(n).
 
+``fraction_lll_reduce`` is the textbook LLL over exact Fractions, which
+recomputes the whole Gram-Schmidt data after every size reduction and every
+swap, where the library's integral LLL updates integer Gram determinants
+and scaled coefficients by exact division.
+
 ``candidate_find_relation`` is the relation probe with one evaluation loop
 per use, each raising every value to every exponent by its own power, and
 one candidate filter per search mode, where the library builds one power
 list per variable and runs one filter over the vectors either mode
-proposes.
+proposes.  Its lattice mode reduces by ``fraction_lll_reduce``.
 
 ``trial_division_prime_factors`` factors by trial division, where the
 library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
@@ -61,7 +66,6 @@ from wittcalc import (
     delta_jet,
     frobenius,
     frobenius_inv,
-    lll_reduce,
     monomials,
     teichmuller,
 )
@@ -377,6 +381,45 @@ def termwise_eval_delta_function(series, args):
     return acc.mask(prec)
 
 
+def fraction_lll_reduce(basis, delta=Fraction(99, 100)):
+    """LLL over exact Fractions, recomputing Gram-Schmidt after every change."""
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+    if n == 0:
+        return b
+
+    def gram_schmidt():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = [Fraction(0)] * n
+        star = [None] * n
+        for i in range(n):
+            star[i] = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                if norms[j] == 0:
+                    mu[i][j] = Fraction(0)
+                    continue
+                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / norms[j]
+                star[i] = [x - mu[i][j] * y for x, y in zip(star[i], star[j])]
+            norms[i] = sum(x * x for x in star[i])
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = round(mu[k][j])
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
 def _relation_monomial_values(values, monos, M):
     masked = [v.mask(M) for v in values]
     out = []
@@ -444,7 +487,7 @@ def _lattice_candidates(query, monos, w):
                     + [kappa * c for c in x.coeffs])
     for i in range(f):
         rows.append([0] * count + [kappa * mod if k == i else 0 for k in range(f)])
-    reduced = lll_reduce(rows, Fraction(99, 100))
+    reduced = fraction_lll_reduce(rows, Fraction(99, 100))
     coords = [x.coeffs for x in w]
     candidates = [row[:count] for row in reduced]
     for i in range(len(reduced)):

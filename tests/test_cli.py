@@ -291,3 +291,21 @@ def test_poly_override_flag():
     code, _, err = invoke(["--p", "3", "--f", "2", "--prec", "8",
                            "--poly", "[2, 0, 1]", "constants"])
     assert code == 2 and "reducible" in err.lower()
+
+
+def test_cli_import_leaves_dataclasses_and_fractions_out():
+    # both pull in further modules; the CLI process pays for every import
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    # asking a record whether it is a dataclass imports nothing either
+    code = ("import sys, wittcalc.cli; "
+            "assert not hasattr(wittcalc.FqElement, '__dataclass_fields__'); "
+            "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,19 +1,23 @@
 """Property tests over random small rings: the closed-form lifts, the laws
 the Teichmuller orbit fill relies on, phi as the lift of the p-power map
 (also for random moduli) and the delta sum and product laws (p = 2
-included), and the exp/log and psi laws (p odd)."""
+included), the exp/log and psi laws (p odd), and the integral LLL against
+the Fraction LLL oracle on random integer bases."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from wittcalc import (
+    DomainError,
     SingularSeed,
     ZqMatrix,
     enumerate_constants,
     fermat_quotient,
     frobenius,
+    lll_reduce,
     new_params,
     padic_exp,
     padic_log,
@@ -25,7 +29,7 @@ from wittcalc import (
 from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
-from oracles import iterated_teichmuller
+from oracles import fraction_lll_reduce, iterated_teichmuller
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -157,3 +161,32 @@ def test_psi_is_a_homomorphism(ring, data):
         lambda c: any(x % P.p for x in c))
     u, v = (P.from_coeffs(data.draw(units)) for _ in range(2))
     assert psi(u * v) == psi(u) + psi(v)
+
+
+def _rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            r = m[i][col] / m[rank][col]
+            m[i] = [x - r * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.integers(1, 8), st.integers(0, 2), st.data())
+def test_integral_lll_returns_the_fraction_lll_basis(n, extra, data):
+    row = st.lists(st.integers(-30, 30), min_size=n + extra, max_size=n + extra)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    for delta in (Fraction(3, 4), Fraction(99, 100)):
+        if _rank(rows) < n:
+            with pytest.raises(DomainError):
+                lll_reduce(rows, delta)
+        else:
+            assert lll_reduce(rows, delta) == fraction_lll_reduce(rows, delta)

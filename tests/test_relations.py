@@ -1,6 +1,10 @@
 """Integer relation probe: both search modes, certificates, and the LLL core."""
 
 import random
+import tracemalloc
+from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -18,10 +22,11 @@ from wittcalc import (
     teichmuller,
     verify_relation,
 )
+from wittcalc import relations
 from wittcalc.serialize import relation_certificate_from_obj, relation_certificate_to_obj
 
 from conftest import get_params
-from oracles import candidate_find_relation
+from oracles import candidate_find_relation, fraction_lll_reduce
 
 
 def test_integer_value_yields_linear_relation():
@@ -157,7 +162,7 @@ def test_pipeline_matches_per_mode_candidate_oracle():
     # None, of an evaluation loop per use and a filter per mode
     rng = random.Random(10)
     queries = []
-    # low precision keeps the exact-Fraction LLL of dimension 7 and 8 cheap
+    # low precision keeps the oracle's Fraction LLL of dimension 7 and 8 cheap
     for P, H in ((get_params(5, 1, 10), 2), (get_params(3, 2, 6), 1)):
         units = [random_element(P, rng, unit=True) for _ in range(8)]
         # omega of a generator of F_q^*: its least relation has degree 4 at f = 2
@@ -272,3 +277,85 @@ def test_lll_reduces_known_lattice():
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     assert abs(det3(reduced)) == abs(det3(basis))
+
+
+def test_lll_matches_fraction_oracle_on_probe_lattices(monkeypatch):
+    # every lattice the probe reduces in a seeded sweep over p, f and N, at
+    # dimensions 3 to 8: the integral LLL returns the oracle's basis exactly
+    lattices = []
+    real = relations.lll_reduce
+    monkeypatch.setattr(relations, "lll_reduce",
+                        lambda rows, delta: lattices.append(rows) or real(rows, delta))
+    rng = random.Random(11)
+    # each f meets each of its six (values, degree) shapes once
+    shapes = {f: [(m, d) for m in (1, 2) for d in range(1, 5) if comb(m + d, d) + f <= 8]
+              for f in (1, 2)}
+    for p, N, f in product((3, 5, 7), (8, 16), (1, 2)):
+        P = get_params(p, f, N)
+        m, d = shapes[f].pop()
+        values = tuple(teichmuller(random_element(P, rng, unit=True).residue())
+                       if rng.random() < 0.5 else random_element(P, rng, unit=True)
+                       for _ in range(m))
+        find_relation(RelationQuery(values=values, deg_bound=d, height_bound=1))
+    assert len(lattices) == 12
+    assert {len(rows) for rows in lattices} == {3, 4, 5, 6, 7, 8}
+    for rows in lattices:
+        assert lll_reduce(rows) == fraction_lll_reduce(rows)
+
+
+def test_lll_rejects_dependent_rows_and_bad_quality():
+    for rows in ([[1, 2], [2, 4]], [[0, 0, 0]], [[1, 0], [0, 1], [1, 1]],
+                 [[3, 1, 4], [1, 5, 9], [4, 6, 13]]):
+        with pytest.raises(DomainError):
+            lll_reduce(rows)
+    assert lll_reduce([]) == []
+    assert lll_reduce([[3, 4]]) == [[3, 4]]
+    basis = [[1, 0, 2], [1000, 1, 2001], [2000, 0, 4001]]
+    assert lll_reduce(basis, Fraction(99, 100)) == lll_reduce(basis)
+    for delta in (Fraction(1, 4), Fraction(101, 100), Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            lll_reduce(basis, delta)
+
+
+def test_lll_rounds_ties_to_even_and_keeps_rows_at_lovasz_equality():
+    # mu = 5/2 rounds to 2, as round(Fraction) does, not to 3
+    assert lll_reduce([[2, 0], [5, 1]], Fraction(3, 4)) == [[1, 1], [1, -1]]
+    # |b1|^2 = delta |b0|^2 exactly: the Lovasz test holds, so no swap
+    assert lll_reduce([[2, 0, 0], [1, 1, 1]], Fraction(3, 4)) == [[2, 0, 0], [1, 1, 1]]
+    assert lll_reduce([[10, 0, 0], [1, 7, 7]]) == [[10, 0, 0], [1, 7, 7]]
+    for basis in ([[2, 0], [5, 1]], [[2, 0, 0], [1, 1, 1]]):
+        assert lll_reduce(basis, Fraction(3, 4)) == fraction_lll_reduce(basis, Fraction(3, 4))
+
+
+def test_exhaustive_mode_proposes_each_vector_once_up_to_sign():
+    P = get_params(5, 1, 30)
+    u = random_element(P, random.Random(3), unit=True)
+    for values, d, H in (((u,), 2, 3), ((u, u + 1), 1, 2), ((u,), 4, 1)):
+        query = RelationQuery(values=values, deg_bound=d, height_bound=H, mode="exhaustive")
+        n = comb(len(values) + d, d)
+        vectors = relations._exhaustive_vectors(query, [None] * n)
+        assert iter(vectors) is vectors  # proposed lazily, nothing kept
+        vectors = list(vectors)
+        assert len(vectors) == ((2 * H + 1) ** n - 1) // 2
+        assert all(next(x for x in v if x) > 0 for v in vectors)
+        negated = {tuple(-x for x in v) for v in vectors}
+        assert set(vectors) | negated | {(0,) * n} == set(product(range(-H, H + 1), repeat=n))
+
+
+def test_exhaustive_certificates_match_oracle_without_a_seen_set():
+    # two units, degree 2: the box the seen set used to fill
+    rng = random.Random(4)
+    P = get_params(5, 1, 30)
+    u, v = (random_element(P, rng, unit=True) for _ in range(2))
+    queries = [(u, v), (u, u * u), (u, 2 * u + 1), (u * v, v)]
+    for values in queries:
+        query = RelationQuery(values=values, deg_bound=2, height_bound=2, mode="exhaustive")
+        assert find_relation(query) == candidate_find_relation(query)
+    assert find_relation(RelationQuery(values=(u, u * u), deg_bound=2, height_bound=2,
+                                       mode="exhaustive")).coeffs == (1, -1)
+    # peak memory stays flat in the box size (15,625 vectors here)
+    tracemalloc.start()
+    find_relation(RelationQuery(values=(u, v), deg_bound=2, height_bound=2, mode="exhaustive"))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 100_000
