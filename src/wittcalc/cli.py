@@ -260,6 +260,8 @@ def _relations(args, params, stdin):
     if args.random_units is not None:
         if args.seed is None:
             raise DomainError("randomized subcommands require an explicit --seed")
+        if args.random_units < 1:
+            raise DomainError("--random-units must be >= 1")
         rng = random.Random(args.seed)
         trials = []
         none_count = 0

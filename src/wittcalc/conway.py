@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-from .errors import BudgetExceeded, NotPrime
-from .polyarith import pp_gcd, pp_mod, pp_mul, pp_powmod, pp_trim
+from .errors import BudgetExceeded, NonUnit, NotPrime
+from .polyarith import vec_eval_int_poly, vec_inv, vec_one, vec_pow, vec_sub
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -90,28 +90,28 @@ def _rho_factor(n):
 
 
 def is_irreducible_mod_p(poly, p):
-    """Is the monic integer polynomial irreducible over F_p?"""
-    m = pp_trim([c % p for c in poly])
-    f = len(m) - 1
+    """Is the monic integer polynomial irreducible over F_p?
+
+    Rabin's test (SIAM J. Comput. 9, 1980).  The roots of x^(p^d) - x are
+    the elements of F_{p^d}, so x^(p^f) = x mod (m, p) says every irreducible
+    factor of m has degree dividing f.  For each prime ell | f, x^(p^(f/ell))
+    - x being a unit mod (m, p), i.e. coprime to m, says no factor has degree
+    dividing f/ell.  Then every factor has degree f: m is irreducible.
+    """
+    f = len(poly) - 1
     if f < 1:
         return False
     if f == 1:
         return True
-    x = [0, 1]
-    if pp_trim([a % p for a in _sub(pp_powmod(x, p ** f, m, p), x, p)]):
+    x = (0, 1) + (0,) * (f - 2)
+    if vec_pow(x, p ** f, poly, p) != x:
         return False
     for ell in prime_factors(f):
-        d = f // ell
-        if len(pp_gcd(_sub(pp_powmod(x, p ** d, m, p), x, p), m, p)) > 1:
+        try:
+            vec_inv(vec_sub(vec_pow(x, p ** (f // ell), poly, p), x, p), poly, p, 1)
+        except NonUnit:
             return False
     return True
-
-
-def _sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return pp_trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def smallest_primitive_root(p):
@@ -137,7 +137,7 @@ def conway_polynomial(p, f):
     # for each prime ell not dividing r: only the primes of r need a test.
     ells = prime_factors(r)
     divisors = [d for d in range(2, f) if f % d == 0]
-    x = [0, 1]
+    x, one = (0, 1) + (0,) * (f - 2), vec_one(f)
     # Word ordering: the tuple (b_{f-1}, ..., b_0) with b_i = (-1)^{f-i} a_i
     # is compared lexicographically; b_0 = g and word n holds the base-p
     # digits of n in b_{f-1}, ..., b_1, most significant first.
@@ -146,23 +146,17 @@ def conway_polynomial(p, f):
         for i in range(1, f):
             n, b = divmod(n, p)
             m[i] = b if (f - i) % 2 == 0 else (-b) % p
-        if pp_powmod(x, r, m, p) != [g]:
+        if vec_pow(x, r, m, p) != (g,) + one[1:]:
             continue
-        if any(pp_powmod(x, q1 // ell, m, p) == [1] for ell in ells):
+        if any(vec_pow(x, q1 // ell, m, p) == one for ell in ells):
             continue
-        if all(_norm_compatible(m, p, f, d) for d in divisors):
+        if all(_norm_compatible(x, m, p, f, d) for d in divisors):
             return tuple(m)
     # C_{p,f} exists, so only the budget ends the scan without a hit
     raise BudgetExceeded(f"Conway search for p={p}, f={f} passed {MAX_WORDS} words")
 
 
-def _norm_compatible(m, p, f, d):
+def _norm_compatible(x, m, p, f, d):
     """Does C_{p,d} vanish at x^((p^f-1)/(p^d-1)) modulo m?"""
-    r = (p ** f - 1) // (p ** d - 1)
-    y = pp_powmod([0, 1], r, m, p)
-    sub = conway_polynomial(p, d)
-    acc = []
-    for c in reversed(sub):
-        acc = pp_mod(pp_mul(acc, y, p), m, p)
-        acc = _sub(acc, [(-c) % p], p)
-    return not acc
+    y = vec_pow(x, (p ** f - 1) // (p ** d - 1), m, p)
+    return not any(vec_eval_int_poly(conway_polynomial(p, d), y, m, p))

@@ -6,10 +6,6 @@ of degree f (a sequence of f+1 ints, leading coefficient 1).  Every routine
 takes the modulus p^K as an explicit integer so internal computations can run
 at guard precision above the ring's nominal p^N; results masked back down to
 p^k are then exact.
-
-The ``pp_*`` helpers are dense mod-p polynomial routines on int lists with
-trailing zeros trimmed; they back the irreducibility tests and mod-p
-inverses.
 """
 
 from .errors import NonUnit
@@ -126,18 +122,14 @@ def vec_divexact_p(a, p_pow):
 
 
 def vec_inv(a, poly, p, K):
-    """Inverse of a modulo (poly, p^K); a must be a unit (nonzero mod p)."""
+    """Inverse of a modulo (poly, p^K); NonUnit unless a is a unit mod (poly, p)."""
     f = len(a)
     mod = p ** K
-    if f == 1:
-        if a[0] % p == 0:
-            raise NonUnit("zero divisor: valuation >= 1")
-        return (pow(a[0], -1, mod),)
-    am = pp_trim([x % p for x in a])
-    if not am:
+    if not any(x % p for x in a):
         raise NonUnit("zero divisor: valuation >= 1")
-    x0 = pp_invmod(am, pp_trim([c % p for c in poly]), p)
-    x = tuple(x0[i] if i < len(x0) else 0 for i in range(f))
+    if f == 1:
+        return (pow(a[0], -1, mod),)
+    x = _inv_mod_p(a, poly, p)
     # Newton: x <- x * (2 - a*x), gaining one doubling of correct digits per pass
     k = 1
     two = vec_from_int(2, f, mod)
@@ -149,94 +141,31 @@ def vec_inv(a, poly, p, K):
     return vec_mask(x, mod)
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over F_p: int lists, ascending degree, trailing zeros cut
+def _inv_mod_p(a, poly, p):
+    """a^-1 mod (poly, p) by Euclid on (poly, a), keeping only a's cofactor.
 
-def pp_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def pp_mul(a, b, p):
-    if not a or not b:
-        return []
-    t = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                t[i + j] = (t[i + j] + x * y) % p
-    return pp_trim(t)
-
-
-def pp_divmod(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(da - db + 1, 0)
-    for i in range(da - db, -1, -1):
-        c = (a[i + db] * inv_lead) % p
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return pp_trim(q), pp_trim(a[:db])
-
-
-def pp_mod(a, b, p):
-    return pp_divmod(a, b, p)[1]
-
-
-def pp_gcd(a, b, p):
-    a, b = pp_trim(a), pp_trim(b)
-    while b:
-        a, b = b, pp_mod(a, b, p)
-    if a:
-        a = [(x * pow(a[-1], -1, p)) % p for x in a]
-    return a
-
-
-def pp_ext_gcd(a, b, p):
-    """Return (g, s, t) with s*a + t*b = g, g monic (or empty)."""
-    r0, r1 = pp_trim(a), pp_trim(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = pp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, pp_trim([(x - y) % p for x, y in _zip_pad(s0, pp_mul(q, s1, p))])
-        t0, t1 = t1, pp_trim([(x - y) % p for x, y in _zip_pad(t0, pp_mul(q, t1, p))])
-    if r0:
-        c = pow(r0[-1], -1, p)
-        r0 = [(x * c) % p for x in r0]
-        s0 = [(x * c) % p for x in s0]
-        t0 = [(x * c) % p for x in t0]
-    return r0, s0, t0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def pp_invmod(a, m, p):
-    """Inverse of a modulo the polynomial m over F_p."""
-    g, s, _ = pp_ext_gcd(a, m, p)
-    if len(g) != 1:
+    The remainders r and cofactors t keep t*a == r mod (poly, p); each
+    cofactor has degree f minus that of the remainder before it, so below f.
+    """
+    f = len(a)
+    r0, r1 = [c % p for c in poly], [x % p for x in a]
+    t0, t1 = [0] * f, [1] + [0] * (f - 1)
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) < 2:
+            break
+        u = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            c, s = r0.pop() * u % p, len(r0) + 1 - len(r1)
+            if c:
+                for j, y in enumerate(r1[:-1]):
+                    r0[s + j] = (r0[s + j] - c * y) % p
+                for j, y in enumerate(t1):
+                    if y:
+                        t0[s + j] = (t0[s + j] - c * y) % p
+        r0, r1, t0, t1 = r1, r0, t1, t0
+    if not r1:
         raise NonUnit("element shares a factor with the modulus")
-    return pp_mod(s, m, p)
-
-
-def pp_powmod(a, e, m, p):
-    acc = [1]
-    base = pp_mod(a, m, p)
-    while e:
-        if e & 1:
-            acc = pp_mod(pp_mul(acc, base, p), m, p)
-        e >>= 1
-        if e:
-            base = pp_mod(pp_mul(base, base, p), m, p)
-    return acc
+    u = pow(r1[0], -1, p)
+    return tuple(y * u % p for y in t1)

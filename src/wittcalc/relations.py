@@ -271,6 +271,8 @@ def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
     what the chosen mode can see; every query is held to the budgets.  For a
     Teichmuller unit the result divides x^(q-1) - 1 over the integers.
     """
+    if deg_bound < 1 or height_bound < 1:
+        raise DomainError("degree and height bounds must be >= 1")
     for d in range(1, deg_bound + 1):
         cert = find_relation(RelationQuery(
             values=(u,), deg_bound=d, height_bound=height_bound,

@@ -47,6 +47,12 @@ library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
 every one of the p^f words for primitivity by factoring q-1 and for norm
 compatibility with every proper subfield, C_{p,1} included, where the
 library scans only the p^(f-1) words whose norm is the root of C_{p,1}.
+
+``gcd_is_irreducible_mod_p`` takes the gcd of x^(p^(f/ell)) - x with the
+modulus by Euclid on trimmed int lists, where the library asks ``vec_inv``
+whether the difference is a unit.  ``euclid_inv_mod_p`` computes both
+Bezout cofactors of (a, m) over F_p and keeps one, where the library's
+mod-p seed tracks only a's.
 """
 
 from fractions import Fraction
@@ -70,7 +76,7 @@ from wittcalc import (
     teichmuller,
 )
 from wittcalc import polyarith as pa
-from wittcalc.polyarith import pp_mod, pp_mul, pp_powmod, pp_trim, vec_pow
+from wittcalc.polyarith import vec_eval_int_poly, vec_one, vec_pow
 from wittcalc.zq import agreement_precision
 
 
@@ -99,7 +105,7 @@ def full_scan_conway_polynomial(p, f):
     q1 = p ** f - 1
     ells = trial_division_prime_factors(q1)
     divisors = [d for d in range(1, f) if f % d == 0]
-    x = [0, 1]
+    x, one = (0, 1) + (0,) * (f - 2), vec_one(f)
     # Word ordering: the tuple (b_{f-1}, ..., b_0) with b_i = (-1)^{f-i} a_i
     # is compared lexicographically; product() enumerates words in that order.
     for word in product(range(p), repeat=f):
@@ -108,23 +114,105 @@ def full_scan_conway_polynomial(p, f):
         for idx, b in enumerate(word):
             i = f - 1 - idx
             m[i] = b if (f - i) % 2 == 0 else (-b) % p
-        if pp_powmod(x, q1, m, p) != [1]:
+        if vec_pow(x, q1, m, p) != one:
             continue
-        if any(pp_powmod(x, q1 // ell, m, p) == [1] for ell in ells):
+        if any(vec_pow(x, q1 // ell, m, p) == one for ell in ells):
             continue
-        if all(_full_scan_norm_compatible(m, p, f, d) for d in divisors):
+        if all(_full_scan_norm_compatible(x, m, p, f, d) for d in divisors):
             return tuple(m)
     raise ArithmeticError(f"no Conway polynomial found for p={p}, f={f}")
 
 
-def _full_scan_norm_compatible(m, p, f, d):
+def _full_scan_norm_compatible(x, m, p, f, d):
     """Does C_{p,d} vanish at x^((p^f-1)/(p^d-1)) modulo m?"""
-    y = pp_powmod([0, 1], (p ** f - 1) // (p ** d - 1), m, p)
-    acc = []
-    for c in reversed(full_scan_conway_polynomial(p, d)):
-        acc = pp_mod(pp_mul(acc, y, p), m, p) or [0]
-        acc = pp_trim([(acc[0] + c) % p] + acc[1:])
-    return not acc
+    y = vec_pow(x, (p ** f - 1) // (p ** d - 1), m, p)
+    return not any(vec_eval_int_poly(full_scan_conway_polynomial(p, d), y, m, p))
+
+
+# Dense polynomials over F_p as int lists, ascending, trailing zeros trimmed.
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a, b, p):
+    t = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t[i + j] = (t[i + j] + x * y) % p
+    return _trim(t)
+
+
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([(x - y) % p for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
+
+
+def _poly_divmod(a, b, p):
+    a, db = list(a), len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = q[i] = a[i + db] * inv_lead % p
+        for j, y in enumerate(b):
+            a[i + j] = (a[i + j] - c * y) % p
+    return _trim(q), _trim(a[:db])
+
+
+def _poly_powmod(a, e, m, p):
+    acc, base = [1], _poly_divmod(a, m, p)[1]
+    for bit in bin(e)[2:]:
+        acc = _poly_divmod(_poly_mul(acc, acc, p), m, p)[1]
+        if bit == "1":
+            acc = _poly_divmod(_poly_mul(acc, base, p), m, p)[1]
+    return acc
+
+
+def _poly_ext_gcd(a, b, p):
+    """(g, s, t) with s*a + t*b = g over F_p, g monic or empty."""
+    r0, r1, s0, s1, t0, t1 = _trim(a), _trim(b), [1], [], [], [1]
+    while r1:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
+    if r0:
+        c = pow(r0[-1], -1, p)
+        r0, s0, t0 = ([x * c % p for x in v] for v in (r0, s0, t0))
+    return r0, s0, t0
+
+
+def gcd_is_irreducible_mod_p(poly, p):
+    """Is the monic integer polynomial irreducible over F_p?  By gcds of
+    x^(p^(f/ell)) - x with m, for the primes ell of f."""
+    m = _trim([c % p for c in poly])
+    f = len(m) - 1
+    if f < 1:
+        return False
+    if f == 1:
+        return True
+    x = [0, 1]
+    if _poly_sub(_poly_powmod(x, p ** f, m, p), x, p):
+        return False
+    for ell in trial_division_prime_factors(f):
+        diff = _poly_sub(_poly_powmod(x, p ** (f // ell), m, p), x, p)
+        if len(_poly_ext_gcd(diff, m, p)[0]) > 1:
+            return False
+    return True
+
+
+def euclid_inv_mod_p(a, poly, p):
+    """a^-1 modulo (poly, p) as a length-f vector, from both Bezout cofactors."""
+    f = len(a)
+    m = _trim([c % p for c in poly])
+    g, s, _ = _poly_ext_gcd([x % p for x in a], m, p)
+    if len(g) != 1:
+        raise NonUnit("element shares a factor with the modulus")
+    s = _poly_divmod(s, m, p)[1]
+    return tuple(s[i] if i < len(s) else 0 for i in range(f))
 
 
 def _fq_elements(params):

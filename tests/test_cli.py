@@ -137,6 +137,17 @@ def test_relations_random_units_requires_seed():
     assert doc["none_count"] == 3
 
 
+def test_relations_bounds_below_one_exit_2():
+    # with and without --min-poly, and K < 1 random units: refused, nothing on stdout
+    ring = ["--p", "3", "--f", "1", "--prec", "40", "--seed", "99", "relations"]
+    for tail in (["--values", '[["1"]]', "--deg", "-3", "--height", "0", "--min-poly"],
+                 ["--values", '[["1"]]', "--deg", "-3", "--height", "0"],
+                 ["--deg", "2", "--height", "10", "--random-units", "0"],
+                 ["--deg", "2", "--height", "10", "--random-units", "-1"]):
+        code, out, err = invoke(ring + tail)
+        assert code == 2 and out == "" and ">= 1" in err, tail
+
+
 def test_verify_fixture_results():
     _, out = invoke_twice(FIXTURES["verify"])
     doc = json.loads(out)

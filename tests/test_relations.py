@@ -69,6 +69,15 @@ def test_minimal_polynomial_picks_lowest_degree():
     assert minimal_polynomial(teichmuller(P.fq_from_int(-1)), 4, 1).monomials == ((0,), (1,))
 
 
+def test_minimal_polynomial_rejects_bounds_below_one():
+    # the box d = -3 would be searched by no query at all, so it is refused
+    # before the degree loop rather than reported as searched
+    u = get_params(3, 1, 40).from_int(1)
+    for deg, height in ((-3, 0), (0, 1), (2, 0)):
+        with pytest.raises(DomainError, match=">= 1"):
+            minimal_polynomial(u, deg, height)
+
+
 def _poly_divides(d_coeffs, n_coeffs):
     """Exact division test for integer polynomials given as dense coeff lists."""
     num = list(n_coeffs)

@@ -16,6 +16,7 @@ from wittcalc import (
     ZqElement,
     ZqMatrix,
     agreement_precision,
+    conway_polynomial,
     enumerate_constants,
     fermat_quotient,
     frobenius,
@@ -511,6 +512,9 @@ def test_solve_layer_cost_in_ring_products(monkeypatch):
         run()
         return len(calls["vec_mul"]), list(calls["vec_dot"])
 
+    # the Conway search's products are not the solve layer's
+    for p, f in ((7, 3), (3, 6), (2, 8)):
+        conway_polynomial(p, f)
     P = new_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
     runs = ((lambda: new_params(7, 3, 20), (47, 0)),

@@ -25,13 +25,14 @@ from wittcalc import (
     teichmuller,
 )
 from wittcalc import conway, polyarith
-from wittcalc.polyarith import pp_powmod
 from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
 
 from conftest import get_params
 from oracles import (
+    euclid_inv_mod_p,
     full_precision_frobenius_root,
     full_scan_conway_polynomial,
+    gcd_is_irreducible_mod_p,
     iterated_teichmuller,
     trial_division_prime_factors,
 )
@@ -73,8 +74,10 @@ def test_every_irreducible_modulus_builds_a_ring():
             poly = low + (1,)
             if not conway.is_irreducible_mod_p(poly, p):
                 continue
-            deriv = [(i * c) % p for i, c in enumerate(poly)][1:]
-            assert len(polyarith.pp_gcd(list(poly), deriv, p)) == 1
+            # m'(g) is a unit mod (m, p); vec_inv raises NonUnit otherwise
+            deriv = tuple(i * c for i, c in enumerate(poly))[1:]
+            x = (0, 1) + (0,) * (f - 2)
+            polyarith.vec_inv(polyarith.vec_eval_int_poly(deriv, x, poly, p), poly, p, 1)
             g = new_params(p, f, 6, poly).gen()
             orbit = [g]
             for _ in range(f):
@@ -83,6 +86,66 @@ def test_every_irreducible_modulus_builds_a_ring():
             built += 1
     # the counts of irreducible monic polynomials of degree f over F_p
     assert built == 1 + 2 + 3 + 6 + 3 + 8 + 18 + 10 + 40 + 21
+
+
+def test_irreducibility_matches_gcd_oracle():
+    # Rabin's test through vec_pow and vec_inv against gcds on int lists,
+    # on every monic polynomial of degree >= 2 in these (p, f) ranges
+    seen = 0
+    for p, top in ((2, 8), (3, 6), (5, 4), (7, 3), (11, 3)):
+        for f in range(2, top + 1):
+            for low in itertools.product(range(p), repeat=f):
+                poly = low + (1,)
+                assert conway.is_irreducible_mod_p(poly, p) == gcd_is_irreducible_mod_p(poly, p)
+                seen += 1
+    assert seen == 4216
+
+
+def test_vec_inv_matches_euclid_oracle():
+    # Seeds from one cofactor against seeds from both, on random moduli
+    # (mostly reducible), products with one of their factors, multiples of
+    # p, and p = 10^9+7; the inverse mod p^K is checked by multiplying back.
+    rng = random.Random(23)
+    kinds = {"unit": 0, "zero mod p": 0, "shares a factor": 0}
+    for _ in range(4000):
+        p = rng.choice((2, 3, 5, 7, 1000000007))
+        f, K = rng.randint(2, 6 if p < 10 else 3), rng.randint(1, 8)
+        mod = p ** K
+        g = [rng.randrange(mod) for _ in range(rng.randint(1, f - 1))] + [1]
+        h = [rng.randrange(mod) for _ in range(f + 1 - len(g))] + [1]
+        poly = [0] * (f + 1)
+        for i, x in enumerate(g):
+            for j, y in enumerate(h):
+                poly[i + j] = (poly[i + j] + x * y) % mod
+        a = tuple(rng.randrange(mod) for _ in range(f))
+        choice = rng.randrange(4)
+        if choice == 0:
+            a = polyarith.vec_scale(a, p, mod)
+        elif choice == 1:
+            a = polyarith.vec_mul(a, tuple(g) + (0,) * (f - len(g)), poly, mod)
+        try:
+            seed = euclid_inv_mod_p(a, poly, p)
+        except NonUnit:
+            with pytest.raises(NonUnit):
+                polyarith.vec_inv(a, poly, p, K)
+            kinds["zero mod p" if not any(x % p for x in a) else "shares a factor"] += 1
+            continue
+        inv = polyarith.vec_inv(a, poly, p, K)
+        assert polyarith.vec_mask(inv, p) == seed
+        assert polyarith.vec_mul(a, inv, poly, mod) == polyarith.vec_one(f)
+        kinds["unit"] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
+def test_vec_inv_under_a_reducible_modulus():
+    # over F_3, x^2 + 2 = (x + 1)(x + 2): x + 1 is a zero divisor though
+    # nonzero mod 3, and x, with x^2 = 1, is its own inverse mod 3
+    poly = (2, 0, 1)
+    with pytest.raises(NonUnit):
+        polyarith.vec_inv((1, 1), poly, 3, 5)
+    assert polyarith.vec_inv((0, 1), poly, 3, 1) == (0, 1)
+    inv = polyarith.vec_inv((0, 1), poly, 3, 5)
+    assert polyarith.vec_mul((0, 1), inv, poly, 3 ** 5) == (1, 0)
 
 
 def test_params_rejects_tiny_precision():
@@ -121,14 +184,16 @@ def test_conway_matches_full_scan_oracle():
 
 
 def test_conway_search_cost_in_powmods(monkeypatch):
-    # Deterministic pp_powmod count for a cold C_{7,6}, subfields included;
-    # the scan over all p^f words took 6,137.
-    calls = []
-    powmod = conway.pp_powmod
-    monkeypatch.setattr(conway, "pp_powmod", lambda *a: calls.append(1) or powmod(*a))
+    # Deterministic vec_pow and vec_mul counts for a cold C_{7,6}, subfields
+    # included; the scan over all p^f words took 6,137 powerings.
+    calls = {"vec_pow": [], "vec_mul": []}
+    for mod, name in ((conway, "vec_pow"), (polyarith, "vec_mul")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, c=calls[name], fn=fn: c.append(1) or fn(*a))
     conway.conway_polynomial.cache_clear()
     assert conway_polynomial(7, 6) == (3, 6, 4, 5, 1, 0, 1)
-    assert len(calls) <= 908
+    assert len(calls["vec_pow"]) <= 908
+    assert len(calls["vec_mul"]) <= 16_606
 
 
 def test_conway_search_is_bounded(monkeypatch):
@@ -153,12 +218,12 @@ def test_conway_search_at_large_p():
     q1 = p * p - 1
 
     def primitive(m):
-        x = [0, 1]
-        return (pp_powmod(x, q1, m, p) == [1]
-                and all(pp_powmod(x, q1 // ell, m, p) != [1] for ell in ells))
+        x = (0, 1)
+        return (polyarith.vec_pow(x, q1, m, p) == (1, 0)
+                and all(polyarith.vec_pow(x, q1 // ell, m, p) != (1, 0) for ell in ells))
 
     assert pow(m[1] ** 2 - 4 * m[0], (p - 1) // 2, p) == p - 1  # irreducible
-    assert primitive(list(m))
+    assert primitive(m)
     # the norm is the smallest primitive root mod p
     assert [g for g in range(2, 6)
             if all(pow(g, (p - 1) // ell, p) != 1 for ell in trial_division_prime_factors(p - 1))
