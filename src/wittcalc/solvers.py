@@ -18,7 +18,11 @@ not as exceptions.
 Matrix family:  delta(u) = beta * u^(p), entry-wise p-th powers, i.e.
 phi(u) = (I + p*beta) * u^(p).  Mod p the equation is vacuous, so any
 invertible residue seed works, and each seed lifts uniquely: the solution
-set is an exact GL_n(F_q)-torsor over seeds.
+set is an exact GL_n(F_q)-torsor over seeds.  The lift runs in Taylor
+blocks: with a = u mod p^m, (a + p^m D)^p = a^p + p^(m+1) a^(p-1) D
+mod p^(2m) for every p, p = 2 included, so one p-th power per entry at a
+block start k = m + 1 = 2, 3, 5, 9, 17, ... serves every digit up to p^(2m),
+and the passes inside a block are affine in D.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import (
 from .record import frozen_record
 from .zq import (
     FqElement,
+    PadicParams,
     ZqElement,
     agreement_precision,
     frobenius,
@@ -338,29 +343,29 @@ class ZqMatrix:
 
     @classmethod
     def from_residues(cls, params, residues, prec=None):
-        return cls(tuple(tuple(params.fq(e.coeffs if isinstance(e, FqElement) else e)
-                               .lift(prec) for e in row) for row in residues))
+        return cls(_entrywise(lambda e: _seed_residue(params, e).lift(prec), residues))
 
     def map(self, fn):
-        return ZqMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
+        return ZqMatrix(_entrywise(fn, self.entries))
 
     def __add__(self, other):
-        return ZqMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        self._check_operand(other)
+        return ZqMatrix(_entrywise(lambda a, b: a + b, self.entries, other.entries))
 
     def __sub__(self, other):
-        return ZqMatrix(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        self._check_operand(other)
+        return ZqMatrix(_entrywise(lambda a, b: a - b, self.entries, other.entries))
+
+    def _check_operand(self, other):
+        if other.n != self.n or other.params is not self.params and other.params != self.params:
+            raise ParamsMismatch("matrix shapes or rings differ")
 
     def __matmul__(self, other):
-        if other.n != self.n or other.params != self.params:
-            raise ParamsMismatch("matrix shapes or rings differ")
+        self._check_operand(other)
         params, prec = self.params, min(self.prec, other.prec)
         rows = _mat_mul(_coeff_grid(self.entries), _coeff_grid(other.entries),
                         params.poly, params.p ** prec)
-        return ZqMatrix(tuple(tuple(ZqElement(params, c, prec) for c in row) for row in rows))
+        return ZqMatrix(_entrywise(lambda c: ZqElement(params, c, prec), rows))
 
     def pow_entries_p(self):
         p = self.params.p
@@ -383,8 +388,13 @@ class ZqMatrix:
         return f"ZqMatrix({self.n}x{self.n}, prec={self.prec})"
 
 
+def _entrywise(fn, *grids):
+    """fn applied to the entries in each position of equally shaped grids."""
+    return tuple(tuple(fn(*es) for es in zip(*rows)) for rows in zip(*grids))
+
+
 def _coeff_grid(rows):
-    return tuple(tuple(e.coeffs for e in row) for row in rows)
+    return _entrywise(lambda e: e.coeffs, rows)
 
 
 def _mat_mul(a, b, poly, mod):
@@ -411,6 +421,17 @@ def _residue_invertible(params, residues):
     return True
 
 
+def _seed_residue(params, e):
+    """A seed entry as a residue of params; an FqElement must come from the same field."""
+    if not isinstance(e, FqElement):
+        return params.fq(e)
+    other, p = e.params, params.p
+    if other is not params and ((other.p, other.f) != (p, params.f) or
+                                any((a - b) % p for a, b in zip(other.poly, params.poly))):
+        raise ParamsMismatch("seed entry lives in another residue field")
+    return params.fq(e.coeffs)
+
+
 def solve_matrix_linear(beta, seed=None):
     """Solve delta(u) = beta * u^(p) with u invertible, from a mod-p seed.
 
@@ -420,6 +441,15 @@ def solve_matrix_linear(beta, seed=None):
     u mod p^k: from the seed, T taken mod p^k for k = 2, ..., W lifts at
     rising precision to the unique solution mod p^W, which is then checked
     against the equation at full precision.
+
+    The passes run in Taylor blocks.  With a = u mod p^m and u = a + p^m D,
+    (a + p^m D)^p = a^p + p^(m+1) a^(p-1) D mod p^(2m) for every p, p = 2
+    included, so for k <= 2m
+    T(a + p^m D) = T(a) + p^(m+1) phi^(-1)((I + p*beta) * (G o D)) mod p^k,
+    G = a^(p-1) entry-wise.  A block computes G and T(a) mod p^min(2m, W)
+    once, with one p-th power per entry, and then each pass k is the affine
+    step D <- (T(a) - a)/p^m + p phi^(-1)((I + p*beta) * (G o D)) mod p^(k-m),
+    one product per entry.  Blocks start at k = m + 1 = 2, 3, 5, 9, 17, ...
     """
     params = beta.params
     if beta.prec < 2:
@@ -431,21 +461,35 @@ def solve_matrix_linear(beta, seed=None):
             tuple(params.fq_from_int(1 if i == j else 0) for j in range(n))
             for i in range(n))
     else:
-        seed_res = tuple(
-            tuple(e if isinstance(e, FqElement) else params.fq(e) for e in row)
-            for row in seed)
+        seed_res = tuple(tuple(_seed_residue(params, e) for e in row) for row in seed)
         if len(seed_res) != n or any(len(row) != n for row in seed_res):
             raise DomainError("seed shape does not match beta")
     if not _residue_invertible(params, seed_res):
         raise SingularSeed("seed matrix is not invertible over F_q")
     coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
     p, poly, c, u = params.p, params.poly, _coeff_grid(coupling.entries), _coeff_grid(seed_res)
-    for k in range(2, W + 1):
-        mod = p ** k
-        x = tuple(tuple(pa.vec_pow(e, p, poly, mod) for e in row) for row in u)
-        u = tuple(tuple(frobenius_inv(ZqElement(params, e, k)).coeffs for e in row)
-                  for row in _mat_mul(c, x, poly, mod))
-    u = ZqMatrix(tuple(tuple(ZqElement(params, e, W) for e in row) for row in u))
+    inv_pows = params._phi_inv_pows
+
+    def t_linear(x, mod):
+        # phi^(-1)((I + p*beta) * x) mod `mod`
+        return _entrywise(lambda e: PadicParams._apply(e, inv_pows, mod),
+                          _mat_mul(c, x, poly, mod))
+
+    m = 1
+    while m < W:
+        top, pm = min(2 * m, W), p ** m
+        mod = p ** top
+        g = _entrywise(lambda a: pa.vec_pow(a, p - 1, poly, mod), u)
+        t = t_linear(_entrywise(lambda ga, a: pa.vec_mul(ga, a, poly, mod), g, u), mod)
+        e0 = d = _entrywise(lambda ta, a: tuple((x - y) // pm for x, y in zip(ta, a)), t, u)
+        for k in range(m + 2, top + 1):
+            r = p ** (k - m - 1)
+            z = t_linear(_entrywise(lambda ga, da: pa.vec_mul(ga, da, poly, r), g, d), r)
+            d = _entrywise(lambda ea, za: tuple((x + p * y) % (p * r) for x, y in zip(ea, za)),
+                           e0, z)
+        u = _entrywise(lambda a, da: tuple(x + pm * y for x, y in zip(a, da)), u, d)
+        m = top
+    u = ZqMatrix(_entrywise(lambda e: ZqElement(params, e, W), u))
     if coupling @ u.pow_entries_p() != u.frobenius():
         raise ArithmeticError("matrix lift lost the invariant")
     return u

@@ -14,7 +14,10 @@ phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
 p^k and adds p^k times a lift of phi^(-1) of its residue.
 
 ``fixed_point_solve_matrix_linear`` applies the same map W-1 times, every
-time at full precision, where the library takes it mod p^k for rising k.
+time at full precision, and ``digitwise_solve_matrix_linear`` takes it mod
+p^k for k = 2, ..., W with one p-th power per entry per pass, where the
+library lifts in Taylor blocks: one p-th power per entry per doubling of
+the precision, and one product per entry for each pass inside a block.
 ``full_precision_frobenius_root`` runs Newton for the root of the modulus
 nearest g^p at p^N with a fresh inverse of m'(y) each pass, where the
 library doubles the precision and updates the inverse by one Newton step.
@@ -368,6 +371,22 @@ def fixed_point_solve_matrix_linear(beta, seed):
             frobenius_inv(sum((c[i][k] * x[k][j] for k in range(n)), params.zero(W)))
             for j in range(n)) for i in range(n)))
     return u
+
+
+def digitwise_solve_matrix_linear(beta, seed):
+    """The same solution by u <- phi^(-1)((I + p*beta) u^(p)) taken mod p^k for
+    k = 2, ..., W, one p-th power per entry per digit, on coefficient tuples."""
+    params, n, W = beta.params, beta.n, beta.prec
+    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
+    p, poly = params.p, params.poly
+    c = tuple(tuple(e.coeffs for e in row) for row in coupling.entries)
+    u = tuple(tuple(params.fq(e.coeffs).coeffs for e in row) for row in seed)
+    for k in range(2, W + 1):
+        mod = p ** k
+        x = tuple(zip(*(tuple(vec_pow(e, p, poly, mod) for e in row) for row in u)))
+        u = tuple(tuple(frobenius_inv(ZqElement(params, pa.vec_dot(row, col, poly, mod), k)).coeffs
+                        for col in x) for row in c)
+    return ZqMatrix(tuple(tuple(ZqElement(params, e, W) for e in row) for row in u))
 
 
 def full_precision_frobenius_root(params):

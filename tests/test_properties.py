@@ -1,8 +1,9 @@
-"""Property tests over random small rings: the closed-form lifts, the laws
-the Teichmuller orbit fill relies on, phi as the lift of the p-power map
-(also for random moduli) and the delta sum and product laws (p = 2
-included), the exp/log and psi laws (p odd), and the integral LLL against
-the Fraction LLL oracle on random integer bases."""
+"""Property tests over random small rings: the closed-form lifts, the matrix
+lift against the digit-by-digit oracle, the laws the Teichmuller orbit fill
+relies on, phi as the lift of the p-power map (also for random moduli) and
+the delta sum and product laws (p = 2 included), the exp/log and psi laws
+(p odd), and the integral LLL against the Fraction LLL oracle on random
+integer bases."""
 
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from wittcalc import (
 from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
-from oracles import fraction_lll_reduce, iterated_teichmuller
+from oracles import digitwise_solve_matrix_linear, fraction_lll_reduce, iterated_teichmuller
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -143,6 +144,21 @@ def test_matrix_solution_meets_invariant_and_keeps_seed(ring, n, data):
     assert coupling @ u.pow_entries_p() == u.frobenius()
     assert verify_matrix_linear(u, beta) == P.N - 1
     assert u.residues() == seed
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.integers(1, 3), st.data())
+def test_matrix_taylor_block_lift_matches_digitwise_oracle(ring, n, data):
+    P = get_params(*ring)
+    beta = ZqMatrix(tuple(tuple(_element(data, P) for _ in range(n)) for _ in range(n)))
+    seed = tuple(tuple(_residue(data, P) for _ in range(n)) for _ in range(n))
+    try:
+        u = solve_matrix_linear(beta, seed)
+    except SingularSeed:
+        hypothesis.assume(False)
+    old = digitwise_solve_matrix_linear(beta, seed)
+    assert [[e.coeffs for e in row] for row in u.entries] == \
+        [[e.coeffs for e in row] for row in old.entries]
 
 
 @SETTINGS

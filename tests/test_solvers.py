@@ -38,6 +38,7 @@ from wittcalc import solvers
 from conftest import get_params, oracle_exp
 from oracles import (
     chained_constants,
+    digitwise_solve_matrix_linear,
     fixed_point_solve_matrix_linear,
     per_residue_constants,
     staged_solve_difference,
@@ -447,12 +448,16 @@ def test_matrix_solutions_form_torsor_over_seeds():
 
 
 def test_matrix_lift_matches_staged_oracle():
-    # the lift at rising precision against the one-digit-per-step residual
-    # correction and against the fixed point taken W-1 times at full
-    # precision, from the default identity seed and random invertible seeds
+    # the Taylor-block lift against the one-digit-per-step residual
+    # correction, the fixed point taken W-1 times at full precision and the
+    # fixed point at rising precision with one p-th power per entry per pass,
+    # from the default identity seed and random invertible seeds; the
+    # p = 2 rings put W on the block edges (blocks start at k = 2, 3, 5, 9,
+    # 17), where the Taylor step is exact only to p^(2m)
     rng = random.Random(16)
     rings = [(2, 1, 7, None), (2, 2, 6, None), (3, 1, 7, None), (3, 2, 6, (1, 0, 1)),
              (5, 1, 6, None), (5, 3, 4, None), (7, 2, 5, None)]
+    rings += [(2, 2, W, None) for W in (2, 3, 4, 5, 8, 9, 16, 17)]
     for p, f, N, poly in rings:
         P = new_params(p, f, N, poly)
         for n in (1, 2, 3):
@@ -468,10 +473,41 @@ def test_matrix_lift_matches_staged_oracle():
                     pass
             for new, seed in solved:
                 for old in (staged_solve_matrix_linear(beta, seed),
-                            fixed_point_solve_matrix_linear(beta, seed)):
+                            fixed_point_solve_matrix_linear(beta, seed),
+                            digitwise_solve_matrix_linear(beta, seed)):
                     assert [[e.coeffs for e in row] for row in new.entries] == \
                         [[e.coeffs for e in row] for row in old.entries]
                     assert new.prec == old.prec == N
+
+
+def test_matrix_seed_from_another_residue_field_refused():
+    # a seed residue is only meaningful in beta's residue field: another p,
+    # another f or another modulus mod p is refused, another N is not
+    P = new_params(5, 2, 6)
+    beta = _rand_matrix(P, random.Random(19), 2)
+    others = (new_params(7, 2, 6), new_params(5, 3, 6), new_params(5, 2, 6, (2, 0, 1)))
+    for Q in others:
+        seed = ((Q.fq_from_int(6), Q.fq_from_int(0)), (Q.fq_from_int(0), Q.fq_from_int(6)))
+        with pytest.raises(ParamsMismatch):
+            solve_matrix_linear(beta, seed)
+        with pytest.raises(ParamsMismatch):
+            ZqMatrix.from_residues(P, seed)
+    Q = new_params(5, 2, 9)
+    seed = ((Q.fq((2, 1)), Q.fq_from_int(0)), (Q.fq_from_int(1), Q.fq_from_int(3)))
+    u = solve_matrix_linear(beta, seed)
+    assert u.params is P
+    assert u.residues() == tuple(tuple(P.fq(e.coeffs) for e in row) for row in seed)
+
+
+def test_matrix_sum_and_difference_refuse_other_sizes():
+    P = get_params(5, 1, 6)
+    rng = random.Random(20)
+    a, b = _rand_matrix(P, rng, 2), _rand_matrix(P, rng, 3)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ParamsMismatch):
+            x + y
+        with pytest.raises(ParamsMismatch):
+            x - y
 
 
 def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
@@ -500,8 +536,9 @@ def test_solve_layer_cost_in_ring_products(monkeypatch):
     # of omega(gamma), these took 105 and 192 (the first two rings), 1,449
     # (the matrix solve) and 580 (the constants, ring included) vec_mul
     # calls; with each Frobenius table entry its own power, (3,6,60) took
-    # 106 and (2,8,30) 127.
-    calls = {"vec_mul": [], "vec_dot": []}
+    # 106 and (2,8,30) 127; with one p-th power per entry per pass, the
+    # matrix solve took 729 vec_mul calls and 180 vec_pow calls.
+    calls = {"vec_mul": [], "vec_dot": [], "vec_pow": []}
     for name in calls:
         fn = getattr(pa, name)
         monkeypatch.setattr(pa, name, lambda *a, c=calls[name], fn=fn: c.append(a[-1]) or fn(*a))
@@ -518,7 +555,7 @@ def test_solve_layer_cost_in_ring_products(monkeypatch):
     P = new_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
     runs = ((lambda: new_params(7, 3, 20), (47, 0)),
-            (lambda: solve_matrix_linear(beta), (729, 180)),
+            (lambda: solve_matrix_linear(beta), (351, 180)),
             (lambda: enumerate_constants(new_params(7, 3, 20)), (344, 0)))
     for run, (muls, dots) in runs:
         m, d = count(run)
@@ -526,5 +563,8 @@ def test_solve_layer_cost_in_ring_products(monkeypatch):
     # the Frobenius tables are power chains, one product per entry
     assert count(lambda: new_params(3, 6, 60)) == (98, [])
     assert count(lambda: new_params(2, 8, 30)) == (109, [])
-    # the matrix lift takes its passes mod p^2, ..., p^20, the check mod p^20
-    assert set(count(lambda: solve_matrix_linear(beta))[1]) == {7 ** k for k in range(2, 21)}
+    # the matrix lift takes one p-th power per entry per Taylor block, the
+    # blocks starting at k = 2, 3, 5, 9, 17 and ending at p^2, p^4, p^8,
+    # p^16 and p^20, and the check one more per entry mod p^20
+    count(lambda: solve_matrix_linear(beta))
+    assert calls["vec_pow"] == [7 ** k for k in (2, 4, 8, 16, 20, 20) for _ in range(9)]
