@@ -28,9 +28,11 @@ Series truncation bounds come from exact valuation inequalities, never from
 All three series are summed by ``_series``: the terms c x^n / p^v are
 brought to the common denominator p^V, V = max v, and the integer polynomial
 sum c p^(V-v) x^n is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2(1),
-1973) in about 2 sqrt(n) ring products, the rest being scalar multiples of
-cached powers.  ``eval_delta_function`` writes each exponent vector as g*d,
-d primitive, and sums two or more integer-coefficient terms of one
+1973) in about 2 sqrt(n) ring products.  Each factor is fixed, so each
+product applies its column table (``polyarith.vec_apply``), and a Horner
+step, a product by x^k plus a block of scalar multiples of cached powers, is
+one such application.  ``eval_delta_function`` writes each exponent vector
+as g*d, d primitive, and sums two or more integer-coefficient terms of one
 direction, such as all of psi's (-p*n, n), as the series sum c_g m^g in the
 monomial m = x^d by the same routine; other terms are products from the
 power tables, a lone integer coefficient being a scaling.
@@ -140,25 +142,26 @@ def _series(x, table, target):
     Each term is scaled to c * p^(V-v) * x^n, an integer polynomial in x
     evaluated mod p^(target + V) by Paterson-Stockmeyer: the powers
     x^0..x^k, k = isqrt(top + 1), are computed once, and Horner in x^k runs
-    over blocks of k terms, each block a scalar combination of the cached
-    powers.  That is about 2*sqrt(top) ring products instead of top.  Every
-    term is p^V times an integer vector (p^v divides x^n), so the sum
-    divides exactly by p^V and is then right mod p^target; c only needs to
-    be right mod p^target.
+    over blocks of k terms.  Each Horner step
+    acc <- acc * x^k + sum_{i<k} c_{start+i} x^i is one linear map, applied
+    to acc followed by the block's coefficients: its columns are those of
+    multiplication by x^k stacked on the coefficients of x^0..x^(k-1).  That
+    is about 2*sqrt(top) ring products instead of top.  Every term is p^V
+    times an integer vector (p^v divides x^n), so the sum divides exactly by
+    p^V and is then right mod p^target; c only needs to be right mod
+    p^target.
     """
     params = x.params
-    p, f, poly = params.p, params.f, params.poly
+    p, poly = params.p, params.poly
     big_v, cs = table
     mod = p ** (target + big_v)
     top = len(cs) - 1
     k = isqrt(top + 1)
     pows = pa.vec_powers(x.coeffs, k, poly, mod)
-    acc = None
+    step = tuple(kc + wc for kc, wc in zip(pa.vec_mul_cols(pows[k], poly, mod), zip(*pows[:k])))
+    acc = pa.vec_zero(params.f)
     for start in range(top - top % k, -1, -k):
-        pairs = [(c, pows[i]) for i, c in enumerate(cs[start:start + k]) if c]
-        block = tuple(sum(c * w[j] for c, w in pairs) % mod for j in range(f))
-        acc = block if acc is None else pa.vec_add(
-            pa.vec_mul(acc, pows[k], poly, mod), block, mod)
+        acc = pa.vec_apply(acc + cs[start:start + k], step, mod)
     return ZqElement(params, pa.vec_mask(pa.vec_divexact_p(acc, p ** big_v), p ** target),
                      target)
 

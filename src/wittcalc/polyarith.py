@@ -6,7 +6,17 @@ of degree f (a sequence of f+1 ints, leading coefficient 1).  Every routine
 takes the modulus p^K as an explicit integer so internal computations can run
 at guard precision above the ring's nominal p^N; results masked back down to
 p^k are then exact.
+
+Multiplying by an element y that stays fixed over a loop is a linear map on
+coefficient vectors.  ``vec_mul_cols`` builds its f x f matrix once, as the
+columns cols[j] = (coefficient j of y, of g*y, ..., of g^(f-1)*y), and
+``vec_apply`` then makes each output coordinate one C-level dot product
+``sum(map(mul, x, cols[j]))`` instead of a schoolbook product and a
+reduction in bytecode.  Columns of several maps laid end to end apply to the
+concatenated input, so a sum of products with fixed factors is one call.
 """
+
+from operator import mul
 
 from .errors import NonUnit
 
@@ -86,11 +96,36 @@ def vec_pow(a, e, poly, mod):
 
 
 def vec_powers(a, n, poly, mod):
-    """(a^0, a^1, ..., a^n), one product per power above the first."""
+    """(a^0, a^1, ..., a^n), one product per power above the first; for f >= 2
+    the products apply the columns of a."""
     out = [vec_one(len(a)), vec_mask(a, mod)][:n + 1]
-    for _ in range(n - 1):
-        out.append(vec_mul(out[-1], out[1], poly, mod))
+    if n > 1 and len(a) > 1:
+        cols = vec_mul_cols(a, poly, mod)
+        for _ in range(n - 1):
+            out.append(vec_apply(out[-1], cols, mod))
+    else:
+        for _ in range(n - 1):
+            out.append(vec_mul(out[-1], out[1], poly, mod))
     return tuple(out)
+
+
+def vec_mul_cols(y, poly, mod):
+    """The columns of x -> x*y mod (poly, mod): cols[j][i] is coefficient j of g^i * y.
+
+    The rows g^i * y come from y by f-1 shifts by g, each reduced by the
+    monic poly."""
+    row = vec_mask(y, mod)
+    rows = [row]
+    for _ in range(len(y) - 1):
+        top = row[-1]
+        row = tuple((a - top * c) % mod for a, c in zip((0,) + row[:-1], poly))
+        rows.append(row)
+    return tuple(zip(*rows))
+
+
+def vec_apply(x, cols, mod):
+    """The linear map with columns ``cols`` (see ``vec_mul_cols``) applied to x, mod mod."""
+    return tuple(sum(map(mul, x, col)) % mod for col in cols)
 
 
 def vec_dot(xs, ys, poly, mod):

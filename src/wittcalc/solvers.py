@@ -42,8 +42,8 @@ from .errors import (
 from .record import frozen_record
 from .zq import (
     FqElement,
-    PadicParams,
     ZqElement,
+    _same_residue_field,
     agreement_precision,
     frobenius,
     frobenius_inv,
@@ -425,9 +425,7 @@ def _seed_residue(params, e):
     """A seed entry as a residue of params; an FqElement must come from the same field."""
     if not isinstance(e, FqElement):
         return params.fq(e)
-    other, p = e.params, params.p
-    if other is not params and ((other.p, other.f) != (p, params.f) or
-                                any((a - b) % p for a, b in zip(other.poly, params.poly))):
+    if not _same_residue_field(params, e.params):
         raise ParamsMismatch("seed entry lives in another residue field")
     return params.fq(e.coeffs)
 
@@ -468,11 +466,11 @@ def solve_matrix_linear(beta, seed=None):
         raise SingularSeed("seed matrix is not invertible over F_q")
     coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
     p, poly, c, u = params.p, params.poly, _coeff_grid(coupling.entries), _coeff_grid(seed_res)
-    inv_pows = params._phi_inv_pows
+    inv_cols = params._phi_inv_cols
 
     def t_linear(x, mod):
         # phi^(-1)((I + p*beta) * x) mod `mod`
-        return _entrywise(lambda e: PadicParams._apply(e, inv_pows, mod),
+        return _entrywise(lambda e: pa.vec_apply(e, inv_cols, mod),
                           _mat_mul(c, x, poly, mod))
 
     m = 1

@@ -10,7 +10,8 @@ they report; nothing is rounded.
 Besides the ring structure this module provides:
 
 * ``frobenius`` -- the lift of the residue Frobenius a -> a^p, computed once
-  per ring as the Hensel root of m nearest g^p and cached as a power table;
+  per ring as the Hensel root of m nearest g^p and cached, with its inverse,
+  as the columns of a linear map (``polyarith.vec_apply``);
 * ``teichmuller`` -- the multiplicative section of reduction mod p, i.e. the
   unique root-of-unity-or-zero lift of each residue, one power per orbit;
 * ``digits``/``from_digits`` -- the expansion u = sum_i omega(c_i) p^i with
@@ -40,11 +41,11 @@ class PadicParams:
 
     The default polynomial is x for f = 1 (plain scalar arithmetic in Z/p^N)
     and the Conway polynomial lifted with coefficients in [0, p) for f >= 2.
-    The Frobenius power table is built eagerly, so instances are immutable in
+    The Frobenius tables are built eagerly, so instances are immutable in
     all observable ways and safe to share between threads.
     """
 
-    __slots__ = ("p", "f", "N", "poly", "_phi_pows", "_phi_inv_pows", "_teich")
+    __slots__ = ("p", "f", "N", "poly", "_phi_cols", "_phi_inv_cols", "_teich")
 
     def __init__(self, p, f, N, poly=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -74,15 +75,15 @@ class PadicParams:
     def _build_frobenius(self):
         p, f, mod = self.p, self.f, self.p ** self.N
         if f == 1:
-            self._phi_pows = ((1,),)
-            self._phi_inv_pows = ((1,),)
+            self._phi_cols = self._phi_inv_cols = ((1,),)
             return
+        # phi(g^i) = y^i, so the powers of y are the rows of phi's matrix
         y = self._hensel_root_near_gp()
-        self._phi_pows = pa.vec_powers(y, f - 1, self.poly, mod)
+        self._phi_cols = tuple(zip(*pa.vec_powers(y, f - 1, self.poly, mod)))
         h = y
         for _ in range(f - 2):
-            h = self._apply(h, self._phi_pows, mod)
-        self._phi_inv_pows = pa.vec_powers(h, f - 1, self.poly, mod)
+            h = pa.vec_apply(h, self._phi_cols, mod)
+        self._phi_inv_cols = tuple(zip(*pa.vec_powers(h, f - 1, self.poly, mod)))
 
     def _hensel_root_near_gp(self):
         # Newton y <- y - m(y) z from y = g^p, a root mod p, at doubling
@@ -107,11 +108,6 @@ class PadicParams:
         if any(pa.vec_eval_int_poly(poly, y, poly, p ** N)):
             raise ArithmeticError("Frobenius lift did not converge")
         return y
-
-    @staticmethod
-    def _apply(coeffs, pows, mod):
-        # sum_i coeffs[i] * pows[i], one column of the power table at a time
-        return tuple(sum(map(int.__mul__, coeffs, col)) % mod for col in zip(*pows))
 
     # -- constructors -------------------------------------------------------
 
@@ -453,13 +449,13 @@ class TeichmullerDigits:
 def frobenius(u):
     """The ring automorphism lifting a -> a^p; precision is preserved."""
     mod = u.params.p ** u.prec
-    return ZqElement(u.params, PadicParams._apply(u.coeffs, u.params._phi_pows, mod), u.prec)
+    return ZqElement(u.params, pa.vec_apply(u.coeffs, u.params._phi_cols, mod), u.prec)
 
 
 def frobenius_inv(u):
     """The inverse automorphism, phi^(f-1) (phi has order f on Z_q)."""
     mod = u.params.p ** u.prec
-    return ZqElement(u.params, PadicParams._apply(u.coeffs, u.params._phi_inv_pows, mod), u.prec)
+    return ZqElement(u.params, pa.vec_apply(u.coeffs, u.params._phi_inv_cols, mod), u.prec)
 
 
 def teichmuller(a, prec=None):
@@ -473,41 +469,66 @@ def teichmuller(a, prec=None):
     """
     params = a.params
     prec = params._prec(prec)
-    if a.coeffs not in params._teich:
-        p, f, N, key = params.p, params.f, params.N, a.coeffs
+    return ZqElement(params, pa.vec_mask(_omega(params, a.coeffs), params.p ** prec), prec)
+
+
+def _omega(params, key):
+    """The coefficients of omega(residue ``key``) mod p^N, from the ring's table."""
+    teich = params._teich
+    if key not in teich:
+        p, f, N, c = params.p, params.f, params.N, key
         mod = p ** N
-        w = pa.vec_pow(key, p ** (f * -(-(N - 1) // f)), params.poly, mod)
-        while key not in params._teich:
-            params._teich[key] = w
+        w = pa.vec_pow(c, p ** (f * -(-(N - 1) // f)), params.poly, mod)
+        while c not in teich:
+            teich[c] = w
             if p > 2:
-                params._teich[tuple(-c % p for c in key)] = pa.vec_neg(w, mod)
-            w = PadicParams._apply(w, params._phi_pows, mod)
-            key = tuple(c % p for c in w)
-    return ZqElement(params, pa.vec_mask(params._teich[a.coeffs], params.p ** prec), prec)
+                teich[tuple(-x % p for x in c)] = pa.vec_neg(w, mod)
+            w = pa.vec_apply(w, params._phi_cols, mod)
+            c = tuple(x % p for x in w)
+    return teich[key]
+
+
+def _same_residue_field(params, other):
+    """Whether ``other`` has the residue field of params: same p and f, same modulus mod p."""
+    p = params.p
+    return other is params or ((other.p, other.f) == (p, params.f) and
+                               not any((a - b) % p for a, b in zip(other.poly, params.poly)))
 
 
 def digits(u):
-    """Peel the Teichmuller digit expansion; yields exactly u.prec digits."""
+    """Peel the Teichmuller digit expansion; yields exactly u.prec digits.
+
+    The peel runs on coefficient tuples: v - omega(c) is left unreduced, as
+    it divides exactly by p and only its residue is read at the next digit.
+    """
+    params, p = u.params, u.params.p
     out = []
-    v = u
+    v = u.coeffs
     for i in range(u.prec):
-        c = v.residue()
-        out.append(c)
+        c = tuple(x % p for x in v)
+        out.append(FqElement(params, c))
         if i + 1 < u.prec:
-            v = (v - teichmuller(c, v.prec)).exact_div_p(1)
-    return TeichmullerDigits(u.params, tuple(out))
+            v = tuple((x - w) // p for x, w in zip(v, _omega(params, c)))
+    return TeichmullerDigits(params, tuple(out))
 
 
 def from_digits(d):
-    """Evaluate sum_i omega(digits[i]) p^i at precision len(digits)."""
+    """Evaluate sum_i omega(digits[i]) p^i at precision len(digits).
+
+    One linear map: the omega vectors are the columns' entries and
+    (1, p, ..., p^(n-1)) the input.  Every digit must come from the residue
+    field of d's ring.
+    """
     params = d.params
     prec = params._prec(len(d.digits))
-    mod = params.p ** prec
-    acc = pa.vec_zero(params.f)
-    for i, c in enumerate(d.digits):
-        w = teichmuller(c, prec)
-        acc = pa.vec_add(acc, pa.vec_scale(w.coeffs, params.p ** i, mod), mod)
-    return ZqElement(params, acc, prec)
+    p = params.p
+    ws = []
+    for c in d.digits:
+        if not _same_residue_field(params, c.params):
+            raise ParamsMismatch("digit lives in another residue field")
+        ws.append(_omega(params, c.coeffs))
+    return ZqElement(params, pa.vec_apply([p ** i for i in range(prec)], tuple(zip(*ws)),
+                                          p ** prec), prec)
 
 
 def valuation(u):

@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the library's own series code: they work
 with exact Fractions (or plain integers) and reduce modulo p^N at the end,
 so the tests check the implementation against a second, independent route.
+
+The ``ring_products`` fixture counts the calls of the ring-product kernels.
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wittcalc import PadicParams
+from wittcalc import polyarith as pa
 
 _params_cache = {}
 
@@ -24,6 +27,36 @@ def get_params(p, f, N, poly=None):
 @pytest.fixture
 def params():
     return get_params
+
+
+class ProductCounter:
+    """The calls of the polyarith kernels below, each recorded by its modulus.
+
+    ``counter(run)`` clears the record, calls ``run()`` and returns the
+    numbers of (vec_mul, vec_apply, vec_mul_cols) calls; ``counter.calls``
+    keeps every kernel's moduli.  Calls made inside another kernel, such as
+    vec_pow's products, count too.
+    """
+
+    KERNELS = ("vec_mul", "vec_apply", "vec_mul_cols", "vec_dot", "vec_pow")
+
+    def __init__(self, monkeypatch):
+        self.calls = {name: [] for name in self.KERNELS}
+        for name, record in self.calls.items():
+            fn = getattr(pa, name)
+            monkeypatch.setattr(
+                pa, name, lambda *a, record=record, fn=fn: record.append(a[-1]) or fn(*a))
+
+    def __call__(self, run):
+        for record in self.calls.values():
+            record.clear()
+        run()
+        return tuple(len(self.calls[name]) for name in self.KERNELS[:3])
+
+
+@pytest.fixture
+def ring_products(monkeypatch):
+    return ProductCounter(monkeypatch)
 
 
 def vp_int(p, n):

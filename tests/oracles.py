@@ -28,6 +28,16 @@ the library takes the second half of them as negatives of the first.
 sum_{n>=1} p^n phi^(-n)(beta), where the library groups the terms by n mod f
 and needs f applications.
 
+``vec_mul_series`` is the library's Paterson-Stockmeyer sum as it was
+before the fused Horner step: the powers x^2..x^k and each Horner step
+acc <- acc * x^k + block are schoolbook products (``vec_mul``), the block a
+scalar combination of the cached powers, where the library applies the
+columns of multiplication by x and by x^k.  ``peel_digits`` peels the
+Teichmuller digits on ring elements, one ``teichmuller`` call and one exact
+division per digit, and ``scaled_from_digits`` sums omega(c_i) * p^i one
+scaled vector at a time, where the library peels raw coefficient tuples
+and evaluates the digits by one linear map.
+
 ``termwise_series`` sums c * x^n / p^v one power of x at a time,
 ``termwise_table_series`` does the same for a table already scaled to p^V,
 and ``termwise_eval_delta_function`` raises each jet entry to each exponent
@@ -70,6 +80,7 @@ from wittcalc import (
     ParamsMismatch,
     PrecisionExhausted,
     RelationCertificate,
+    TeichmullerDigits,
     ZqElement,
     ZqMatrix,
     delta_jet,
@@ -422,6 +433,52 @@ def termwise_frobenius_sum(beta):
         term = frobenius_inv(term)
         s = s + term.mul_p_power(n)
     return s
+
+
+def vec_mul_series(x, table, target):
+    """sum c_n * x^n / p^V over a table (V, (c_0, c_1, ...)) by Paterson-Stockmeyer
+    with schoolbook products, exact mod p^target."""
+    params = x.params
+    p, f, poly = params.p, params.f, params.poly
+    big_v, cs = table
+    mod = p ** (target + big_v)
+    top = len(cs) - 1
+    k = isqrt(top + 1)
+    pows = [vec_one(f), pa.vec_mask(x.coeffs, mod)]
+    for _ in range(k - 1):
+        pows.append(pa.vec_mul(pows[-1], pows[1], poly, mod))
+    acc = None
+    for start in range(top - top % k, -1, -k):
+        pairs = [(c, pows[i]) for i, c in enumerate(cs[start:start + k]) if c]
+        block = tuple(sum(c * w[j] for c, w in pairs) % mod for j in range(f))
+        acc = block if acc is None else pa.vec_add(
+            pa.vec_mul(acc, pows[k], poly, mod), block, mod)
+    return ZqElement(params, pa.vec_mask(pa.vec_divexact_p(acc, p ** big_v), p ** target),
+                     target)
+
+
+def peel_digits(u):
+    """The Teichmuller digits of u, peeled on ring elements."""
+    out = []
+    v = u
+    for i in range(u.prec):
+        c = v.residue()
+        out.append(c)
+        if i + 1 < u.prec:
+            v = (v - teichmuller(c, v.prec)).exact_div_p(1)
+    return TeichmullerDigits(u.params, tuple(out))
+
+
+def scaled_from_digits(d):
+    """sum_i omega(digits[i]) p^i at precision len(digits), one term at a time."""
+    params = d.params
+    prec = len(d.digits)
+    mod = params.p ** prec
+    acc = pa.vec_zero(params.f)
+    for i, c in enumerate(d.digits):
+        w = teichmuller(c, prec)
+        acc = pa.vec_add(acc, pa.vec_scale(w.coeffs, params.p ** i, mod), mod)
+    return ZqElement(params, acc, prec)
 
 
 def termwise_series(x, terms, target):

@@ -26,10 +26,14 @@ from wittcalc import (
 )
 
 from wittcalc import delta
-from wittcalc import polyarith as pa
 
 from conftest import get_params, oracle_exp, oracle_log
-from oracles import termwise_eval_delta_function, termwise_series, termwise_table_series
+from oracles import (
+    termwise_eval_delta_function,
+    termwise_series,
+    termwise_table_series,
+    vec_mul_series,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,27 @@ def test_series_matches_termwise_oracle(monkeypatch):
                 _same(a, b)
 
 
+def test_fused_horner_matches_vec_mul_oracle_at_block_edges():
+    # k = isqrt(top + 1): top + 1 a perfect square (top = 0, 3, 8, 15, 24),
+    # a short top block (top % k < k - 1) and top < 2, at p = 2, f = 1 and
+    # f >= 2; coefficient tables with V = 0 and with V > 0
+    rng = random.Random(23)
+    for ring in [(2, 1, 9), (2, 3, 7), (3, 1, 8), (3, 6, 12), (5, 2, 9), (7, 3, 5)]:
+        P = get_params(*ring)
+        p = P.p
+        for top in range(27):
+            target = rng.randint(2, P.N)
+            x = random_element(P, rng, prec=target).mul_p_power(1).mask(target)
+            mod = p ** target
+            tables = [(0, tuple(rng.randrange(mod) for _ in range(top + 1))),
+                      delta._scaled(p, [(n, rng.randint(0, n), rng.randrange(mod))
+                                        for n in range(top + 1)], target)]
+            for table in tables:
+                got = delta._series(x, table, target)
+                _same(got, vec_mul_series(x, table, target))
+                _same(got, termwise_table_series(x, table, target))
+
+
 def _random_series(P, rng, order, arity, n_terms):
     seen, terms = set(), []
     while len(terms) < n_terms:
@@ -413,17 +438,21 @@ def test_grouped_directions_match_termwise_oracle():
                 termwise_eval_delta_function(F, args)
 
 
-def test_series_cost_in_ring_products(monkeypatch):
-    # Deterministic vec_mul counts; the term-by-term loops took 62, 114, 144
-    # and 1,159 at (3, 6, 60).  The psi truncation's terms all lie along the
-    # direction (-p, 1), so eval_delta_function sums them as one series.  In
-    # u*du + du^2 + 3u^2*du each term is its own direction and costs what the
-    # per-term products did (7 and 8, jets included).
-    calls = []
-    vec_mul = pa.vec_mul
-    monkeypatch.setattr(pa, "vec_mul", lambda *a: calls.append(1) or vec_mul(*a))
-    for ring, bounds in (((3, 6, 60), (14, 20, 45, 33, 7)),
-                         ((5, 4, 40), (11, 13, 40, 32, 8))):
+def test_series_cost_in_ring_products(ring_products):
+    # Deterministic (vec_mul, vec_apply, vec_mul_cols) counts.  The
+    # term-by-term loops took 62, 114, 144 and 1,159 vec_mul calls at
+    # (3, 6, 60); Paterson-Stockmeyer on schoolbook products took 14, 20, 44,
+    # 31 and 6 vec_mul calls there and 11, 13, 39, 30 and 7 at (5, 4, 40).
+    # Now a series builds two column tables, of x and of x^k, and applies
+    # them for the powers and the Horner steps; psi's vec_mul calls are u^p,
+    # the inverse of u^p and two products.  The psi truncation's terms all
+    # lie along the direction (-p, 1), so eval_delta_function sums them as
+    # one series.  In u*du + du^2 + 3u^2*du each term is its own direction
+    # and costs what the per-term products did, jets included.
+    for ring, counts in (((3, 6, 60), ((0, 15, 2), (0, 21, 2), (16, 31, 4), (17, 16, 2),
+                                       (6, 1, 0))),
+                         ((5, 4, 40), ((0, 12, 2), (0, 14, 2), (17, 25, 4), (19, 13, 2),
+                                       (7, 1, 0)))):
         P = get_params(*ring)
         rng = random.Random(12)
         u = random_element(P, rng, unit=True)
@@ -433,7 +462,6 @@ def test_series_cost_in_ring_products(monkeypatch):
             ((1, 1), P.from_int(1)), ((0, 2), P.from_int(1)), ((2, 1), P.from_int(3))))
         runs = (lambda: padic_log(1 + x), lambda: padic_exp(x), lambda: psi(u),
                 lambda: eval_delta_function(F, [u]), lambda: eval_delta_function(mixed, [u]))
-        for run, bound in zip(runs, bounds):
-            calls.clear()
-            run()
-            assert 0 < len(calls) <= bound
+        for run, expected in zip(runs, counts):
+            got = ring_products(run)
+            assert 0 < got[0] + got[1] and got == expected

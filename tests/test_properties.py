@@ -1,7 +1,10 @@
 """Property tests over random small rings: the closed-form lifts, the matrix
 lift against the digit-by-digit oracle, the laws the Teichmuller orbit fill
 relies on, phi as the lift of the p-power map (also for random moduli) and
-the delta sum and product laws (p = 2 included), the exp/log and psi laws
+the delta sum and product laws (p = 2 included), the digit expansion and its
+inverse against the element-wise oracles (p = 2 included), the column-table
+product against the schoolbook one (reducible moduli included), the fused
+Horner series against the schoolbook one and the exp/log and psi laws
 (p odd), and the integral LLL against the Fraction LLL oracle on random
 integer bases."""
 
@@ -14,6 +17,8 @@ import pytest
 from wittcalc import (
     DomainError,
     SingularSeed,
+    digits,
+    from_digits,
     ZqMatrix,
     enumerate_constants,
     fermat_quotient,
@@ -27,10 +32,19 @@ from wittcalc import (
     teichmuller,
     verify_matrix_linear,
 )
+from wittcalc import delta
+from wittcalc import polyarith as pa
 from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
-from oracles import digitwise_solve_matrix_linear, fraction_lll_reduce, iterated_teichmuller
+from oracles import (
+    digitwise_solve_matrix_linear,
+    fraction_lll_reduce,
+    iterated_teichmuller,
+    peel_digits,
+    scaled_from_digits,
+    vec_mul_series,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -159,6 +173,53 @@ def test_matrix_taylor_block_lift_matches_digitwise_oracle(ring, n, data):
     old = digitwise_solve_matrix_linear(beta, seed)
     assert [[e.coeffs for e in row] for row in u.entries] == \
         [[e.coeffs for e in row] for row in old.entries]
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_from_digits_inverts_digits_and_matches_the_oracles(ring, data):
+    P = get_params(*ring)
+    u = _element(data, P).mask(data.draw(st.integers(1, P.N)))
+    d = digits(u)
+    assert [c.coeffs for c in d] == [c.coeffs for c in peel_digits(u)]
+    v = from_digits(d)
+    assert (v.coeffs, v.prec) == (u.coeffs, u.prec)
+    w = from_digits(d.frobenius())
+    assert (w.coeffs, w.prec) == (scaled_from_digits(d.frobenius()).coeffs, u.prec)
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 6), st.integers(1, 12), st.data())
+def test_column_table_product_is_vec_mul(p, f, K, data):
+    # any monic modulus, reducible ones included; columns stacked end to end
+    # apply to the concatenated input
+    mod = p ** K
+    vec = st.tuples(*[st.integers(0, mod - 1)] * f)
+    low = data.draw(st.one_of(st.just((0,) * f), vec))
+    poly = low + (1,)
+    x, y, w, z = (data.draw(vec) for _ in range(4))
+    cols = pa.vec_mul_cols(y, poly, mod)
+    assert len(cols) == f and all(len(col) == f for col in cols)
+    assert pa.vec_apply(x, cols, mod) == pa.vec_mul(x, y, poly, mod)
+    stacked = tuple(a + b for a, b in zip(cols, pa.vec_mul_cols(z, poly, mod)))
+    assert len(stacked) == f and all(len(col) == 2 * f for col in stacked)
+    assert pa.vec_apply(x + w, stacked, mod) == pa.vec_add(
+        pa.vec_mul(x, y, poly, mod), pa.vec_mul(w, z, poly, mod), mod)
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_fused_horner_series_matches_vec_mul_oracle(ring, data):
+    hypothesis.assume(ring[0] != 2)
+    P = get_params(*ring)
+    p = P.p
+    target = data.draw(st.integers(2, P.N))
+    x = _element(data, P).mul_p_power(1).mask(target)
+    w = _element(data, P).mask(target)
+    for arg, table in ((x, delta._log_terms(p, target)), (x, delta._exp_terms(p, target)),
+                       (w, delta._psi_terms(p, target))):
+        a, b = delta._series(arg, table, target), vec_mul_series(arg, table, target)
+        assert (a.coeffs, a.prec) == (b.coeffs, b.prec)
 
 
 @SETTINGS

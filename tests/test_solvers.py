@@ -32,7 +32,6 @@ from wittcalc import (
     verify_exponential,
     verify_matrix_linear,
 )
-from wittcalc import polyarith as pa
 from wittcalc import solvers
 
 from conftest import get_params, oracle_exp
@@ -530,41 +529,34 @@ def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
         u.map(lambda e: get_params(7, 2, 20).from_int(1) if e is u.entries[0][0] else e)
 
 
-def test_solve_layer_cost_in_ring_products(monkeypatch):
-    # Deterministic (vec_mul, vec_dot) counts.  With a fresh inverse of m'(y)
-    # per pass at p^N, the fixed point at full precision and all q-1 powers
-    # of omega(gamma), these took 105 and 192 (the first two rings), 1,449
-    # (the matrix solve) and 580 (the constants, ring included) vec_mul
-    # calls; with each Frobenius table entry its own power, (3,6,60) took
-    # 106 and (2,8,30) 127; with one p-th power per entry per pass, the
-    # matrix solve took 729 vec_mul calls and 180 vec_pow calls.
-    calls = {"vec_mul": [], "vec_dot": [], "vec_pow": []}
-    for name in calls:
-        fn = getattr(pa, name)
-        monkeypatch.setattr(pa, name, lambda *a, c=calls[name], fn=fn: c.append(a[-1]) or fn(*a))
-
-    def count(run):
-        for c in calls.values():
-            c.clear()
-        run()
-        return len(calls["vec_mul"]), list(calls["vec_dot"])
-
+def test_solve_layer_cost_in_ring_products(ring_products):
+    # Deterministic (vec_mul, vec_apply, vec_mul_cols) counts and vec_dot
+    # calls.  With a fresh inverse of m'(y) per pass at p^N, the fixed point
+    # at full precision and all q-1 powers of omega(gamma), these took 105
+    # and 192 (the first two rings), 1,449 (the matrix solve) and 580 (the
+    # constants, ring included) vec_mul calls; with each Frobenius table
+    # entry its own power, (3,6,60) took 106 and (2,8,30) 127; with one p-th
+    # power per entry per pass, the matrix solve took 729 vec_mul calls and
+    # 180 vec_pow calls.  With schoolbook power chains and Frobenius tables
+    # applied outside the kernel the five runs took 47, 351, 344, 98 and 109
+    # vec_mul calls.  Now the power chains apply column tables, and phi,
+    # phi^(-1) and the Teichmuller orbit fill are vec_apply calls.
     # the Conway search's products are not the solve layer's
     for p, f in ((7, 3), (3, 6), (2, 8)):
         conway_polynomial(p, f)
     P = new_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
-    runs = ((lambda: new_params(7, 3, 20), (47, 0)),
-            (lambda: solve_matrix_linear(beta), (351, 180)),
-            (lambda: enumerate_constants(new_params(7, 3, 20)), (344, 0)))
-    for run, (muls, dots) in runs:
-        m, d = count(run)
-        assert 0 < m <= muls and len(d) <= dots
-    # the Frobenius tables are power chains, one product per entry
-    assert count(lambda: new_params(3, 6, 60)) == (98, [])
-    assert count(lambda: new_params(2, 8, 30)) == (109, [])
+    runs = ((lambda: new_params(7, 3, 20), (45, 3, 2), 0),
+            (lambda: solve_matrix_linear(beta), (351, 180, 0), 180),
+            (lambda: enumerate_constants(new_params(7, 3, 20)), (173, 175, 3), 0),
+            (lambda: new_params(3, 6, 60), (90, 12, 2), 0),
+            (lambda: new_params(2, 8, 30), (97, 18, 2), 0))
+    for run, counts, dots in runs:
+        got = ring_products(run)
+        assert 0 < got[0] and got == counts and len(ring_products.calls["vec_dot"]) == dots
     # the matrix lift takes one p-th power per entry per Taylor block, the
     # blocks starting at k = 2, 3, 5, 9, 17 and ending at p^2, p^4, p^8,
     # p^16 and p^20, and the check one more per entry mod p^20
-    count(lambda: solve_matrix_linear(beta))
-    assert calls["vec_pow"] == [7 ** k for k in (2, 4, 8, 16, 20, 20) for _ in range(9)]
+    ring_products(lambda: solve_matrix_linear(beta))
+    assert ring_products.calls["vec_pow"] == [7 ** k for k in (2, 4, 8, 16, 20, 20)
+                                              for _ in range(9)]

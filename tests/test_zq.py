@@ -13,6 +13,7 @@ from wittcalc import (
     PrecisionExhausted,
     PrecisionTooSmall,
     ReduciblePolynomial,
+    TeichmullerDigits,
     ValuationAtLeast,
     agreement_precision,
     conway_polynomial,
@@ -394,7 +395,7 @@ def test_frobenius_root_matches_full_precision_oracle():
             rings.append(new_params(p, f, N, poly))
     for P in rings:
         y = full_precision_frobenius_root(P)
-        assert P._hensel_root_near_gp() == y == P._phi_pows[1]
+        assert P._hensel_root_near_gp() == y == tuple(col[1] for col in P._phi_cols)
         assert frobenius(P.gen()).coeffs == y
 
 
@@ -505,6 +506,24 @@ def test_digit_frobenius_identity():
     for _ in range(25):
         u = random_element(P, rng)
         assert from_digits(digits(u).frobenius()) == frobenius(u)
+
+
+def test_from_digits_refuses_digits_from_another_residue_field():
+    # digits of Z_49 once evaluated in Z_25 as Zq(8 + 9*g + O(5^2))
+    P, Q = new_params(5, 2, 6), new_params(7, 2, 6)
+    with pytest.raises(ParamsMismatch):
+        from_digits(TeichmullerDigits(P, (Q.fq((3, 1)), Q.fq((2, 5)))))
+    # another f, and another modulus mod p (x^2 + 2, not the Conway x^2 + 4x + 2)
+    for R in (new_params(5, 3, 6), new_params(5, 2, 6, (2, 0, 1))):
+        c = R.fq((1,) + (0,) * (R.f - 2) + (1,))
+        with pytest.raises(ParamsMismatch):
+            from_digits(TeichmullerDigits(P, (P.fq((1, 0)), c)))
+    # the same field at another N, or by a modulus equal mod p, is taken over
+    for R, S in ((new_params(5, 2, 9), P),
+                 (new_params(5, 2, 4, (7, 5, 1)), new_params(5, 2, 6, (2, 0, 1)))):
+        own = digits(random_element(S, random.Random(25)))
+        moved = TeichmullerDigits(S, tuple(R.fq(c.coeffs) for c in own))
+        assert from_digits(moved).coeffs == from_digits(own).coeffs
 
 
 def test_p2_ring_layer_is_available():
