@@ -305,34 +305,37 @@ def _verify(args, params, stdin):
     results = []
     for i, item in enumerate(items):
         kind = item.get("kind")
-        if kind == "exponential":
-            beta = _element_from_arg(item["beta"], params)
-            u = _element_from_arg(item["u"], params)
-            cert = verify_exponential(u, ExponentialProblem.from_beta(beta))
-            results.append({"index": i, "kind": kind, "ok": cert.ok,
-                            "certificate": ser.exponential_certificate_to_obj(cert)})
-        elif kind == "difference":
-            eps = _element_from_arg(item["eps"], params)
-            u = _element_from_arg(item["u"], params)
-            res = frobenius(u) - eps * u
-            achieved = agreement_precision(res, params.zero(res.prec))
-            results.append({"index": i, "kind": kind, "ok": achieved == res.prec,
-                            "residual_precision": achieved})
-        elif kind == "matrix":
-            beta = ser.matrix_from_obj(item["beta"], params)
-            u = ser.matrix_from_obj(item["u"], params)
-            achieved = verify_matrix_linear(u, beta)
-            needed = min(u.prec, beta.prec) - 1
-            results.append({"index": i, "kind": kind, "ok": achieved >= needed,
-                            "residual_precision": achieved})
-        elif kind == "relation":
-            cert = ser.relation_certificate_from_obj(item["certificate"])
-            values = [_element_from_arg(o, params) for o in item["values"]]
-            k = int(item.get("precision", cert.verified_precision))
-            ok = verify_relation(cert, values, k, args.budget_monomials)
-            results.append({"index": i, "kind": kind, "ok": ok, "precision": k})
-        else:
-            raise DomainError(f"unknown verification kind {kind!r}")
+        try:
+            if kind == "exponential":
+                beta = _element_from_arg(item["beta"], params)
+                u = _element_from_arg(item["u"], params)
+                cert = verify_exponential(u, ExponentialProblem.from_beta(beta))
+                results.append({"index": i, "kind": kind, "ok": cert.ok,
+                                "certificate": ser.exponential_certificate_to_obj(cert)})
+            elif kind == "difference":
+                eps = _element_from_arg(item["eps"], params)
+                u = _element_from_arg(item["u"], params)
+                res = frobenius(u) - eps * u
+                achieved = agreement_precision(res, params.zero(res.prec))
+                results.append({"index": i, "kind": kind, "ok": achieved == res.prec,
+                                "residual_precision": achieved})
+            elif kind == "matrix":
+                beta = ser.matrix_from_obj(item["beta"], params)
+                u = ser.matrix_from_obj(item["u"], params)
+                achieved = verify_matrix_linear(u, beta)
+                needed = min(u.prec, beta.prec) - 1
+                results.append({"index": i, "kind": kind, "ok": achieved >= needed,
+                                "residual_precision": achieved})
+            elif kind == "relation":
+                cert = ser.relation_certificate_from_obj(item["certificate"])
+                values = [_element_from_arg(o, params) for o in item["values"]]
+                k = int(item.get("precision", cert.verified_precision))
+                ok = verify_relation(cert, values, k, args.budget_monomials)
+                results.append({"index": i, "kind": kind, "ok": ok, "precision": k})
+            else:
+                raise DomainError(f"unknown verification kind {kind!r}")
+        except KeyError as exc:
+            raise DomainError(f"item {i} ({kind}): missing field {exc}") from None
     return {"results": results}, EXIT_OK
 
 

@@ -54,8 +54,11 @@ def digits_to_obj(d):
 
 
 def digits_from_obj(obj, params):
-    return TeichmullerDigits(
-        params, tuple(params.fq(c) for c in obj["digits"]))
+    """Rebuild a digit expansion; the object's (p, f) must be the ring's."""
+    p, f = int(obj["p"]), int(obj["f"])
+    if (p, f) != (params.p, params.f):
+        raise ParamsMismatch(f"digits are over (p={p}, f={f}), not (p={params.p}, f={params.f})")
+    return TeichmullerDigits(params, tuple(params.fq(c) for c in obj["digits"]))
 
 
 def series_to_obj(s):

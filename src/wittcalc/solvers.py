@@ -18,11 +18,10 @@ not as exceptions.
 Matrix family:  delta(u) = beta * u^(p), entry-wise p-th powers, i.e.
 phi(u) = (I + p*beta) * u^(p).  Mod p the equation is vacuous, so any
 invertible residue seed works, and each seed lifts uniquely: the solution
-set is an exact GL_n(F_q)-torsor over seeds.  The lift runs in Taylor
-blocks: with a = u mod p^m, (a + p^m D)^p = a^p + p^(m+1) a^(p-1) D
-mod p^(2m) for every p, p = 2 included, so one p-th power per entry at a
-block start k = m + 1 = 2, 3, 5, 9, 17, ... serves every digit up to p^(2m),
-and the passes inside a block are affine in D.
+set is an exact GL_n(F_q)-torsor over seeds.  The lift is
+``zq._frobenius_lift``, shared with the Teichmuller table: Taylor blocks in
+which one p-th power per entry at a block start k = 2, 3, 5, 9, 17, ...
+serves every digit up to p^(2k-2), the passes inside a block being affine.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .record import frozen_record
 from .zq import (
     FqElement,
     ZqElement,
+    _frobenius_lift,
     _same_residue_field,
     agreement_precision,
     frobenius,
@@ -434,26 +434,17 @@ def solve_matrix_linear(beta, seed=None):
     """Solve delta(u) = beta * u^(p) with u invertible, from a mod-p seed.
 
     Rewritten as u = T(u) = phi^(-1)((I + p*beta) * u^(p)) the equation is
-    vacuous mod p, so the seed is free.  T fixes residues, and u = v mod p^k
-    gives u^(p) = v^(p) mod p^(k+1), so T(u) mod p^(k+1) depends only on
-    u mod p^k: from the seed, T taken mod p^k for k = 2, ..., W lifts at
-    rising precision to the unique solution mod p^W, which is then checked
-    against the equation at full precision.
-
-    The passes run in Taylor blocks.  With a = u mod p^m and u = a + p^m D,
-    (a + p^m D)^p = a^p + p^(m+1) a^(p-1) D mod p^(2m) for every p, p = 2
-    included, so for k <= 2m
-    T(a + p^m D) = T(a) + p^(m+1) phi^(-1)((I + p*beta) * (G o D)) mod p^k,
-    G = a^(p-1) entry-wise.  A block computes G and T(a) mod p^min(2m, W)
-    once, with one p-th power per entry, and then each pass k is the affine
-    step D <- (T(a) - a)/p^m + p phi^(-1)((I + p*beta) * (G o D)) mod p^(k-m),
-    one product per entry.  Blocks start at k = m + 1 = 2, 3, 5, 9, 17, ...
+    vacuous mod p, so the seed is free, and T lifts it uniquely.  The lift
+    is ``zq._frobenius_lift``, the Taylor-block kernel that also fills the
+    Teichmuller table (n = 1, coupling 1), here with the columns of
+    x -> phi^(-1)((I + p*beta) * x) built once per call.  The solution mod
+    p^W is then checked against the equation at full precision by a matrix
+    product that does not go through the kernel.
     """
     params = beta.params
     if beta.prec < 2:
         raise PrecisionExhausted("solve_matrix_linear needs precision >= 2")
-    n = beta.n
-    W = beta.prec
+    n, W = beta.n, beta.prec
     if seed is None:
         seed_res = tuple(
             tuple(params.fq_from_int(1 if i == j else 0) for j in range(n))
@@ -465,29 +456,13 @@ def solve_matrix_linear(beta, seed=None):
     if not _residue_invertible(params, seed_res):
         raise SingularSeed("seed matrix is not invertible over F_q")
     coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
-    p, poly, c, u = params.p, params.poly, _coeff_grid(coupling.entries), _coeff_grid(seed_res)
-    inv_cols = params._phi_inv_cols
-
-    def t_linear(x, mod):
-        # phi^(-1)((I + p*beta) * x) mod `mod`
-        return _entrywise(lambda e: pa.vec_apply(e, inv_cols, mod),
-                          _mat_mul(c, x, poly, mod))
-
-    m = 1
-    while m < W:
-        top, pm = min(2 * m, W), p ** m
-        mod = p ** top
-        g = _entrywise(lambda a: pa.vec_pow(a, p - 1, poly, mod), u)
-        t = t_linear(_entrywise(lambda ga, a: pa.vec_mul(ga, a, poly, mod), g, u), mod)
-        e0 = d = _entrywise(lambda ta, a: tuple((x - y) // pm for x, y in zip(ta, a)), t, u)
-        for k in range(m + 2, top + 1):
-            r = p ** (k - m - 1)
-            z = t_linear(_entrywise(lambda ga, da: pa.vec_mul(ga, da, poly, r), g, d), r)
-            d = _entrywise(lambda ea, za: tuple((x + p * y) % (p * r) for x, y in zip(ea, za)),
-                           e0, z)
-        u = _entrywise(lambda a, da: tuple(x + pm * y for x, y in zip(a, da)), u, d)
-        m = top
-    u = ZqMatrix(_entrywise(lambda e: ZqElement(params, e, W), u))
+    poly, mod, inv_cols = params.poly, params.p ** W, params._phi_inv_cols
+    # row i: the columns of (x_k) -> phi^(-1)(sum_k C_ik x_k), rows phi^(-1)(g^l C_ik)
+    table = tuple(tuple(zip(*(pa.vec_apply(row, inv_cols, mod) for e in c_row
+                              for row in zip(*pa.vec_mul_cols(e.coeffs, poly, mod)))))
+                  for c_row in coupling.entries)
+    u = ZqMatrix(_entrywise(lambda e: ZqElement(params, e, W),
+                            _frobenius_lift(params, table, _coeff_grid(seed_res), W)))
     if coupling @ u.pow_entries_p() != u.frobenius():
         raise ArithmeticError("matrix lift lost the invariant")
     return u

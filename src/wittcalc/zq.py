@@ -13,7 +13,8 @@ Besides the ring structure this module provides:
   per ring as the Hensel root of m nearest g^p and cached, with its inverse,
   as the columns of a linear map (``polyarith.vec_apply``);
 * ``teichmuller`` -- the multiplicative section of reduction mod p, i.e. the
-  unique root-of-unity-or-zero lift of each residue, one power per orbit;
+  unique root-of-unity-or-zero lift of each residue, one Frobenius lift
+  (``_frobenius_lift``, shared with the matrix solver) per orbit;
 * ``digits``/``from_digits`` -- the expansion u = sum_i omega(c_i) p^i with
   residue digits c_i, on which the Frobenius acts digit-wise by c -> c^p.
 
@@ -461,11 +462,11 @@ def frobenius_inv(u):
 def teichmuller(a, prec=None):
     """The unique lift omega(a) with omega(a)^q = omega(a).
 
-    A unit lift right mod p^k has its q-th power right mod p^(k+f), so from
-    the residue's own lift, right mod p, the power q^m with m = ceil((N-1)/f)
-    is omega(a) mod p^N.  A cache miss pays that one power for the orbit of
-    a under <phi, -1>: phi(omega(a)) = omega(a^p) and, for p odd,
-    omega(-a) = -omega(a) hold exactly mod p^N.  Cached per ring at full N.
+    omega(a) is the fixed point of x -> phi^(-1)(x^p) over the residue of a,
+    so ``_frobenius_lift`` lifts it with n = 1 and coupling 1.  A cache miss
+    pays that one lift for the orbit of a under <phi, -1>:
+    phi(omega(a)) = omega(a^p) and, for p odd, omega(-a) = -omega(a) hold
+    exactly mod p^N.  Cached per ring at full N.
     """
     params = a.params
     prec = params._prec(prec)
@@ -473,12 +474,14 @@ def teichmuller(a, prec=None):
 
 
 def _omega(params, key):
-    """The coefficients of omega(residue ``key``) mod p^N, from the ring's table."""
+    """omega(residue ``key``) mod p^N; a miss lifts it, checks it and fills its orbit."""
     teich = params._teich
     if key not in teich:
-        p, f, N, c = params.p, params.f, params.N, key
+        p, N, c = params.p, params.N, key
         mod = p ** N
-        w = pa.vec_pow(c, p ** (f * -(-(N - 1) // f)), params.poly, mod)
+        w = _frobenius_lift(params, (params._phi_inv_cols,), ((c,),), N)[0][0]
+        if pa.vec_apply(w, params._phi_cols, mod) != pa.vec_pow(w, p, params.poly, mod):
+            raise ArithmeticError("Teichmuller lift lost the invariant")
         while c not in teich:
             teich[c] = w
             if p > 2:
@@ -486,6 +489,46 @@ def _omega(params, key):
             w = pa.vec_apply(w, params._phi_cols, mod)
             c = tuple(x % p for x in w)
     return teich[key]
+
+
+def _frobenius_lift(params, table, u, W):
+    """The fixed point of T(x) = phi^(-1)(C * x^(p)) mod p^W, x^(p) entry-wise,
+    over the n x n grid ``u`` of residue tuples; coefficients in [0, p^W).
+
+    ``table[i]`` is the columns of (x_k) -> phi^(-1)(sum_k C_ik x_k), rows
+    phi^(-1)(g^l C_ik) for k < n, l < f: entry (i, j) of a pass is one
+    ``vec_apply`` of column j laid end to end.  T fixes residues and T mod
+    p^(k+1) depends only on x mod p^k.  With a = x mod p^m,
+    (a + p^m D)^p = a^p + p^(m+1) a^(p-1) D mod p^(2m) for every p, so
+    T(a + p^m D) = T(a) + p^(m+1) phi^(-1)(C * (G o D)) mod p^k, k <= 2m,
+    G = a^(p-1).  A Taylor block takes G as column tables and T(a), one p-th
+    power per entry, and then each pass k is the affine step
+    D <- (T(a) - a)/p^m + p phi^(-1)(C * (G o D)) mod p^(k-m).  Blocks start
+    at k = m + 1 = 2, 3, 5, 9, 17, ...
+    """
+    p, poly, idx = params.p, params.poly, range(len(u))
+
+    def t_linear(g, x, mod):
+        # phi^(-1)(C * (g o x)) mod `mod`, one column of g o x at a time
+        cols = [sum((pa.vec_apply(x[k][j], g[k][j], mod) for k in idx), ()) for j in idx]
+        return [[pa.vec_apply(col, t, mod) for col in cols] for t in table]
+
+    m = 1
+    while m < W:
+        top, pm = min(2 * m, W), p ** m
+        mod = p ** top
+        g = [[pa.vec_mul_cols(pa.vec_pow(a, p - 1, poly, mod), poly, mod) for a in row]
+             for row in u]
+        e0 = d = [[tuple((x - y) // pm for x, y in zip(ta, a)) for ta, a in zip(*rows)]
+                  for rows in zip(t_linear(g, u, mod), u)]
+        for k in range(m + 2, top + 1):
+            r = p ** (k - m - 1)
+            d = [[tuple((x + p * y) % (p * r) for x, y in zip(ea, za)) for ea, za in zip(*rows)]
+                 for rows in zip(e0, t_linear(g, d, r))]
+        u = [[tuple(x + pm * y for x, y in zip(a, da)) for a, da in zip(*rows)]
+             for rows in zip(u, d)]
+        m = top
+    return u
 
 
 def _same_residue_field(params, other):

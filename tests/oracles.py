@@ -8,6 +8,10 @@ sqrt(q) and it factors q-1 by trial division, so it is only run at small q.
 
 ``iterated_teichmuller`` iterates x -> x^q until x is fixed, and
 ``per_residue_constants`` runs it once for each nonzero residue.
+``power_teichmuller`` raises the residue's own lift to the one power q^m,
+m = ceil((N-1)/f), since a unit lift right mod p^k has its q-th power right
+mod p^(k+f), where the library lifts omega(a) as the fixed point of
+x -> phi^(-1)(x^p) in Taylor blocks, with the kernel of its matrix solver.
 
 ``staged_solve_matrix_linear`` lifts a residue seed of
 phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
@@ -348,6 +352,13 @@ def iterated_teichmuller(a):
             break
         x = nxt
     return x
+
+
+def power_teichmuller(a):
+    """The coefficients of omega(a) at precision N, as a^(q^m) with m = ceil((N-1)/f)."""
+    params = a.params
+    p, f, N = params.p, params.f, params.N
+    return vec_pow(a.coeffs, p ** (f * -(-(N - 1) // f)), params.poly, p ** N)
 
 
 def per_residue_constants(params):

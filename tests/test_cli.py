@@ -170,6 +170,16 @@ def test_verify_rejects_malformed_relation_certificates():
     assert verify([[0], [1]], [7, -1], 1)[0] == 0
 
 
+def test_verify_names_the_item_and_the_missing_field():
+    argv = ["--p", "3", "--f", "1", "--prec", "6", "verify",
+            '[{"kind": "difference", "eps": ["2"], "u": ["4"]}, {"kind": "matrix", "u": [[["1"]]]}]']
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: item 1 (matrix): missing field 'beta'\n"
+    code, _, err = invoke(argv[:-1] + ['{"items": [{"kind": "exponential", "beta": ["0"]}]}'])
+    assert code == 2 and err == "error: item 0 (exponential): missing field 'u'\n"
+
+
 def test_jet_and_digits_round_trip():
     _, out = invoke_twice(FIXTURES["jet"])
     doc = json.loads(out)

@@ -1,13 +1,17 @@
 """Property tests over random small rings: the closed-form lifts, the matrix
-lift against the digit-by-digit oracle, the laws the Teichmuller orbit fill
-relies on, phi as the lift of the p-power map (also for random moduli) and
-the delta sum and product laws (p = 2 included), the digit expansion and its
-inverse against the element-wise oracles (p = 2 included), the column-table
-product against the schoolbook one (reducible moduli included), the fused
-Horner series against the schoolbook one and the exp/log and psi laws
-(p odd), and the integral LLL against the Fraction LLL oracle on random
-integer bases."""
+lift against the digit-by-digit oracle, full Teichmuller tables filled in
+shuffled order against the one-power oracle and the laws the orbit fill
+relies on, phi as the lift of the p-power map (also for random moduli), the
+delta sum and product laws and the multiplicative law of phi(u) = eps*u
+(p = 2 included), the digit expansion and its inverse against the
+element-wise oracles (p = 2 included), the JSON round trips of every wire
+form, the column-table product against the schoolbook one (reducible moduli
+included), the fused Horner series against the schoolbook one and the
+exp/log and psi laws (p odd), and the integral LLL against the Fraction LLL
+oracle on random integer bases."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -16,6 +20,8 @@ import pytest
 
 from wittcalc import (
     DomainError,
+    RelationCertificate,
+    RestrictedSeries,
     SingularSeed,
     digits,
     from_digits,
@@ -28,12 +34,15 @@ from wittcalc import (
     padic_exp,
     padic_log,
     psi,
+    random_element,
+    solve_difference,
     solve_matrix_linear,
     teichmuller,
     verify_matrix_linear,
 )
 from wittcalc import delta
 from wittcalc import polyarith as pa
+from wittcalc import serialize as ser
 from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
@@ -42,6 +51,7 @@ from oracles import (
     fraction_lll_reduce,
     iterated_teichmuller,
     peel_digits,
+    power_teichmuller,
     scaled_from_digits,
     vec_mul_series,
 )
@@ -88,6 +98,22 @@ def test_teichmuller_commutes_with_frobenius_and_sign(ring, data):
 
 
 @SETTINGS
+@hypothesis.given(RINGS, st.randoms(use_true_random=False))
+@hypothesis.example((2, 1, 2), random.Random(0))
+@hypothesis.example((2, 3, 2), random.Random(1))
+@hypothesis.example((3, 2, 2), random.Random(2))
+def test_teichmuller_table_matches_power_oracle(ring, rnd):
+    # the whole table of a fresh ring, asked for in a shuffled order, so each
+    # entry is met as a lift, as a Frobenius image or as a negation
+    P = new_params(*ring)
+    order = list(itertools.product(range(P.p), repeat=P.f))
+    rnd.shuffle(order)
+    for c in order:
+        assert teichmuller(P.fq(c)).coeffs == power_teichmuller(P.fq(c))
+    assert len(P._teich) == P.p ** P.f
+
+
+@SETTINGS
 @hypothesis.given(RINGS, st.data())
 def test_frobenius_has_order_f(ring, data):
     P = get_params(*ring)
@@ -129,6 +155,23 @@ def test_delta_product_and_sum_laws(ring, data):
     assert fermat_quotient(a * b) == a ** p * db + b ** p * da + (da * db).mul_p_power(1)
     cross = sum((comb(p, i) // p * a ** i * b ** (p - i) for i in range(1, p)), P.zero())
     assert fermat_quotient(a + b) == da + db - cross
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.integers(0, 2 ** 32))
+@hypothesis.example((2, 3, 5), 0)
+@hypothesis.example((2, 2, 2), 1)
+def test_difference_solutions_are_multiplicative_up_to_z_p(ring, seed):
+    # eps = phi(w)/w has norm one; phi(u) = eps*u fixes u up to Z_p^*, so the
+    # ratio of u_(eps eps') to u_eps u_eps' is fixed by phi and lies in Z_p
+    P = get_params(*ring)
+    rng = random.Random(seed)
+    w, w2 = (random_element(P, rng, unit=True) for _ in range(2))
+    eps, eps2 = frobenius(w) * w.inv(), frobenius(w2) * w2.inv()
+    u, u2, u12 = solve_difference(eps), solve_difference(eps2), solve_difference(eps * eps2)
+    ratio = u12 * (u * u2).inv()
+    assert frobenius(ratio) == ratio
+    assert not any(ratio.coeffs[1:])
 
 
 @SETTINGS
@@ -186,6 +229,50 @@ def test_from_digits_inverts_digits_and_matches_the_oracles(ring, data):
     assert (v.coeffs, v.prec) == (u.coeffs, u.prec)
     w = from_digits(d.frobenius())
     assert (w.coeffs, w.prec) == (scaled_from_digits(d.frobenius()).coeffs, u.prec)
+
+
+def _json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_wire_forms_survive_json_round_trips(ring, data):
+    P = get_params(*ring)
+    u = _element(data, P).mask(data.draw(st.integers(1, P.N)))
+    v = ser.element_from_obj(_json(ser.element_to_obj(u)), P)
+    assert (v.params, v.coeffs, v.prec) == (P, u.coeffs, u.prec)
+    # standalone, the ring is rebuilt from the object at N = max(prec, 2)
+    v = ser.element_from_obj(_json(ser.element_to_obj(u)))
+    assert (v.params.p, v.params.f, v.params.poly, v.coeffs, v.prec) == \
+        (P.p, P.f, P.poly, u.coeffs, u.prec)
+    d = ser.digits_from_obj(_json(ser.digits_to_obj(digits(u))), P)
+    assert [c.coeffs for c in d] == [c.coeffs for c in digits(u)]
+    order, arity = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * ((order + 1) * arity)),
+                              min_size=1, max_size=4, unique=True))
+    s = RestrictedSeries(order, arity, tuple((e, _element(data, P)) for e in exps))
+    t = ser.series_from_obj(_json(ser.series_to_obj(s)), P)
+    assert (t.order, t.arity, t.denominator) == (s.order, s.arity, s.denominator)
+    assert [(e, c.coeffs, c.prec) for e, c in t.terms] == \
+        [(e, c.coeffs, c.prec) for e, c in s.terms]
+    n = data.draw(st.integers(1, 3))
+    m = ZqMatrix(tuple(tuple(_element(data, P) for _ in range(n)) for _ in range(n)))
+    m = m.map(lambda e: e.mask(u.prec))
+    back = ser.matrix_from_obj(_json(ser.matrix_to_obj(m)), P)
+    assert back.prec == m.prec
+    assert [[e.coeffs for e in row] for row in back.entries] == \
+        [[e.coeffs for e in row] for row in m.entries]
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * arity), min_size=1,
+                               max_size=4, unique=True))
+    height = data.draw(st.integers(1, 9))
+    coeffs = data.draw(st.lists(st.integers(-height, height).filter(bool),
+                                min_size=len(monos), max_size=len(monos)))
+    cert = RelationCertificate(
+        tuple(monos), tuple(coeffs), data.draw(st.integers(1, P.N)),
+        max(sum(e) for e in monos) + data.draw(st.integers(0, 2)), height, P.N,
+        data.draw(st.sampled_from(("exhaustive", "lattice"))))
+    assert ser.relation_certificate_from_obj(_json(ser.relation_certificate_to_obj(cert))) == cert
 
 
 @SETTINGS

@@ -15,6 +15,7 @@ from wittcalc import (
     ReduciblePolynomial,
     TeichmullerDigits,
     ValuationAtLeast,
+    ZqMatrix,
     agreement_precision,
     conway_polynomial,
     digits,
@@ -23,9 +24,10 @@ from wittcalc import (
     frobenius_inv,
     new_params,
     random_element,
+    solve_matrix_linear,
     teichmuller,
 )
-from wittcalc import conway, polyarith
+from wittcalc import conway, polyarith, solvers, zq
 from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
 
 from conftest import get_params
@@ -452,28 +454,56 @@ def test_teichmuller_matches_iterated_oracle():
             assert len(P._teich) == p ** f
 
 
-def test_teichmuller_table_cost_in_powers(monkeypatch):
-    # One vec_pow per orbit of <phi, -1> on F_q: one per residue took q.
-    calls = []
-    vec_pow = polyarith.vec_pow
-    monkeypatch.setattr(polyarith, "vec_pow", lambda *a: calls.append(1) or vec_pow(*a))
-    for (p, f, N), bound in {(3, 6, 60): 68, (5, 4, 40): 87, (2, 8, 30): 36}.items():
+def test_frobenius_lift_checks_refuse_a_short_lift(monkeypatch):
+    # a lift one digit short must be caught by the orbit check of the
+    # Teichmuller table and by the matrix solver's full-precision check
+    lift = zq._frobenius_lift
+
+    def short(params, table, u, W):
+        return [[tuple(x % params.p ** (W - 1) for x in e) for e in row]
+                for row in lift(params, table, u, W)]
+
+    monkeypatch.setattr(zq, "_frobenius_lift", short)
+    monkeypatch.setattr(solvers, "_frobenius_lift", short)
+    for p, f, N in ((2, 3, 6), (3, 1, 5), (5, 2, 4)):
         P = new_params(p, f, N)
-        calls.clear()
-        for c in itertools.product(range(p), repeat=f):
-            teichmuller(P.fq(c))
+        with pytest.raises(ArithmeticError):
+            teichmuller(P.fq((p - 1,) if f == 1 else (0, 1) + (0,) * (f - 2)))
+        assert P._teich == {}
+        beta = ZqMatrix(((P.from_int(p + 1), P.one()), (P.zero(), P.from_int(2))))
+        with pytest.raises(ArithmeticError):
+            solve_matrix_linear(beta)
+
+
+def test_teichmuller_table_cost_in_powers(ring_products):
+    # One Frobenius lift per orbit of <phi, -1> on F_q; one per residue took
+    # q.  Exact (vec_mul, vec_apply, vec_mul_cols) counts and vec_pow calls of
+    # the full tables: with the power x^(q^m), m = ceil((N-1)/f), per orbit
+    # they took (10200, 365, 0), (12528, 313, 0) and (1152, 256, 0), and 68,
+    # 87 and 36 vec_pow calls.  Now each orbit pays one a^(p-1) per Taylor
+    # block, the blocks ending at p^2, p^4, ..., p^N, and the check
+    # phi(omega) = omega^p one p-th power mod p^N.
+    runs = {(3, 6, 60): ((544, 8457, 408), 476, (2, 4, 8, 16, 32, 60)),
+            (5, 4, 40): ((1305, 7186, 522), 609, (2, 4, 8, 16, 32, 40)),
+            (2, 8, 30): ((36, 2380, 180), 216, (2, 4, 8, 16, 30))}
+    for (p, f, N), (counts, pows, tops) in runs.items():
+        P = new_params(p, f, N)
+        got = ring_products(lambda: [teichmuller(P.fq(c))
+                                     for c in itertools.product(range(p), repeat=f)])
         assert len(P._teich) == p ** f
-        assert len(calls) <= bound
-        # a cold call makes one power and fills at most its orbit, 2f entries
+        assert got == counts and len(ring_products.calls["vec_pow"]) == pows
+        # a cold call makes one lift and fills at most its orbit, 2f entries
         P = new_params(p, f, N)
         a = P.fq((1,) * f)
         ap = a ** p
-        calls.clear()
+        ring_products(lambda: teichmuller(a))
+        assert ring_products.calls["vec_pow"] == [p ** k for k in tops + (N,)]
+        assert 1 <= len(P._teich) <= 2 * f
         w = teichmuller(a)
-        assert len(calls) == 1 and 1 <= len(P._teich) <= 2 * f
+        hits = ring_products(lambda: (teichmuller(ap), teichmuller(-a)))
+        assert hits == (0, 0, 0) and ring_products.calls["vec_pow"] == []
         assert teichmuller(ap) == frobenius(w)
         assert teichmuller(-a) == (w if p == 2 else -w)
-        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -559,3 +589,14 @@ def test_digits_serialization_round_trip():
     d = digits(u)
     obj = digits_to_obj(d)
     assert from_digits(digits_from_obj(obj, P)) == u
+
+
+def test_digits_from_obj_refuses_another_residue_field():
+    # a Z_7 expansion read into Z_5 used to come back as the digits 1, 0, 1, 0
+    obj = {"p": 7, "f": 1, "prec": 4, "digits": [[6], [0], [1], [0]]}
+    with pytest.raises(ParamsMismatch):
+        digits_from_obj(obj, get_params(5, 1, 4))
+    with pytest.raises(ParamsMismatch):
+        digits_from_obj(dict(obj, p=5, f=2, digits=[[1, 0]] * 4), get_params(5, 1, 4))
+    d = digits_from_obj(dict(obj, p=5, digits=[[4], [0], [1], [0]]), get_params(5, 1, 4))
+    assert from_digits(d) == get_params(5, 1, 4).from_int(-1 + 25)
