@@ -134,7 +134,7 @@ def _load_json_arg(text, stdin):
 
 def _element_from_arg(obj, params):
     if isinstance(obj, list):
-        return params.from_coeffs([int(c) for c in obj])
+        return params.from_coeffs(ser.coeffs_from_obj(obj))
     if isinstance(obj, dict):
         return ser.element_from_obj(obj, params)
     raise DomainError("an element must be a JSON array or object")
@@ -301,9 +301,11 @@ def _relations(args, params, stdin):
 
 def _verify(args, params, stdin):
     raw = _load_json_arg(args.items, stdin)
-    items = raw["items"] if isinstance(raw, dict) else raw
+    items = ser.field(raw, "items") if isinstance(raw, dict) else raw
     results = []
     for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise DomainError(f"item {i}: expected a JSON object, not {json.dumps(item)}")
         kind = item.get("kind")
         try:
             if kind == "exponential":
@@ -336,6 +338,8 @@ def _verify(args, params, stdin):
                 raise DomainError(f"unknown verification kind {kind!r}")
         except KeyError as exc:
             raise DomainError(f"item {i} ({kind}): missing field {exc}") from None
+        except DomainError as exc:
+            raise DomainError(f"item {i} ({kind}): {exc}") from None
     return {"results": results}, EXIT_OK
 
 

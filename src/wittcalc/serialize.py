@@ -10,11 +10,45 @@ the README for the full schema.
 
 from __future__ import annotations
 
+import json
+import re
+
 from .delta import RestrictedSeries
 from .errors import DomainError, ParamsMismatch
 from .relations import RelationCertificate
 from .solvers import ZqMatrix
 from .zq import PadicParams, TeichmullerDigits
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def read_int(value, what):
+    """An integer from a JSON int or a decimal string; bool, float and anything
+    else are refused, so 1.5 is not read as 1 nor true as 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise DomainError(f"{what} must be an integer or a decimal string, not {json.dumps(value)}")
+
+
+def field(obj, key):
+    """obj[key], naming the field when it is missing."""
+    if key not in obj:
+        raise DomainError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _int_field(obj, key):
+    return read_int(field(obj, key), f"field {key!r}")
+
+
+def coeffs_from_obj(cs):
+    """A list of coefficients, each read by ``read_int``."""
+    if not isinstance(cs, list):
+        raise DomainError(f"coefficients must be a JSON array, not {json.dumps(cs)}")
+    return [read_int(c, "a coefficient") for c in cs]
 
 
 def element_to_obj(u):
@@ -29,19 +63,19 @@ def element_to_obj(u):
 
 def element_from_obj(obj, params=None):
     """Rebuild an element; with ``params`` given, the object must match it."""
-    p, f, prec = int(obj["p"]), int(obj["f"]), int(obj["prec"])
+    p, f, prec = _int_field(obj, "p"), _int_field(obj, "f"), _int_field(obj, "prec")
+    poly = coeffs_from_obj(obj["poly"]) if "poly" in obj else None
     if params is None:
-        params = PadicParams(p, f, max(prec, 2), obj.get("poly"))
+        params = PadicParams(p, f, max(prec, 2), poly)
     else:
         if (p, f) != (params.p, params.f):
             raise ParamsMismatch(
                 f"element is over (p={p}, f={f}), ring is (p={params.p}, f={params.f})")
-        if "poly" in obj and tuple(int(c) for c in obj["poly"]) != params.poly:
+        if poly is not None and tuple(poly) != params.poly:
             raise ParamsMismatch("element was serialized over a different modulus")
         if prec > params.N:
             raise DomainError(f"element precision {prec} exceeds the ring's {params.N}")
-    coeffs = [int(c) for c in obj["coeffs"]]
-    return params.from_coeffs(coeffs, prec)
+    return params.from_coeffs(coeffs_from_obj(field(obj, "coeffs")), prec)
 
 
 def digits_to_obj(d):
@@ -90,11 +124,11 @@ def matrix_to_obj(m):
 
 
 def matrix_from_obj(obj, params, prec=None):
-    entries = obj["entries"] if isinstance(obj, dict) else obj
+    entries = field(obj, "entries") if isinstance(obj, dict) else obj
     if prec is None and isinstance(obj, dict) and "prec" in obj:
-        prec = int(obj["prec"])
+        prec = _int_field(obj, "prec")
     return ZqMatrix(tuple(
-        tuple(params.from_coeffs([int(c) for c in e], prec) for e in row)
+        tuple(params.from_coeffs(coeffs_from_obj(e), prec) for e in row)
         for row in entries))
 
 

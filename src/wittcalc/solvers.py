@@ -26,8 +26,9 @@ serves every digit up to p^(2k-2), the passes inside a block being affine.
 
 from __future__ import annotations
 
+import itertools
+
 from . import polyarith as pa
-from .conway import prime_factors
 from .delta import _psi, fermat_quotient, padic_exp, padic_log
 from .errors import (
     BudgetExceeded,
@@ -47,7 +48,7 @@ from .zq import (
     agreement_precision,
     frobenius,
     frobenius_inv,
-    teichmuller,
+    teichmuller_table,
 )
 
 # The most constants (q - 1 of them) that enumerate_constants will list.
@@ -130,42 +131,20 @@ class SolutionFamily:
             yield zeta * self.base
 
 
-def _fq_all(params):
-    """All residue-field elements in lexicographic coefficient order."""
-    p, f = params.p, params.f
-    total = p ** f
-    for n in range(total):
-        coeffs = []
-        m = n
-        for _ in range(f):
-            m, r = divmod(m, p)
-            coeffs.append(r)
-        # big-endian lexicographic: leading basis coefficient varies slowest
-        yield FqElement(params, tuple(reversed(coeffs)))
-
-
 def enumerate_constants(params):
     """All q-1 solutions of delta(u) = 0 among units: the Teichmuller lifts.
 
-    They are the powers of omega(gamma), gamma the first generator of F_q^*
-    in ``_fq_all`` order (the class of g need not be one), ordered
-    lexicographically by residue coefficient vector.  For p odd,
-    omega(gamma)^((q-1)/2) = -1 exactly, so only the first (q-1)/2 powers
-    are multiplied out and the rest are their negatives.
+    They are the ring's Teichmuller table (``zq.teichmuller_table``, the
+    powers of omega(gamma) for a generator gamma of F_q^*) without 0, read
+    in ``itertools.product`` order of the residue coefficient vectors, which
+    is lexicographic.  The budget is checked before the table is built.
     """
-    p, q1 = params.p, params.p ** params.f - 1
+    p, f, q1 = params.p, params.f, params.p ** params.f - 1
     if q1 > MAX_CONSTANTS:
         raise BudgetExceeded(f"q - 1 = {q1} constants exceed the budget of {MAX_CONSTANTS}")
-    ells = prime_factors(q1)
-    one = params.fq_from_int(1)
-    gamma = next(a for a in _fq_all(params) if not a.is_zero()
-                 and all(a ** (q1 // ell) != one for ell in ells))
-    z, mod = teichmuller(gamma).coeffs, p ** params.N
-    out = list(pa.vec_powers(z, (q1 if p == 2 else q1 // 2) - 1, params.poly, mod))
-    if p > 2:
-        out += [pa.vec_neg(w, mod) for w in out]
-    out.sort(key=lambda w: tuple(c % p for c in w))
-    return tuple(ZqElement(params, w, params.N) for w in out)
+    table = teichmuller_table(params)
+    nonzero = itertools.islice(itertools.product(range(p), repeat=f), 1, None)
+    return tuple(ZqElement(params, table[c], params.N) for c in nonzero)
 
 
 def _verified_base(problem):

@@ -3,7 +3,7 @@
 import io
 import json
 
-from wittcalc import conway, solvers
+from wittcalc import conway, solvers, zq
 from wittcalc.cli import run
 from wittcalc.serialize import element_from_obj
 
@@ -180,6 +180,48 @@ def test_verify_names_the_item_and_the_missing_field():
     assert code == 2 and err == "error: item 0 (exponential): missing field 'u'\n"
 
 
+def test_verify_refuses_an_item_that_is_not_an_object():
+    argv = ["--p", "3", "--f", "1", "--prec", "6", "verify"]
+    code, out, err = invoke(argv + ['[{"kind": "difference", "eps": ["2"], "u": ["4"]}, 1]'])
+    assert (code, out, err) == (2, "", "error: item 1: expected a JSON object, not 1\n")
+    code, out, err = invoke(argv + ['{"items": [["1"]]}'])
+    assert (code, out, err) == (2, "", 'error: item 0: expected a JSON object, not ["1"]\n')
+    code, out, err = invoke(argv + ['{"item": []}'])
+    assert (code, out, err) == (2, "", "error: missing field 'items'\n")
+    # a field missing inside an item's matrix names the item too
+    code, _, err = invoke(argv + ['[{"kind": "matrix", "beta": {"n": 1}, "u": [[["1"]]]}]'])
+    assert code == 2 and err == "error: item 0 (matrix): missing field 'entries'\n"
+
+
+def test_integers_are_read_strictly():
+    ring = ["--p", "5", "--f", "1", "--prec", "6"]
+    elem = {"p": 5, "f": 1, "prec": 3, "coeffs": ["7"]}
+    refused = {
+        '[1.5]': "a coefficient must be an integer or a decimal string, not 1.5",
+        '[true]': "a coefficient must be an integer or a decimal string, not true",
+        '[" 7"]': 'a coefficient must be an integer or a decimal string, not " 7"',
+        '["0x7"]': 'a coefficient must be an integer or a decimal string, not "0x7"',
+        '{}': "missing field 'p'",
+        json.dumps({**elem, "prec": 3.0}): "field 'prec' must be an integer or a decimal "
+                                           "string, not 3.0",
+        json.dumps({**elem, "f": True}): "field 'f' must be an integer or a decimal "
+                                         "string, not true",
+        json.dumps({**elem, "coeffs": "7"}): 'coefficients must be a JSON array, not "7"',
+        json.dumps({**elem, "poly": [0, 1.0]}): "a coefficient must be an integer or a "
+                                                "decimal string, not 1.0",
+        json.dumps({k: v for k, v in elem.items() if k != "coeffs"}): "missing field 'coeffs'",
+    }
+    for arg, message in refused.items():
+        code, out, err = invoke(ring + ["delta", arg])
+        assert (code, out, err) == (2, "", f"error: {message}\n"), arg
+    for beta in ('{"entries": [[[1.5]]]}', '{"prec": true, "entries": [[["1"]]]}', '{"n": 1}'):
+        code, out, _ = invoke(ring + ["solve-matrix", "--beta", beta])
+        assert (code, out) == (2, ""), beta
+    # JSON integers and signed decimal strings are read as before
+    outs = {invoke(ring + ["delta", arg])[1] for arg in ('[7]', '["7"]', '["+7"]', '["-15618"]')}
+    assert len(outs) == 1 and json.loads(outs.pop())["prec"] == 5
+
+
 def test_jet_and_digits_round_trip():
     _, out = invoke_twice(FIXTURES["jet"])
     doc = json.loads(out)
@@ -246,18 +288,19 @@ def test_exit_code_budget_exceeded_in_conway_search(monkeypatch):
 
 def test_exit_code_budget_exceeded_in_constants(monkeypatch):
     # q - 1 = 3.7e19 constants are refused before any q-sized work starts:
-    # neither the generator search nor the lift runs.
+    # neither the table, nor its generator search, nor its lift runs.
     calls = []
-    for name in ("teichmuller", "prime_factors"):
-        fn = getattr(solvers, name)
-        monkeypatch.setattr(solvers, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    for module, name in ((solvers, "teichmuller_table"), (zq, "prime_factors"),
+                         (zq, "_frobenius_lift")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
     ring = ["--p", "36893488147419104219", "--f", "1", "--prec", "4"]
     for cmd in (["constants"], ["solve-mult", "--beta", '["1"]']):
         code, out, err = invoke(ring + cmd)
         assert code == 5 and out == "" and "budget" in err
     assert calls == []
     code, out, _ = invoke(["--p", "7", "--f", "1", "--prec", "4", "constants"])
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 3
 
 
 def test_large_p_field():
@@ -279,11 +322,17 @@ def test_stdin_input():
 
 
 def test_cross_process_byte_determinism():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import wittcalc
+
+    # the children import the package this process tested, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(wittcalc.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "wittcalc.cli"] + FIXTURES["solve-mult"]
-    runs = [subprocess.run(argv, capture_output=True) for _ in range(2)]
+    runs = [subprocess.run(argv, capture_output=True, env=env) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     # and the in-process runner agrees byte-for-byte with the subprocess

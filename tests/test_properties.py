@@ -20,6 +20,7 @@ import pytest
 
 from wittcalc import (
     DomainError,
+    ExponentialProblem,
     RelationCertificate,
     RestrictedSeries,
     SingularSeed,
@@ -36,11 +37,13 @@ from wittcalc import (
     psi,
     random_element,
     solve_difference,
+    solve_exponential,
     solve_matrix_linear,
     teichmuller,
     verify_matrix_linear,
 )
 from wittcalc import delta
+from wittcalc.zq import teichmuller_table
 from wittcalc import polyarith as pa
 from wittcalc import serialize as ser
 from wittcalc.conway import is_irreducible_mod_p
@@ -216,6 +219,52 @@ def test_matrix_taylor_block_lift_matches_digitwise_oracle(ring, n, data):
     old = digitwise_solve_matrix_linear(beta, seed)
     assert [[e.coeffs for e in row] for row in u.entries] == \
         [[e.coeffs for e in row] for row in old.entries]
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.integers(1, 3), st.data())
+def test_monomial_matrices_act_on_matrix_solutions(ring, n, data):
+    # for D a diagonal of nonzero residues and P a permutation, u -> u omega(D) P
+    # maps solutions of delta(u) = beta u^(p) to solutions: each entry of
+    # u omega(D) P is one product u_ik omega(d_k), whose p-th power is
+    # u_ik^p phi(omega(d_k)); so the lift of the seed s D P is that of s
+    # times omega(D) P
+    P = get_params(*ring)
+    beta = ZqMatrix(tuple(tuple(_element(data, P) for _ in range(n)) for _ in range(n)))
+    seed = tuple(tuple(_residue(data, P) for _ in range(n)) for _ in range(n))
+    diag = [data.draw(st.tuples(*[st.integers(0, P.p - 1)] * P.f).filter(any))
+            for _ in range(n)]
+    perm = data.draw(st.permutations(range(n)))  # P[k][perm[k]] = 1
+    try:
+        u = solve_matrix_linear(beta, seed)
+    except SingularSeed:
+        hypothesis.assume(False)
+    table = teichmuller_table(P)
+    monomial = ZqMatrix(tuple(
+        tuple(P.from_coeffs(table[diag[k]]) if perm[k] == j else P.zero() for j in range(n))
+        for k in range(n)))
+    src = {j: k for k, j in enumerate(perm)}
+    moved = tuple(tuple(row[src[j]] * P.fq(diag[src[j]]) for j in range(n)) for row in seed)
+    v = solve_matrix_linear(beta, moved)
+    assert [[e.coeffs for e in row] for row in v.entries] == \
+        [[e.coeffs for e in row] for row in (u @ monomial).entries]
+
+
+@SETTINGS
+@hypothesis.given(ODD_RINGS.filter(lambda ring: ring[2] >= 3), st.data())
+def test_matrix_solutions_at_n1_are_exponential_family_members(ring, data):
+    # at n = 1, delta(u) = alpha u^p is the delta form of psi(u) = beta with
+    # eps = 1 + p alpha: the lift of each seed is the family member zeta*base
+    # with that residue (beta = log(eps)/p loses a digit, and the solver
+    # needs two)
+    P = get_params(*ring)
+    alpha = _element(data, P)
+    s = P.fq(data.draw(st.tuples(*[st.integers(0, P.p - 1)] * P.f).filter(any)))
+    u = solve_matrix_linear(ZqMatrix(((alpha,),)), ((s,),)).entries[0][0]
+    family = solve_exponential(ExponentialProblem.from_alpha(alpha).beta)
+    member = next(m for m in family.members() if m.residue() == s)
+    assert u.prec == P.N and member.prec >= P.N - 1
+    assert u == member
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Ring layer: parameters, arithmetic, Frobenius, Teichmuller lifts, digits."""
 
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from wittcalc import (
     frobenius,
     frobenius_inv,
     new_params,
+    enumerate_constants,
     random_element,
     solve_matrix_linear,
     teichmuller,
@@ -454,9 +456,42 @@ def test_teichmuller_matches_iterated_oracle():
             assert len(P._teich) == p ** f
 
 
+def test_teichmuller_tables_and_constants_are_pinned():
+    # one digest over the full tables, asked for in residue order, and the
+    # constants of fresh rings, on the rings above: it reads the same as
+    # with one lift per orbit for every table and sorted powers for the
+    # constants
+    h = hashlib.sha256()
+    for p, f, N, poly in [(2, 1, 7, None), (2, 3, 6, None), (2, 4, 9, None),
+                          (3, 1, 9, None), (3, 2, 6, (1, 0, 1)), (3, 6, 12, None),
+                          (5, 2, 7, None), (7, 3, 5, None), (11, 1, 4, None)]:
+        P = new_params(p, f, N, poly)
+        table = [teichmuller(P.fq(c)).coeffs for c in itertools.product(range(p), repeat=f)]
+        consts = [z.coeffs for z in enumerate_constants(new_params(p, f, N, poly))]
+        h.update(repr((p, f, N, poly, table, consts)).encode())
+    assert h.hexdigest() == "f4e23603e75e94a15d7da1236506061ba7cf11e5921b5c1b14181bfb068df69c"
+
+
+def test_cold_teichmuller_call_fills_by_the_crossover_rule():
+    # a cold call fills the whole table when q - 1 <= 4 N^2 and the orbit of
+    # its residue otherwise; both ways give the same table
+    for (p, f), (below, above) in {(2, 6): (4, 3), (3, 4): (5, 4), (5, 2): (3, 2),
+                                   (37, 1): (3, 2)}.items():
+        assert p ** f - 1 <= 4 * below ** 2 and p ** f - 1 > 4 * above ** 2
+        P = new_params(p, f, below)
+        teichmuller(P.fq((1,) * f))
+        assert len(P._teich) == p ** f
+        P = new_params(p, f, above)
+        teichmuller(P.fq((1,) * f))
+        assert 1 <= len(P._teich) <= 2 * f
+        orbits = {c: teichmuller(P.fq(c)).coeffs for c in itertools.product(range(p), repeat=f)}
+        assert zq.teichmuller_table(new_params(p, f, above)) == orbits
+
+
 def test_frobenius_lift_checks_refuse_a_short_lift(monkeypatch):
-    # a lift one digit short must be caught by the orbit check of the
-    # Teichmuller table and by the matrix solver's full-precision check
+    # a lift one digit short must be caught by the check of the Teichmuller
+    # table, whole or by orbits, and by the matrix solver's full-precision
+    # check; nothing is entered in the table
     lift = zq._frobenius_lift
 
     def short(params, table, u, W):
@@ -465,10 +500,13 @@ def test_frobenius_lift_checks_refuse_a_short_lift(monkeypatch):
 
     monkeypatch.setattr(zq, "_frobenius_lift", short)
     monkeypatch.setattr(solvers, "_frobenius_lift", short)
-    for p, f, N in ((2, 3, 6), (3, 1, 5), (5, 2, 4)):
+    for p, f, N in ((2, 3, 6), (3, 1, 5), (5, 2, 4), (3, 4, 4)):
         P = new_params(p, f, N)
         with pytest.raises(ArithmeticError):
             teichmuller(P.fq((p - 1,) if f == 1 else (0, 1) + (0,) * (f - 2)))
+        assert P._teich == {}
+        with pytest.raises(ArithmeticError):
+            enumerate_constants(P)
         assert P._teich == {}
         beta = ZqMatrix(((P.from_int(p + 1), P.one()), (P.zero(), P.from_int(2))))
         with pytest.raises(ArithmeticError):
@@ -476,28 +514,37 @@ def test_frobenius_lift_checks_refuse_a_short_lift(monkeypatch):
 
 
 def test_teichmuller_table_cost_in_powers(ring_products):
-    # One Frobenius lift per orbit of <phi, -1> on F_q; one per residue took
-    # q.  Exact (vec_mul, vec_apply, vec_mul_cols) counts and vec_pow calls of
-    # the full tables: with the power x^(q^m), m = ceil((N-1)/f), per orbit
-    # they took (10200, 365, 0), (12528, 313, 0) and (1152, 256, 0), and 68,
-    # 87 and 36 vec_pow calls.  Now each orbit pays one a^(p-1) per Taylor
-    # block, the blocks ending at p^2, p^4, ..., p^N, and the check
-    # phi(omega) = omega^p one p-th power mod p^N.
-    runs = {(3, 6, 60): ((544, 8457, 408), 476, (2, 4, 8, 16, 32, 60)),
-            (5, 4, 40): ((1305, 7186, 522), 609, (2, 4, 8, 16, 32, 40)),
-            (2, 8, 30): ((36, 2380, 180), 216, (2, 4, 8, 16, 30))}
-    for (p, f, N), (counts, pows, tops) in runs.items():
+    # Exact (vec_mul, vec_apply, vec_mul_cols) counts and vec_pow moduli.
+    # With the power x^(q^m), m = ceil((N-1)/f), per orbit the full tables
+    # below took (10200, 365, 0), (12528, 313, 0) and (1152, 256, 0), and 68,
+    # 87 and 36 vec_pow calls; with one Taylor-block lift per orbit
+    # (544, 8457, 408), (1305, 7186, 522) and (36, 2380, 180), and 476, 609
+    # and 216 vec_pow calls.  Now, below the crossover, the first cold call
+    # fills the whole table: the generator search's powers mod p, one lift
+    # of omega(gamma), its blocks ending at p^2, p^4, ..., p^N, the check
+    # phi(omega) = omega^p one p-th power mod p^N, and the powers of omega
+    # one vec_apply each.
+    runs = {(3, 6, 60): ((35, 481, 7), 3, (2, 4, 8, 16, 32, 60)),
+            (5, 4, 40): ((132, 389, 7), 12, (2, 4, 8, 16, 32, 40)),
+            (2, 8, 30): ((24, 312, 6), 3, (2, 4, 8, 16, 30))}
+    for (p, f, N), (counts, search, tops) in runs.items():
         P = new_params(p, f, N)
-        got = ring_products(lambda: [teichmuller(P.fq(c))
-                                     for c in itertools.product(range(p), repeat=f)])
+        a = P.fq((1,) * f)
+        assert ring_products(lambda: teichmuller(a)) == counts
+        assert ring_products.calls["vec_pow"] == [p] * search + [p ** k for k in tops + (N,)]
         assert len(P._teich) == p ** f
-        assert got == counts and len(ring_products.calls["vec_pow"]) == pows
-        # a cold call makes one lift and fills at most its orbit, 2f entries
+        full = ring_products(lambda: [teichmuller(P.fq(c))
+                                      for c in itertools.product(range(p), repeat=f)])
+        assert full == (0, 0, 0) and ring_products.calls["vec_pow"] == []
+    # Above it, a cold call makes one lift and fills at most its orbit, 2f
+    # entries, and the Frobenius image and the negation are then hits.
+    runs = {(3, 8, 20): (7, 47, 5), (101, 2, 20): (49, 41, 5), (2, 12, 20): (1, 51, 5)}
+    for (p, f, N), counts in runs.items():
         P = new_params(p, f, N)
         a = P.fq((1,) * f)
         ap = a ** p
-        ring_products(lambda: teichmuller(a))
-        assert ring_products.calls["vec_pow"] == [p ** k for k in tops + (N,)]
+        assert ring_products(lambda: teichmuller(a)) == counts
+        assert ring_products.calls["vec_pow"] == [p ** k for k in (2, 4, 8, 16, 20, 20)]
         assert 1 <= len(P._teich) <= 2 * f
         w = teichmuller(a)
         hits = ring_products(lambda: (teichmuller(ap), teichmuller(-a)))
