@@ -30,14 +30,7 @@ from .errors import (
     PrecisionExhausted,
     WittError,
 )
-from .relations import (
-    DEFAULT_HEIGHT_BUDGET,
-    DEFAULT_MONOMIAL_BUDGET,
-    RelationQuery,
-    find_relation,
-    minimal_polynomial,
-    verify_relation,
-)
+from .relations import RelationQuery, find_relation, minimal_polynomial, verify_relation
 from .solvers import (
     ExponentialProblem,
     Obstruction,
@@ -71,10 +64,6 @@ def build_parser():
                         help="RNG seed; required by randomized subcommands")
     parser.add_argument("--format", choices=("json", "digits"), default="json",
                         help="render result elements canonically or as digits")
-    parser.add_argument("--budget-monomials", type=int, default=DEFAULT_MONOMIAL_BUDGET,
-                        help="cap on the relation-search monomial count")
-    parser.add_argument("--budget-height", type=int, default=DEFAULT_HEIGHT_BUDGET,
-                        help="cap on the relation-search height bound")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -161,7 +150,7 @@ def run(argv, stdout=None, stderr=None):
     except SystemExit as exc:
         return EXIT_DOMAIN if exc.code else EXIT_OK
     try:
-        poly = json.loads(args.poly) if args.poly else None
+        poly = ser.coeffs_from_obj(json.loads(args.poly)) if args.poly else None
         params = PadicParams(args.p, args.f, args.prec, poly)
         doc, code = _dispatch(args, params, stdin)
         _emit(doc, stdout)
@@ -218,13 +207,8 @@ def _dispatch(args, params, stdin):
 
     if cmd == "solve-matrix":
         beta = ser.matrix_from_obj(_load_json_arg(args.beta, stdin), params)
-        seed = None
-        if args.u0 is not None:
-            raw = _load_json_arg(args.u0, stdin)
-            grid = raw["entries"] if isinstance(raw, dict) else raw
-            seed = tuple(
-                tuple(params.fq([e] if isinstance(e, int) else e) for e in row)
-                for row in grid)
+        seed = None if args.u0 is None else ser.residue_matrix_from_obj(
+            _load_json_arg(args.u0, stdin), params)
         u = solve_matrix_linear(beta, seed)
         achieved = verify_matrix_linear(u, beta)
         seed_obj = [[list(e.coeffs) for e in row]
@@ -247,10 +231,6 @@ def _dispatch(args, params, stdin):
     raise DomainError(f"unknown subcommand {cmd!r}")
 
 
-def _query_kwargs(args):
-    return {"monomial_budget": args.budget_monomials, "height_budget": args.budget_height}
-
-
 def _relations(args, params, stdin):
     import random
 
@@ -258,6 +238,9 @@ def _relations(args, params, stdin):
     bounds = {"d": args.deg, "H": args.height,
               "M": args.precision or params.N, "mode": args.mode}
     if args.random_units is not None:
+        if args.values is not None or args.min_poly:
+            raise DomainError("--random-units probes its own units; it takes neither "
+                              "--values nor --min-poly")
         if args.seed is None:
             raise DomainError("randomized subcommands require an explicit --seed")
         if args.random_units < 1:
@@ -269,7 +252,7 @@ def _relations(args, params, stdin):
             u = random_element(params, rng, unit=True)
             cert = find_relation(RelationQuery(
                 values=(u,), deg_bound=args.deg, height_bound=args.height,
-                mode=args.mode, precision=args.precision, **_query_kwargs(args)))
+                mode=args.mode, precision=args.precision))
             trials.append({
                 "value": ser.element_to_obj(u),
                 "certificate": None if cert is None
@@ -280,19 +263,18 @@ def _relations(args, params, stdin):
                 "none_count": none_count}, EXIT_OK
     if args.values is None:
         raise DomainError("relations needs --values or --random-units")
-    values = tuple(
-        _element_from_arg(o, params) for o in _load_json_arg(args.values, stdin))
+    values = tuple(_element_from_arg(o, params)
+                   for o in ser.array(_load_json_arg(args.values, stdin), "--values"))
     bounds["M"] = args.precision or min((v.prec for v in values), default=params.N)
     if args.min_poly:
         if len(values) != 1:
             raise DomainError("--min-poly takes exactly one value")
         cert = minimal_polynomial(values[0], args.deg, args.height,
-                                  mode=args.mode, precision=args.precision,
-                                  **_query_kwargs(args))
+                                  mode=args.mode, precision=args.precision)
     else:
         cert = find_relation(RelationQuery(
             values=values, deg_bound=args.deg, height_bound=args.height,
-            mode=args.mode, precision=args.precision, **_query_kwargs(args)))
+            mode=args.mode, precision=args.precision))
     return {
         "bounds": bounds,
         "certificate": None if cert is None else ser.relation_certificate_to_obj(cert),
@@ -301,7 +283,7 @@ def _relations(args, params, stdin):
 
 def _verify(args, params, stdin):
     raw = _load_json_arg(args.items, stdin)
-    items = ser.field(raw, "items") if isinstance(raw, dict) else raw
+    items = ser.array(ser.field(raw, "items") if isinstance(raw, dict) else raw, "the items")
     results = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
@@ -330,9 +312,11 @@ def _verify(args, params, stdin):
                                 "residual_precision": achieved})
             elif kind == "relation":
                 cert = ser.relation_certificate_from_obj(item["certificate"])
-                values = [_element_from_arg(o, params) for o in item["values"]]
-                k = int(item.get("precision", cert.verified_precision))
-                ok = verify_relation(cert, values, k, args.budget_monomials)
+                values = [_element_from_arg(o, params)
+                          for o in ser.array(item["values"], "field 'values'")]
+                k = ser.read_int(item.get("precision", cert.verified_precision),
+                                 "field 'precision'")
+                ok = verify_relation(cert, values, k)
                 results.append({"index": i, "kind": kind, "ok": ok, "precision": k})
             else:
                 raise DomainError(f"unknown verification kind {kind!r}")

@@ -346,7 +346,9 @@ def eval_delta_function(series, args):
                         raise NonUnit(f"argument {j} must be a unit")
                     x = x.inv()
                 table = tables[idx, e < 0] = {1: x}
-            power = _power(table, abs(e))
+            power = table.get(abs(e))
+            if power is None:
+                power = table[abs(e)] = table[1] ** abs(e)
             term = power if term is None else term * power
         return term
 
@@ -368,22 +370,6 @@ def eval_delta_function(series, args):
             term = monomial(tuple(g * e for e in d))
             acc = acc + ZqElement(params, pa.vec_scale(term.coeffs, c, params.p ** prec), prec)
     return acc.mask(prec)
-
-
-def _power(table, e):
-    """x^e from a table {exponent: x^exponent} that holds x^1.
-
-    A new exponent is the highest cached one below it times the power for
-    the difference, itself cached; so a run of exponents in arithmetic
-    progression costs one product per term.
-    """
-    if e not in table:
-        below = max(d for d in table if d < e)
-        step = table.get(e - below)
-        if step is None:
-            step = table[e - below] = table[1] ** (e - below)
-        table[e] = table[below] * step
-    return table[e]
 
 
 def psi_series_truncation(params, target_prec):

@@ -10,7 +10,7 @@ nothing inside the searched box passed -- it is not a transcendence claim.
 Two modes propose nonzero, sign-normalized integer coefficient vectors:
 
 * exhaustive -- every vector in the box whose first nonzero entry is
-  positive; feasible only at tiny budgets but complete within them;
+  positive; feasible only for tiny boxes but complete within them;
 * lattice   -- the integer parts of the rows of the lattice spanned by
   [identity | monomial values] rows augmented with p^M rows, reduced by the
   integral LLL below with quality parameter 0.99, and the sums and
@@ -19,12 +19,14 @@ Two modes propose nonzero, sign-normalized integer coefficient vectors:
 One filter serves both: a vector is accepted iff it is within the height
 bound and reproduces the congruence.  Ties are broken by (degree of the
 relation, height, lexicographic coefficient order), so output is
-deterministic.
+deterministic.  Building a ``RelationQuery`` checks every cap before any
+monomial is listed: ``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and
+``LATTICE_DIM_CAP`` or ``EXHAUSTIVE_CAP``; past a cap it raises BudgetExceeded.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import comb, log2
 
 from . import polyarith as pa
@@ -32,8 +34,8 @@ from .errors import BudgetExceeded, DomainError, MixedParams
 from .record import frozen_record
 from .zq import agreement_precision
 
-DEFAULT_MONOMIAL_BUDGET = 512
-DEFAULT_HEIGHT_BUDGET = 1 << 20
+MAX_MONOMIALS = 512
+MAX_HEIGHT = 1 << 20
 EXHAUSTIVE_CAP = 2_000_000
 LATTICE_DIM_CAP = 64
 
@@ -50,11 +52,21 @@ LLL_DELTA = _Ratio(99, 100)
 
 
 def monomials(arity, deg_bound):
-    """Exponent vectors of total degree <= deg_bound, in graded lex order."""
+    """Exponent vectors of total degree <= deg_bound, in graded lex order: degree d
+    by stars and bars, e_i the gap before bar i, the bar positions in lex order."""
     out = []
     for d in range(deg_bound + 1):
-        out.extend(e for e in product(range(d + 1), repeat=arity) if sum(e) == d)
+        for bars in combinations(range(d + arity - 1), arity - 1):
+            edges = (-1,) + bars + (d + arity - 1,)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return out
+
+
+def _monomial_count(arity, deg_bound):
+    count = comb(arity + deg_bound, deg_bound)
+    if count > MAX_MONOMIALS:
+        raise BudgetExceeded(f"{count} monomials exceed the budget of {MAX_MONOMIALS}")
+    return count
 
 
 @frozen_record
@@ -66,8 +78,6 @@ class RelationQuery:
     height_bound: int
     mode: str = "lattice"
     precision: int = None
-    monomial_budget: int = DEFAULT_MONOMIAL_BUDGET
-    height_budget: int = DEFAULT_HEIGHT_BUDGET
 
     def __post_init__(self):
         if not self.values:
@@ -86,13 +96,9 @@ class RelationQuery:
             object.__setattr__(self, "precision", M)
         if M < 2 or M > min(v.prec for v in self.values):
             raise DomainError("search precision must be >= 2 and <= the values'")
-        count = comb(len(self.values) + self.deg_bound, self.deg_bound)
-        if count > self.monomial_budget:
-            raise BudgetExceeded(
-                f"{count} monomials exceed the budget of {self.monomial_budget}")
-        if self.height_bound > self.height_budget:
-            raise BudgetExceeded(
-                f"height bound {self.height_bound} exceeds {self.height_budget}")
+        count = _monomial_count(len(self.values), self.deg_bound)
+        if self.height_bound > MAX_HEIGHT:
+            raise BudgetExceeded(f"height bound {self.height_bound} exceeds {MAX_HEIGHT}")
         # Signal floor: p^(M*f) must dwarf the searched box or a "hit" is noise.
         bits_available = M * params.f * log2(params.p)
         bits_needed = 2 * (log2(2 * self.height_bound + 1) + log2(count + 1))
@@ -100,6 +106,13 @@ class RelationQuery:
             raise DomainError(
                 f"precision M={M} too low for H={self.height_bound}, "
                 f"{count} monomials (heuristic floor)")
+        dim, box = count + params.f, (2 * self.height_bound + 1) ** count
+        if self.mode == "lattice" and dim > LATTICE_DIM_CAP:
+            raise BudgetExceeded(f"lattice dimension {dim} exceeds {LATTICE_DIM_CAP}")
+        if self.mode == "exhaustive" and box > EXHAUSTIVE_CAP:
+            # the whole box counts: the sign-normalized half and its negatives
+            raise BudgetExceeded(f"exhaustive enumeration of {box} vectors exceeds "
+                                 f"{EXHAUSTIVE_CAP}")
 
     @property
     def params(self):
@@ -219,17 +232,9 @@ def _certify(query, monos, coeffs):
 
 
 def _exhaustive_vectors(query, w):
-    """Every vector of the box whose first nonzero entry is positive.
-
-    The budget counts the whole box, since that is what the search covers;
-    the other half of it is these vectors negated.
-    """
+    """Every vector of the box whose first nonzero entry is positive."""
     H = query.height_bound
     n = len(w)
-    total = (2 * H + 1) ** n
-    if total > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(
-            f"exhaustive enumeration of {total} vectors exceeds {EXHAUSTIVE_CAP}")
     return ((0,) * i + (lead,) + rest
             for i in range(n) for lead in range(1, H + 1)
             for rest in product(range(-H, H + 1), repeat=n - i - 1))
@@ -239,8 +244,6 @@ def _lattice_vectors(query, w):
     count = len(w)
     f = query.params.f
     dim = count + f
-    if dim > LATTICE_DIM_CAP:
-        raise BudgetExceeded(f"lattice dimension {dim} exceeds {LATTICE_DIM_CAP}")
     mod = query.params.p ** query.precision
     # Any height-H relation vector has norm <= H*sqrt(count); scaling the
     # value columns by kappa pushes every non-relation vector well past the
@@ -262,13 +265,11 @@ def _lattice_vectors(query, w):
     return normalized
 
 
-def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
-                       precision=None, monomial_budget=DEFAULT_MONOMIAL_BUDGET,
-                       height_budget=DEFAULT_HEIGHT_BUDGET):
+def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive", precision=None):
     """Lowest-degree, then lowest-height univariate relation for u, or None.
 
     Runs the search with increasing degree so the first hit is minimal among
-    what the chosen mode can see; every query is held to the budgets.  For a
+    what the chosen mode can see; every query is held to the caps.  For a
     Teichmuller unit the result divides x^(q-1) - 1 over the integers.
     """
     if deg_bound < 1 or height_bound < 1:
@@ -276,23 +277,20 @@ def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
     for d in range(1, deg_bound + 1):
         cert = find_relation(RelationQuery(
             values=(u,), deg_bound=d, height_bound=height_bound,
-            mode=mode, precision=precision, monomial_budget=monomial_budget,
-            height_budget=height_budget))
+            mode=mode, precision=precision))
         if cert is not None:
             return cert
     return None
 
 
-def verify_relation(cert, values, k, monomial_budget=DEFAULT_MONOMIAL_BUDGET):
-    """Re-evaluate the certificate exactly modulo p^k; its box is held to the monomial budget."""
+def verify_relation(cert, values, k):
+    """Re-evaluate the certificate exactly modulo p^k; its box is held to MAX_MONOMIALS."""
     minprec = min(v.prec for v in values)
     if k > minprec or k < 1:
         raise DomainError(f"verification precision {k} outside 1..{minprec}")
     if any(len(e) != len(values) for e in cert.monomials):
         raise DomainError(f"certificate exponents are not all of length {len(values)}")
-    count = comb(len(values) + cert.deg_bound, cert.deg_bound)
-    if count > monomial_budget:
-        raise BudgetExceeded(f"{count} monomials exceed the budget of {monomial_budget}")
+    _monomial_count(len(values), cert.deg_bound)
     result = _evaluate(list(cert.monomials), list(cert.coeffs), list(values), k)
     return result.is_zero()
 

@@ -40,15 +40,24 @@ def field(obj, key):
     return obj[key]
 
 
+def array(obj, what):
+    """obj when it is a JSON array; anything else is refused, naming ``what``."""
+    if not isinstance(obj, list):
+        raise DomainError(f"{what} must be a JSON array, not {json.dumps(obj)}")
+    return obj
+
+
 def _int_field(obj, key):
     return read_int(field(obj, key), f"field {key!r}")
 
 
 def coeffs_from_obj(cs):
     """A list of coefficients, each read by ``read_int``."""
-    if not isinstance(cs, list):
-        raise DomainError(f"coefficients must be a JSON array, not {json.dumps(cs)}")
-    return [read_int(c, "a coefficient") for c in cs]
+    return [read_int(c, "a coefficient") for c in array(cs, "coefficients")]
+
+
+def _exponents(e):
+    return tuple(read_int(x, "an exponent") for x in array(e, "an exponent vector"))
 
 
 def element_to_obj(u):
@@ -89,10 +98,11 @@ def digits_to_obj(d):
 
 def digits_from_obj(obj, params):
     """Rebuild a digit expansion; the object's (p, f) must be the ring's."""
-    p, f = int(obj["p"]), int(obj["f"])
+    p, f = _int_field(obj, "p"), _int_field(obj, "f")
     if (p, f) != (params.p, params.f):
         raise ParamsMismatch(f"digits are over (p={p}, f={f}), not (p={params.p}, f={params.f})")
-    return TeichmullerDigits(params, tuple(params.fq(c) for c in obj["digits"]))
+    return TeichmullerDigits(params, tuple(
+        params.fq(coeffs_from_obj(c)) for c in array(field(obj, "digits"), "field 'digits'")))
 
 
 def series_to_obj(s):
@@ -108,11 +118,12 @@ def series_to_obj(s):
 
 def series_from_obj(obj, params):
     terms = tuple(
-        (tuple(int(x) for x in t["exponents"]), element_from_obj(t["coeff"], params))
-        for t in obj["terms"])
-    return RestrictedSeries(
-        order=int(obj["order"]), arity=int(obj["arity"]), terms=terms,
-        denominator=bool(obj.get("denominator", False)))
+        (_exponents(field(t, "exponents")), element_from_obj(field(t, "coeff"), params))
+        for t in array(field(obj, "terms"), "field 'terms'"))
+    if not isinstance(obj.get("denominator", False), bool):
+        raise DomainError("field 'denominator' must be true or false")
+    return RestrictedSeries(order=_int_field(obj, "order"), arity=_int_field(obj, "arity"),
+                            terms=terms, denominator=obj.get("denominator", False))
 
 
 def matrix_to_obj(m):
@@ -123,13 +134,25 @@ def matrix_to_obj(m):
     }
 
 
-def matrix_from_obj(obj, params, prec=None):
-    entries = field(obj, "entries") if isinstance(obj, dict) else obj
-    if prec is None and isinstance(obj, dict) and "prec" in obj:
-        prec = _int_field(obj, "prec")
+def _rows(obj, what):
+    """The rows of a grid given bare or as the ``entries`` of an object, each an array."""
+    grid = array(field(obj, "entries") if isinstance(obj, dict) else obj, what)
+    return [array(row, f"a row of {what}") for row in grid]
+
+
+def matrix_from_obj(obj, params):
+    prec = _int_field(obj, "prec") if isinstance(obj, dict) and "prec" in obj else None
     return ZqMatrix(tuple(
         tuple(params.from_coeffs(coeffs_from_obj(e), prec) for e in row)
-        for row in entries))
+        for row in _rows(obj, "matrix entries")))
+
+
+def residue_matrix_from_obj(obj, params):
+    """A grid of residues mod p, such as a seed; an entry is an integer or f of them."""
+    return tuple(
+        tuple(params.fq(coeffs_from_obj(e) if isinstance(e, list)
+                        else [read_int(e, "a residue entry")]) for e in row)
+        for row in _rows(obj, "residue entries"))
 
 
 def exponential_certificate_to_obj(cert):
@@ -175,12 +198,13 @@ def relation_certificate_to_obj(cert):
 
 
 def relation_certificate_from_obj(obj):
+    bounds = field(obj, "bounds")
     return RelationCertificate(
-        monomials=tuple(tuple(int(x) for x in e) for e in obj["monomials"]),
-        coeffs=tuple(int(c) for c in obj["coeffs"]),
-        verified_precision=int(obj["verified_precision"]),
-        deg_bound=int(obj["bounds"]["d"]),
-        height_bound=int(obj["bounds"]["H"]),
-        precision_bound=int(obj["bounds"]["M"]),
-        mode=obj["mode"],
+        monomials=tuple(map(_exponents, array(field(obj, "monomials"), "field 'monomials'"))),
+        coeffs=tuple(coeffs_from_obj(field(obj, "coeffs"))),
+        verified_precision=_int_field(obj, "verified_precision"),
+        deg_bound=_int_field(bounds, "d"),
+        height_bound=_int_field(bounds, "H"),
+        precision_bound=_int_field(bounds, "M"),
+        mode=field(obj, "mode"),
         status=obj.get("status", "proven-congruence"))

@@ -496,12 +496,17 @@ def teichmuller(a, prec=None):
 
 
 def _omega(params, key):
-    """omega(residue ``key``) mod p^N; a miss fills the table whole or fills key's orbit."""
+    """omega(residue of ``key``) mod p^N; the table is keyed by residues, so ``key``
+    is reduced on a miss only.  A miss fills the table whole or fills key's orbit."""
     teich = params._teich
+    w = teich.get(key)
+    if w is not None:
+        return w
+    p, mod = params.p, params.p ** params.N
+    c = key = tuple(x % p for x in key)
     if key not in teich:
-        if params.p ** params.f - 1 <= 4 * params.N ** 2:
+        if p ** params.f - 1 <= 4 * params.N ** 2:
             return teichmuller_table(params)[key]
-        p, mod, c = params.p, params.p ** params.N, key
         w = _lift_checked(params, c)
         while c not in teich:
             teich[c] = w

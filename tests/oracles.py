@@ -58,6 +58,9 @@ per use, each raising every value to every exponent by its own power, and
 one candidate filter per search mode, where the library builds one power
 list per variable and runs one filter over the vectors either mode
 proposes.  Its lattice mode reduces by ``fraction_lll_reduce``.
+``filtered_monomials`` lists each degree d by filtering all (d+1)^arity
+tuples by their sum, where the library lists the compositions of d
+directly by stars and bars.
 
 ``trial_division_prime_factors`` factors by trial division, where the
 library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
@@ -593,6 +596,13 @@ def fraction_lll_reduce(basis, delta=Fraction(99, 100)):
             mu, norms = gram_schmidt()
             k = max(k - 1, 1)
     return b
+
+
+def filtered_monomials(arity, deg_bound):
+    out = []
+    for d in range(deg_bound + 1):
+        out.extend(e for e in product(range(d + 1), repeat=arity) if sum(e) == d)
+    return out
 
 
 def _relation_monomial_values(values, monos, M):

@@ -345,8 +345,8 @@ def test_criterion_12_cli_determinism_and_exit_codes():
           "--eps", '["0","1"]'], 3),
         (["--p", "3", "--f", "1", "--prec", "2", "jet", '["2"]',
           "--order", "2"], 4),
-        (["--p", "3", "--f", "1", "--prec", "40", "--budget-monomials", "2",
-          "relations", "--values", '[["7"]]', "--deg", "2", "--height", "1"], 5),
+        (["--p", "3", "--f", "1", "--prec", "40", "relations",
+          "--values", '[["7"]]', "--deg", "2", "--height", "2097152"], 5),
     ]
     for argv, expected in exit_cases:
         total += 1

@@ -3,7 +3,7 @@
 import io
 import json
 
-from wittcalc import conway, solvers, zq
+from wittcalc import conway, relations, solvers, zq
 from wittcalc.cli import run
 from wittcalc.serialize import element_from_obj
 
@@ -137,6 +137,15 @@ def test_relations_random_units_requires_seed():
     assert doc["none_count"] == 3
 
 
+def test_relations_random_units_refuses_values_and_min_poly():
+    base = ["--p", "3", "--f", "1", "--prec", "40", "--seed", "99", "relations",
+            "--deg", "2", "--height", "10", "--random-units", "3"]
+    for extra in (["--values", '[["7"]]'], ["--min-poly"]):
+        code, out, err = invoke(base + extra)
+        assert (code, out) == (2, "") and err.count("\n") == 1, extra
+        assert "--random-units" in err
+
+
 def test_relations_bounds_below_one_exit_2():
     # with and without --min-poly, and K < 1 random units: refused, nothing on stdout
     ring = ["--p", "3", "--f", "1", "--prec", "40", "--seed", "99", "relations"]
@@ -222,6 +231,46 @@ def test_integers_are_read_strictly():
     assert len(outs) == 1 and json.loads(outs.pop())["prec"] == 5
 
 
+def test_remaining_inputs_are_read_strictly():
+    ring = ["--p", "5", "--f", "1", "--prec", "6"]
+    must = "must be an integer or a decimal string, not"
+    item = {"kind": "relation", "values": [["7"]], "precision": 6,
+            "certificate": {"monomials": [[0], [1]], "coeffs": [7, -1],
+                            "verified_precision": 6, "bounds": {"d": 1, "H": 7, "M": 6},
+                            "mode": "exhaustive"}}
+    cert = item["certificate"]
+    refused = [
+        (["verify", json.dumps([{**item, "certificate": {**cert, "coeffs": [1.5, -1]}}])],
+         f"item 0 (relation): a coefficient {must} 1.5"),
+        (["verify", json.dumps([{**item, "precision": 5.9}])],
+         f"item 0 (relation): field 'precision' {must} 5.9"),
+        (["verify", json.dumps([{**item, "certificate": {**cert, "monomials": [[0], [True]]}}])],
+         f"item 0 (relation): an exponent {must} true"),
+        (["verify", json.dumps([{**item, "values": 7}])],
+         "item 0 (relation): field 'values' must be a JSON array, not 7"),
+        (["verify", '{"items": 5}'], "the items must be a JSON array, not 5"),
+        (["--poly", "[2.5, 4, 1]", "constants"], f"a coefficient {must} 2.5"),
+        (["--poly", "[2, 4, true]", "constants"], f"a coefficient {must} true"),
+        (["--poly", "7", "constants"], "coefficients must be a JSON array, not 7"),
+        (["solve-matrix", "--beta", "[[[\"1\"]]]", "--u0", "[[true]]"],
+         f"a residue entry {must} true"),
+        (["solve-matrix", "--beta", "[[[\"1\"]]]", "--u0", "[[2.7]]"],
+         f"a residue entry {must} 2.7"),
+        (["solve-matrix", "--beta", "[[[\"1\"]]]", "--u0", '{"entries": [3]}'],
+         "a row of residue entries must be a JSON array, not 3"),
+        (["solve-matrix", "--beta", '{"entries": 3}'], "matrix entries must be a JSON array, not 3"),
+        (["relations", "--values", '{"v": 1}', "--deg", "1", "--height", "1"],
+         "--values must be a JSON array, not {\"v\": 1}"),
+    ]
+    for argv, message in refused:
+        argv = argv[:2] + ring + argv[2:] if argv[0] == "--poly" else ring + argv
+        assert invoke(argv) == (2, "", f"error: {message}\n"), argv
+    # integers and decimal strings in the seed are read as before
+    outs = {invoke(ring + ["solve-matrix", "--beta", '[[["1"]]]', "--u0", u0])[1]
+            for u0 in ('[[2]]', '[["2"]]', '[[[2]]]', '{"entries": [[["7"]]]}')}
+    assert len(outs) == 1 and json.loads(outs.pop())["certificate"]["seed"] == [[[2]]]
+
+
 def test_jet_and_digits_round_trip():
     _, out = invoke_twice(FIXTURES["jet"])
     doc = json.loads(out)
@@ -268,15 +317,29 @@ def test_exit_code_precision_exhausted():
     assert code == 4
 
 
-def test_exit_code_budget_exceeded():
-    code, _, _ = invoke(["--p", "3", "--f", "1", "--prec", "40",
-                         "--budget-monomials", "2", "relations",
-                         "--values", '[["7"]]', "--deg", "2", "--height", "1"])
+def test_exit_code_budget_exceeded(monkeypatch):
+    code, _, _ = invoke(["--p", "3", "--f", "1", "--prec", "40", "relations",
+                         "--values", '[["7"]]', "--deg", "2", "--height", "2097152"])
     assert code == 5
     # --min-poly searches degree by degree and holds each query to the budget
-    argv = FIXTURES["relations"][:6] + ["--budget-monomials", "2"] + FIXTURES["relations"][6:]
-    code, _, err = invoke(argv)
+    monkeypatch.setattr(relations, "MAX_MONOMIALS", 2)
+    code, _, err = invoke(FIXTURES["relations"])
     assert code == 5 and "budget" in err
+
+
+def test_relation_caps_are_checked_before_any_monomial_is_listed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomials listed for a refused query")
+
+    monkeypatch.setattr(relations, "monomials", refuse)
+    values = json.dumps([[str(k)] for k in range(2, 72)])
+    code, out, err = invoke(["--p", "5", "--f", "1", "--prec", "10", "relations",
+                             "--values", values, "--deg", "1", "--height", "1"])
+    assert (code, out, err) == (5, "", "error: lattice dimension 72 exceeds 64\n")
+    # an old invocation with a budget flag is refused by the parser
+    code, out, _ = invoke(["--p", "5", "--prec", "10", "--budget-monomials", "100000",
+                           "relations", "--values", '[["7"]]', "--deg", "1", "--height", "1"])
+    assert (code, out) == (2, "")
 
 
 def test_exit_code_budget_exceeded_in_conway_search(monkeypatch):

@@ -300,6 +300,16 @@ def test_series_serialization_round_trip():
     assert len(back.terms) == len(F.terms)
     u = P.from_int(7)
     assert eval_delta_function(back, [u]) == eval_delta_function(F, [u])
+    obj = series_to_obj(F)
+    term = obj["terms"][0]
+    for bad, message in ((dict(obj, order=1.0), "field 'order'"),
+                         (dict(obj, arity=True), "field 'arity'"),
+                         (dict(obj, denominator=1), "field 'denominator'"),
+                         (dict(obj, terms={}), "field 'terms'"),
+                         (dict(obj, terms=[dict(term, exponents=[-5, 1.0])]), "an exponent"),
+                         ({k: v for k, v in obj.items() if k != "order"}, "missing field")):
+        with pytest.raises(DomainError, match=message):
+            series_from_obj(bad, P)
 
 
 # ---------------------------------------------------------------------------

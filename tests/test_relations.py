@@ -26,7 +26,7 @@ from wittcalc import relations
 from wittcalc.serialize import relation_certificate_from_obj, relation_certificate_to_obj
 
 from conftest import get_params
-from oracles import candidate_find_relation, fraction_lll_reduce
+from oracles import candidate_find_relation, filtered_monomials, fraction_lll_reduce
 
 
 def test_integer_value_yields_linear_relation():
@@ -205,15 +205,15 @@ def test_base_solution_with_algebraic_rhs_is_recovered():
     assert cert.coeffs == (6, -1)
 
 
-def test_budget_and_floor_enforcement():
+def test_budget_and_floor_enforcement(monkeypatch):
     P = get_params(3, 1, 40)
     u = P.from_int(7)
+    monkeypatch.setattr(relations, "MAX_MONOMIALS", 16)
     with pytest.raises(BudgetExceeded):
-        RelationQuery(values=(u,), deg_bound=30, height_bound=1,
-                      monomial_budget=16)
+        RelationQuery(values=(u,), deg_bound=30, height_bound=1)
+    monkeypatch.setattr(relations, "MAX_HEIGHT", 50)
     with pytest.raises(BudgetExceeded):
-        RelationQuery(values=(u,), deg_bound=2, height_bound=100,
-                      height_budget=50)
+        RelationQuery(values=(u,), deg_bound=2, height_bound=100)
     with pytest.raises(DomainError):
         # M = 2 cannot support H = 10 over p = 3, f = 1
         RelationQuery(values=(u,), deg_bound=2, height_bound=10, precision=2)
@@ -222,6 +222,38 @@ def test_budget_and_floor_enforcement():
         find_relation(RelationQuery(
             values=(u, P.from_int(5)), deg_bound=4, height_bound=10,
             mode="exhaustive"))
+
+
+def test_a_refused_query_lists_and_evaluates_no_monomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused query listed or evaluated monomials")
+
+    monkeypatch.setattr(relations, "monomials", refuse)
+    monkeypatch.setattr(relations, "_monomial_values", refuse)
+    P = get_params(3, 1, 40)
+    us = [P.from_int(k) for k in range(2, 72)]
+    refused = [
+        (us, 1, 1, "lattice", "lattice dimension 72 exceeds 64"),
+        (us[:2], 4, 10, "exhaustive", f"exhaustive enumeration of {21 ** 15} vectors"),
+        (us[:7], 5, 1, "lattice", "792 monomials exceed the budget of 512"),
+        (us[:1], 1, 2 ** 20 + 1, "lattice", "height bound 1048577 exceeds 1048576"),
+    ]
+    for values, d, H, mode, message in refused:
+        with pytest.raises(BudgetExceeded, match=message):
+            find_relation(RelationQuery(values=tuple(values), deg_bound=d, height_bound=H,
+                                        mode=mode))
+    # the signal floor comes first: M = 2 over p = 3 is refused as too low (exit 2)
+    with pytest.raises(DomainError, match="heuristic floor"):
+        RelationQuery(values=tuple(us), deg_bound=1, height_bound=1, precision=2)
+
+
+def test_monomials_match_the_filter_oracle():
+    for arity in range(1, 6):
+        for d in range(7):
+            assert relations.monomials(arity, d) == filtered_monomials(arity, d)
+    # degree 1 in many values no longer walks 2^arity tuples
+    assert relations.monomials(62, 1) == [(0,) * 62] + [
+        tuple(int(i == j) for i in range(62)) for j in reversed(range(62))]
 
 
 def test_mixed_params_rejected():
@@ -245,7 +277,7 @@ def test_verify_relation_negative_case():
     assert verify_relation(bad, [P.from_int(2)], 8)
 
 
-def test_verify_relation_rejects_malformed_certificates():
+def test_verify_relation_rejects_malformed_certificates(monkeypatch):
     P = get_params(5, 1, 8)
     u = P.from_int(3)
 
@@ -266,8 +298,8 @@ def test_verify_relation_rejects_malformed_certificates():
     # a huge exponent is refused at once by the monomial budget
     with pytest.raises(BudgetExceeded):
         verify_relation(cert([[10 ** 9]], [1], 10 ** 9), [u], 1)
-    assert verify_relation(cert([[0], [2]], [1, -1], 600), [P.from_int(-1)], 8,
-                           monomial_budget=601)
+    monkeypatch.setattr(relations, "MAX_MONOMIALS", 601)
+    assert verify_relation(cert([[0], [2]], [1, -1], 600), [P.from_int(-1)], 8)
 
 
 def test_lll_reduces_known_lattice():

@@ -8,6 +8,7 @@ import pytest
 
 from wittcalc import (
     BudgetExceeded,
+    DomainError,
     NonUnit,
     NotPrime,
     ParamsMismatch,
@@ -488,6 +489,17 @@ def test_cold_teichmuller_call_fills_by_the_crossover_rule():
         assert zq.teichmuller_table(new_params(p, f, above)) == orbits
 
 
+def test_teichmuller_reads_the_residue_of_raw_coefficients():
+    # on both sides of the fill rule a coefficient tuple above p is read by
+    # its residue, and the table stays keyed by residues in [0, p)
+    for p, f, N, raw in ((5, 2, 6, (7, 3)), (101, 2, 4, (104, 3))):
+        P = new_params(p, f, N)
+        assert teichmuller(P.from_coeffs(raw)) == teichmuller(P.fq(raw))
+        assert all(0 <= x < p for key in P._teich for x in key)
+    # the orbit-filled ring still reads as full once its table is filled
+    assert len(zq.teichmuller_table(P)) == p ** f
+
+
 def test_frobenius_lift_checks_refuse_a_short_lift(monkeypatch):
     # a lift one digit short must be caught by the check of the Teichmuller
     # table, whole or by orbits, and by the matrix solver's full-precision
@@ -647,3 +659,8 @@ def test_digits_from_obj_refuses_another_residue_field():
         digits_from_obj(dict(obj, p=5, f=2, digits=[[1, 0]] * 4), get_params(5, 1, 4))
     d = digits_from_obj(dict(obj, p=5, digits=[[4], [0], [1], [0]]), get_params(5, 1, 4))
     assert from_digits(d) == get_params(5, 1, 4).from_int(-1 + 25)
+    for bad, message in ((dict(obj, p="7.0"), "field 'p'"),
+                         (dict(obj, digits=[[6.0]]), "a coefficient"),
+                         (dict(obj, digits=6), "field 'digits'")):
+        with pytest.raises(DomainError, match=message):
+            digits_from_obj(bad, get_params(7, 1, 4))
