@@ -289,6 +289,9 @@ def _verify(args, params, stdin):
         if not isinstance(item, dict):
             raise DomainError(f"item {i}: expected a JSON object, not {json.dumps(item)}")
         kind = item.get("kind")
+        if kind not in ("exponential", "difference", "matrix", "relation"):
+            # named by its JSON text, so any kind fits on one line
+            raise DomainError(f"item {i}: unknown verification kind {json.dumps(kind)}")
         try:
             if kind == "exponential":
                 beta = _element_from_arg(item["beta"], params)
@@ -310,7 +313,7 @@ def _verify(args, params, stdin):
                 needed = min(u.prec, beta.prec) - 1
                 results.append({"index": i, "kind": kind, "ok": achieved >= needed,
                                 "residual_precision": achieved})
-            elif kind == "relation":
+            else:
                 cert = ser.relation_certificate_from_obj(item["certificate"])
                 values = [_element_from_arg(o, params)
                           for o in ser.array(item["values"], "field 'values'")]
@@ -318,8 +321,6 @@ def _verify(args, params, stdin):
                                  "field 'precision'")
                 ok = verify_relation(cert, values, k)
                 results.append({"index": i, "kind": kind, "ok": ok, "precision": k})
-            else:
-                raise DomainError(f"unknown verification kind {kind!r}")
         except KeyError as exc:
             raise DomainError(f"item {i} ({kind}): missing field {exc}") from None
         except DomainError as exc:

@@ -145,6 +145,10 @@ class RelationCertificate:
             raise DomainError("certificate needs one coefficient per monomial")
         if any(x < 0 for e in self.monomials for x in e) or self.degree > self.deg_bound:
             raise DomainError("certificate exponents must be >= 0, of degree <= d")
+        if self.mode not in ("exhaustive", "lattice"):
+            raise DomainError(f"certificate mode must be exhaustive or lattice, not {self.mode!r}")
+        if self.status != "proven-congruence":
+            raise DomainError(f"certificate status must be proven-congruence, not {self.status!r}")
 
     @property
     def degree(self):
@@ -285,6 +289,8 @@ def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive", precisio
 
 def verify_relation(cert, values, k):
     """Re-evaluate the certificate exactly modulo p^k; its box is held to MAX_MONOMIALS."""
+    if not values:
+        raise DomainError("a relation certificate is verified at one value or more, not none")
     minprec = min(v.prec for v in values)
     if k > minprec or k < 1:
         raise DomainError(f"verification precision {k} outside 1..{minprec}")

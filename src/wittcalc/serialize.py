@@ -34,7 +34,9 @@ def read_int(value, what):
 
 
 def field(obj, key):
-    """obj[key], naming the field when it is missing."""
+    """obj[key], naming the field when it is missing or obj is no JSON object."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a JSON object with field {key!r}, not {json.dumps(obj)}")
     if key not in obj:
         raise DomainError(f"missing field {key!r}")
     return obj[key]

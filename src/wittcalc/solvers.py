@@ -282,7 +282,7 @@ def solve_difference(eps):
         # N(eps) = 1 + p^k s with s a unit; N(phi(u)/(eps*u)) = N(eps)^-1 makes
         # the trace of the witness -s mod p, which is nonzero
         k = (norm - 1).valuation()
-        c = -(frobenius(u) * (eps * u).inv() - 1).exact_div_p(k).residue()
+        c = (-(frobenius(u) * (eps * u).inv() - 1).exact_div_p(k)).residue()
         return Obstruction(stage=k, kind="trace", witness=c,
                            trace=c.trace(), partial=u)
     if frobenius(u) != eps * u:
@@ -382,7 +382,7 @@ def _mat_mul(a, b, poly, mod):
     return tuple(tuple(pa.vec_dot(row, col, poly, mod) for col in cols) for row in a)
 
 
-def _residue_invertible(params, residues):
+def _residue_invertible(residues):
     """Gaussian elimination over F_q on a residue grid."""
     n = len(residues)
     rows = [list(row) for row in residues]
@@ -401,8 +401,8 @@ def _residue_invertible(params, residues):
 
 
 def _seed_residue(params, e):
-    """A seed entry as a residue of params; an FqElement must come from the same field."""
-    if not isinstance(e, FqElement):
+    """A seed entry as a residue of params; a ring element must share its residue field."""
+    if not isinstance(e, ZqElement):
         return params.fq(e)
     if not _same_residue_field(params, e.params):
         raise ParamsMismatch("seed entry lives in another residue field")
@@ -432,7 +432,7 @@ def solve_matrix_linear(beta, seed=None):
         seed_res = tuple(tuple(_seed_residue(params, e) for e in row) for row in seed)
         if len(seed_res) != n or any(len(row) != n for row in seed_res):
             raise DomainError("seed shape does not match beta")
-    if not _residue_invertible(params, seed_res):
+    if not _residue_invertible(seed_res):
         raise SingularSeed("seed matrix is not invertible over F_q")
     coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
     poly, mod, inv_cols = params.poly, params.p ** W, params._phi_inv_cols

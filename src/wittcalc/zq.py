@@ -20,8 +20,9 @@ Besides the ring structure this module provides:
 * ``digits``/``from_digits`` -- the expansion u = sum_i omega(c_i) p^i with
   residue digits c_i, on which the Frobenius acts digit-wise by c -> c^p.
 
-Values of the residue field F_q are ``FqElement``; they appear as digits and
-as reductions of ring elements.
+A residue of F_q = Z_q/p, such as a digit or the reduction of a ring
+element, is an ``FqElement``: a ring element at precision 1, whose
+arithmetic, comparison, Frobenius and trace are the ring's own.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ class ZqElement:
         return FqElement(self.params, tuple(c % self.params.p for c in self.coeffs))
 
     def is_unit(self):
-        return not self.residue().is_zero()
+        return any(c % self.params.p for c in self.coeffs)
 
     def is_zero(self):
         """Zero at the stated precision (true valuation may just exceed it)."""
@@ -329,6 +330,16 @@ class ZqElement:
     def frobenius_inv(self):
         return frobenius_inv(self)
 
+    def trace(self):
+        """The absolute trace sum_i phi^i(u), which lies in Z_p, as an int in [0, p^prec)."""
+        acc = t = self
+        for _ in range(self.params.f - 1):
+            t = frobenius(t)
+            acc = acc + t
+        if any(acc.coeffs[1:]):
+            raise ArithmeticError("trace left the prime field")
+        return acc.coeffs[0]
+
     def __repr__(self):
         return f"Zq({self._poly_str()} + O({self.params.p}^{self.prec}))"
 
@@ -347,86 +358,25 @@ class ZqElement:
         return " + ".join(parts) if parts else "0"
 
 
-@frozen_record
-class FqElement:
-    """An element of the residue field F_q in the basis 1, g, ..., g^{f-1}."""
+class FqElement(ZqElement):
+    """A residue of F_q = Z_q/p: a ring element known mod p, in the basis 1, g, ..., g^{f-1}.
 
-    params: PadicParams
-    coeffs: tuple
+    Its arithmetic, comparison and Frobenius are the ring's at precision 1,
+    so an operation on residues returns a ``ZqElement`` at precision 1;
+    ``residue()`` makes it an ``FqElement`` again.
+    """
 
-    def _coerce(self, other):
-        if isinstance(other, FqElement):
-            if other.params is not self.params and other.params != self.params:
-                raise ParamsMismatch("operands live in different fields")
-            return other
-        if isinstance(other, int):
-            return self.params.fq_from_int(other)
-        return None
+    __slots__ = ()
 
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FqElement(self.params, pa.vec_add(self.coeffs, v.coeffs, self.params.p))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FqElement(self.params, pa.vec_sub(self.coeffs, v.coeffs, self.params.p))
-
-    def __neg__(self):
-        return FqElement(self.params, pa.vec_neg(self.coeffs, self.params.p))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FqElement(
-            self.params,
-            pa.vec_mul(self.coeffs, v.coeffs, self.params.poly, self.params.p))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        return FqElement(
-            self.params, pa.vec_pow(self.coeffs, e, self.params.poly, self.params.p))
-
-    def inv(self):
-        return FqElement(
-            self.params, pa.vec_inv(self.coeffs, self.params.poly, self.params.p, 1))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def frobenius(self):
-        return self ** self.params.p
-
-    def frobenius_inv(self):
-        return self ** (self.params.p ** (self.params.f - 1))
-
-    def trace(self):
-        """Absolute trace down to F_p, returned as an int in [0, p)."""
-        acc, t = self, self
-        for _ in range(self.params.f - 1):
-            t = t.frobenius()
-            acc = acc + t
-        if any(acc.coeffs[1:]):
-            raise ArithmeticError("trace left the prime field")
-        return acc.coeffs[0]
+    def __init__(self, params, coeffs):
+        ZqElement.__init__(self, params, coeffs, 1)
 
     def lift(self, prec=None):
         """The integer-coefficient lift (digits as given) into Z_q."""
         return self.params.from_coeffs(self.coeffs, prec)
 
     def __repr__(self):
-        return f"Fq({ZqElement(self.params, self.coeffs, 1)._poly_str()})"
+        return f"Fq({self._poly_str()})"
 
 
 @frozen_record
@@ -442,7 +392,8 @@ class TeichmullerDigits:
 
     def frobenius(self):
         """Digit-wise residue Frobenius c -> c^p."""
-        return TeichmullerDigits(self.params, tuple(c.frobenius() for c in self.digits))
+        return TeichmullerDigits(self.params,
+                                 tuple(c.frobenius().residue() for c in self.digits))
 
     def __iter__(self):
         return iter(self.digits)

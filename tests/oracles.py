@@ -62,6 +62,12 @@ proposes.  Its lattice mode reduces by ``fraction_lll_reduce``.
 tuples by their sum, where the library lists the compositions of d
 directly by stars and bars.
 
+``RecordResidue`` is the residue field F_q as a record of its own: +, -,
+x, inverse and powers mod p on coefficient tuples, the Frobenius as x^p, its
+inverse as x^(p^(f-1)) and the trace as the sum of the x^p chain, where the
+library's residue is a ring element at precision 1 whose arithmetic is the
+ring's, its Frobenius the column table of phi taken mod p.
+
 ``trial_division_prime_factors`` factors by trial division, where the
 library splits by Pollard-Brent rho.  ``full_scan_conway_polynomial`` tests
 every one of the p^f words for primitivity by factoring q-1 and for norm
@@ -99,6 +105,74 @@ from wittcalc import (
 from wittcalc import polyarith as pa
 from wittcalc.polyarith import vec_eval_int_poly, vec_one, vec_pow
 from wittcalc.zq import agreement_precision
+from wittcalc.record import frozen_record
+
+
+@frozen_record
+class RecordResidue:
+    """An element of the residue field F_q in the basis 1, g, ..., g^{f-1}."""
+
+    params: object
+    coeffs: tuple
+
+    @classmethod
+    def of(cls, u):
+        """The residue of a ring element u."""
+        return cls(u.params, tuple(c % u.params.p for c in u.coeffs))
+
+    def _coerce(self, other):
+        if isinstance(other, RecordResidue):
+            if other.params is not self.params and other.params != self.params:
+                raise ParamsMismatch("operands live in different fields")
+            return other
+        if isinstance(other, int):
+            return RecordResidue(self.params, pa.vec_from_int(other, self.params.f, self.params.p))
+        raise TypeError(f"no residue from {other!r}")
+
+    def __add__(self, other):
+        v = self._coerce(other)
+        return RecordResidue(self.params, pa.vec_add(self.coeffs, v.coeffs, self.params.p))
+
+    def __sub__(self, other):
+        v = self._coerce(other)
+        return RecordResidue(self.params, pa.vec_sub(self.coeffs, v.coeffs, self.params.p))
+
+    def __neg__(self):
+        return RecordResidue(self.params, pa.vec_neg(self.coeffs, self.params.p))
+
+    def __mul__(self, other):
+        v = self._coerce(other)
+        return RecordResidue(
+            self.params, pa.vec_mul(self.coeffs, v.coeffs, self.params.poly, self.params.p))
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inv() ** (-e)
+        return RecordResidue(
+            self.params, pa.vec_pow(self.coeffs, e, self.params.poly, self.params.p))
+
+    def inv(self):
+        return RecordResidue(
+            self.params, pa.vec_inv(self.coeffs, self.params.poly, self.params.p, 1))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def frobenius(self):
+        return self ** self.params.p
+
+    def frobenius_inv(self):
+        return self ** (self.params.p ** (self.params.f - 1))
+
+    def trace(self):
+        """Absolute trace down to F_p, returned as an int in [0, p)."""
+        acc, t = self, self
+        for _ in range(self.params.f - 1):
+            t = t.frobenius()
+            acc = acc + t
+        if any(acc.coeffs[1:]):
+            raise ArithmeticError("trace left the prime field")
+        return acc.coeffs[0]
 
 
 def trial_division_prime_factors(n):
@@ -330,7 +404,7 @@ def staged_solve_difference(eps):
         step = (p - 1) // d
         modulus = q1 // d
         t = (e // d) * pow(step, -1, modulus) % modulus if modulus > 1 else 0
-        u = (gen ** t).lift(K)
+        u = (gen ** t).residue().lift(K)
     else:
         u = params.one(K)
     for k in range(1, K):

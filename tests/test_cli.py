@@ -202,6 +202,13 @@ def test_verify_refuses_an_item_that_is_not_an_object():
     assert code == 2 and err == "error: item 0 (matrix): missing field 'entries'\n"
 
 
+def test_verify_names_an_unknown_kind_by_its_json_on_one_line():
+    argv = ["--p", "3", "--f", "1", "--prec", "6", "verify"]
+    for kind, text in (("a\nb", '"a\\nb"'), ({"k": 1}, '{"k": 1}'), (None, "null")):
+        code, out, err = invoke(argv + [json.dumps([{"kind": kind}])])
+        assert (code, out, err) == (2, "", f"error: item 0: unknown verification kind {text}\n")
+
+
 def test_integers_are_read_strictly():
     ring = ["--p", "5", "--f", "1", "--prec", "6"]
     elem = {"p": 5, "f": 1, "prec": 3, "coeffs": ["7"]}
@@ -269,6 +276,51 @@ def test_remaining_inputs_are_read_strictly():
     outs = {invoke(ring + ["solve-matrix", "--beta", '[[["1"]]]', "--u0", u0])[1]
             for u0 in ('[[2]]', '[["2"]]', '[[[2]]]', '{"entries": [[["7"]]]}')}
     assert len(outs) == 1 and json.loads(outs.pop())["certificate"]["seed"] == [[[2]]]
+
+
+RELATION_ITEM = {"kind": "relation", "values": [["7"]], "precision": 6,
+                 "certificate": {"monomials": [[0], [1]], "coeffs": [7, -1],
+                                 "verified_precision": 6,
+                                 "bounds": {"d": 1, "H": 7, "M": 6}, "mode": "exhaustive"}}
+
+
+def verify_relation_item(item=None, **certificate):
+    """``verify`` on RELATION_ITEM with the fields of ``item`` and of its certificate replaced."""
+    item = {**RELATION_ITEM, **(item or {})}
+    if certificate:
+        item["certificate"] = {**item["certificate"], **certificate}
+    return invoke(["--p", "5", "--f", "1", "--prec", "6", "verify", json.dumps([item])])
+
+
+def test_verify_refuses_a_certificate_mode_other_than_exhaustive_or_lattice():
+    assert verify_relation_item(mode="lattice")[0] == 0
+    assert verify_relation_item(mode=7, status="proven-equality") == (
+        2, "", "error: item 0 (relation): certificate mode must be exhaustive or lattice, "
+               "not 7\n")
+
+
+def test_verify_refuses_a_certificate_status_other_than_proven_congruence():
+    assert verify_relation_item(status="proven-congruence")[0] == 0
+    assert verify_relation_item(status="proven-equality") == (
+        2, "", "error: item 0 (relation): certificate status must be proven-congruence, "
+               "not 'proven-equality'\n")
+
+
+def test_verify_refuses_a_certificate_that_is_not_an_object():
+    assert verify_relation_item(item={"certificate": 5}) == (
+        2, "", "error: item 0 (relation): expected a JSON object with field 'bounds', "
+               "not 5\n")
+
+
+def test_verify_refuses_certificate_bounds_that_are_not_an_object():
+    assert verify_relation_item(bounds=5) == (
+        2, "", "error: item 0 (relation): expected a JSON object with field 'd', not 5\n")
+
+
+def test_verify_refuses_a_relation_item_without_values():
+    assert verify_relation_item(item={"values": []}) == (
+        2, "", "error: item 0 (relation): a relation certificate is verified at one value "
+               "or more, not none\n")
 
 
 def test_jet_and_digits_round_trip():
@@ -436,7 +488,7 @@ def test_cli_import_leaves_dataclasses_and_fractions_out():
     src = Path(__file__).resolve().parent.parent / "src"
     # asking a record whether it is a dataclass imports nothing either
     code = ("import sys, wittcalc.cli; "
-            "assert not hasattr(wittcalc.FqElement, '__dataclass_fields__'); "
+            "assert not hasattr(wittcalc.Obstruction, '__dataclass_fields__'); "
             "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)

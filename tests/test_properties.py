@@ -1,7 +1,10 @@
 """Property tests over random small rings: the closed-form lifts, the matrix
 lift against the digit-by-digit oracle, full Teichmuller tables filled in
 shuffled order against the one-power oracle and the laws the orbit fill
-relies on, phi as the lift of the p-power map (also for random moduli), the
+relies on, phi as the lift of the p-power map (also for random moduli),
+residue arithmetic at precision 1 against the record oracle (p = 2
+included), the CLI's exit codes and one-line diagnostics on random JSON
+inputs, the
 delta sum and product laws and the multiplicative law of phi(u) = eps*u
 (p = 2 included), the digit expansion and its inverse against the
 element-wise oracles (p = 2 included), the JSON round trips of every wire
@@ -10,6 +13,7 @@ included), the fused Horner series against the schoolbook one and the
 exp/log and psi laws (p odd), and the integral LLL against the Fraction LLL
 oracle on random integer bases."""
 
+import io
 import itertools
 import json
 import random
@@ -21,6 +25,7 @@ import pytest
 from wittcalc import (
     DomainError,
     ExponentialProblem,
+    FqElement,
     RelationCertificate,
     RestrictedSeries,
     SingularSeed,
@@ -43,6 +48,7 @@ from wittcalc import (
     verify_matrix_linear,
 )
 from wittcalc import delta
+from wittcalc.cli import run
 from wittcalc.zq import teichmuller_table
 from wittcalc import polyarith as pa
 from wittcalc import serialize as ser
@@ -50,6 +56,7 @@ from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
 from oracles import (
+    RecordResidue,
     digitwise_solve_matrix_linear,
     fraction_lll_reduce,
     iterated_teichmuller,
@@ -146,6 +153,28 @@ def test_frobenius_lifts_the_p_power_map(ring, data):
         for _ in range(f):
             v = frobenius(v)
         assert v.coeffs == a.coeffs
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_residue_arithmetic_matches_the_record_oracle(ring, data):
+    P = get_params(*ring)
+    a, b, u = _residue(data, P), _residue(data, P), _element(data, P)
+    ra, rb = RecordResidue.of(a), RecordResidue.of(b)
+    res = u.residue()
+    assert type(res) is FqElement and res.prec == 1
+    assert res.coeffs == RecordResidue.of(u).coeffs
+    pairs = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+             (a.frobenius(), ra.frobenius()), (a.frobenius_inv(), ra.frobenius_inv())]
+    if not b.is_zero():
+        e = data.draw(st.integers(-P.p ** P.f, P.p ** P.f))
+        pairs += [(b.inv(), rb.inv()), (b ** e, rb ** e), (a * b ** -1, ra * rb ** -1)]
+    for mine, theirs in pairs:
+        assert (mine.prec, mine.coeffs) == (1, theirs.coeffs)
+        assert mine.residue().coeffs == theirs.coeffs
+    assert a.trace() == ra.trace()
+    assert (a * b).trace() == (ra * rb).trace()
+    assert u.trace() % P.p == RecordResidue.of(u).trace()
 
 
 @SETTINGS
@@ -403,3 +432,81 @@ def test_integral_lll_returns_the_fraction_lll_basis(n, extra, data):
                 lll_reduce(rows, delta)
         else:
             assert lll_reduce(rows, delta) == fraction_lll_reduce(rows, delta)
+
+
+# JSON for the CLI fuzz: well-formed elements, matrices, value lists and
+# certificates in the ring (5, 2, 6), with any of their parts or the whole
+# replaced by a random tree of leaves the readers accept or refuse
+FIELDS = ("p", "f", "prec", "poly", "coeffs", "entries", "n", "items", "kind", "beta",
+          "u", "eps", "values", "precision", "certificate", "monomials",
+          "verified_precision", "bounds", "d", "H", "M", "mode", "status")
+WORDS = ("exhaustive", "lattice", "proven-congruence", "", "0x7", " 1", "+3", "-2")
+LEAVES = (st.none() | st.booleans() | st.integers(-30, 30) | st.integers(-2 ** 70, 2 ** 70)
+          | st.floats() | st.sampled_from(WORDS) | st.text("0123456789-\n\"", max_size=4))
+TREES = st.recursive(LEAVES, lambda ch: st.lists(ch, max_size=3)
+                     | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=2), ch,
+                                       max_size=4), max_leaves=8)
+
+
+def mostly(valid):
+    """``valid``, or one time in five a random tree in its place."""
+    return st.one_of(valid, valid, valid, valid, TREES)
+
+
+SMALL = mostly(st.integers(-1, 7))
+COEFFS = mostly(st.lists(mostly(st.integers(-5 ** 7, 5 ** 7).map(str) | st.integers(-9, 9)),
+                         min_size=2, max_size=2))
+ELEMENT = mostly(COEFFS | st.fixed_dictionaries(
+    {"p": mostly(st.sampled_from((5, "5"))), "f": mostly(st.just(2)), "prec": SMALL,
+     "coeffs": COEFFS}, optional={"poly": st.sampled_from(([2, 4, 1], [2, 0, 1])) | TREES}))
+GRID = mostly(st.integers(1, 2).flatmap(
+    lambda n: st.lists(st.lists(COEFFS, min_size=n, max_size=n), min_size=n, max_size=n)))
+MATRIX = GRID | st.fixed_dictionaries({"entries": GRID}, optional={"prec": SMALL})
+VALUES = mostly(st.lists(ELEMENT, min_size=1, max_size=2))
+EXPONENTS = st.lists(mostly(st.integers(0, 3)), min_size=1, max_size=2)
+CERTIFICATE = mostly(st.fixed_dictionaries(
+    {"monomials": mostly(st.lists(EXPONENTS, min_size=1, max_size=3)),
+     "coeffs": mostly(st.lists(mostly(st.integers(-8, 8)), min_size=1, max_size=3)),
+     "verified_precision": SMALL,
+     "bounds": mostly(st.fixed_dictionaries({"d": SMALL, "H": SMALL, "M": SMALL})),
+     "mode": mostly(st.sampled_from(("exhaustive", "lattice"))) | st.sampled_from(WORDS)},
+    optional={"status": mostly(st.just("proven-congruence"))}))
+ITEM = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("exponential"), "beta": ELEMENT, "u": ELEMENT}),
+    st.fixed_dictionaries({"kind": st.just("difference"), "eps": ELEMENT, "u": ELEMENT}),
+    st.fixed_dictionaries({"kind": st.just("matrix"), "beta": MATRIX, "u": MATRIX}),
+    st.fixed_dictionaries({"kind": st.just("relation"), "values": VALUES,
+                           "certificate": CERTIFICATE}, optional={"precision": SMALL}))
+ITEMS = st.lists(mostly(ITEM), max_size=2)
+INPUTS = {"element": ELEMENT, "matrix": MATRIX, "values": VALUES,
+          "items": ITEMS | st.fixed_dictionaries({"items": ITEMS}) | TREES}
+SLOTS = {
+    "digits": (["digits"], "element"), "delta": (["delta"], "element"),
+    "log": (["log"], "element"), "exp": (["exp"], "element"), "psi": (["psi"], "element"),
+    "jet": (["jet", "--order", "2"], "element"),
+    "solve-mult": (["solve-mult", "--beta"], "element"),
+    "solve-diff": (["solve-diff", "--eps"], "element"),
+    "solve-matrix": (["solve-matrix", "--beta"], "matrix"),
+    "seed": (["solve-matrix", "--beta", '[[["1","2"],["0","3"]],[["4","4"],["2","0"]]]',
+              "--u0"], "matrix"),
+    "relations": (["relations", "--deg", "2", "--height", "2", "--values"], "values"),
+    "verify": (["verify"], "items"),
+}
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(st.data())
+def test_cli_answers_random_json_with_an_exit_code_and_one_line(slot, data):
+    argv, kind = SLOTS[slot]
+    # inline JSON is an array or an object; anything else names a file
+    arg = data.draw(INPUTS[kind].filter(lambda a: isinstance(a, (list, dict))))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["--p", "5", "--f", "2", "--prec", "6"] + argv + [json.dumps(arg)],
+               stdout=out, stderr=err)
+    assert code in (0, 2, 3, 4, 5)
+    if code in (0, 3):
+        assert json.loads(out.getvalue()) and err.getvalue() == ""
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")

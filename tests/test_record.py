@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from wittcalc import DomainError, FqElement, RelationQuery, ValuationAtLeast
+from wittcalc import DomainError, FqElement, Obstruction, RelationQuery, ValuationAtLeast
 from wittcalc.record import frozen_record
 
 from conftest import get_params
@@ -78,8 +78,9 @@ def test_dataclasses_helpers_accept_records():
     with pytest.raises(DomainError):  # replace runs the checks again
         dataclasses.replace(p, x=-1)
     P = get_params(5, 2, 4)
-    c = P.fq((1, 2))
-    assert dataclasses.replace(c, coeffs=(3, 4)) == FqElement(P, (3, 4))
+    o = Obstruction(stage="mod-p", kind="power-residue", witness=P.fq((1, 2)), exponent=6)
+    assert dataclasses.replace(o, witness=P.fq((3, 4))) == Obstruction(
+        "mod-p", "power-residue", FqElement(P, (3, 4)), 6)
 
 
 def test_post_init_may_fill_a_field():

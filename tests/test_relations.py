@@ -277,6 +277,20 @@ def test_verify_relation_negative_case():
     assert verify_relation(bad, [P.from_int(2)], 8)
 
 
+def test_certificate_mode_and_status_are_checked_on_every_construction():
+    import dataclasses
+
+    P = get_params(5, 1, 8)
+    cert = find_relation(RelationQuery(
+        values=(P.from_int(3),), deg_bound=1, height_bound=5, mode="exhaustive"))
+    for change in ({"mode": 7}, {"mode": "search"}, {"status": "proven-equality"}):
+        with pytest.raises(DomainError):
+            dataclasses.replace(cert, **change)
+        with pytest.raises(DomainError):
+            relation_certificate_from_obj({**relation_certificate_to_obj(cert), **change})
+    assert dataclasses.replace(cert, mode="lattice").mode == "lattice"
+
+
 def test_verify_relation_rejects_malformed_certificates(monkeypatch):
     P = get_params(5, 1, 8)
     u = P.from_int(3)
