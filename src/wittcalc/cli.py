@@ -50,8 +50,15 @@ EXIT_PRECISION = 4
 EXIT_BUDGET = 5
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, which ``run`` prints as one line to its stderr."""
+
+    def error(self, message):
+        raise DomainError(message.replace("\n", "\\n"))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wittcalc",
         description="Exact Fermat-quotient calculus on Z_q/p^N with JSON I/O.")
     parser.add_argument("--p", type=int, required=True, help="prime p")
@@ -147,8 +154,11 @@ def run(argv, stdout=None, stderr=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return EXIT_DOMAIN if exc.code else EXIT_OK
+    except DomainError as exc:
+        print(f"error: {exc}", file=stderr)
+        return EXIT_DOMAIN
     try:
         poly = ser.coeffs_from_obj(json.loads(args.poly)) if args.poly else None
         params = PadicParams(args.p, args.f, args.prec, poly)

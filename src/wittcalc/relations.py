@@ -19,7 +19,13 @@ Two modes propose nonzero, sign-normalized integer coefficient vectors:
 One filter serves both: a vector is accepted iff it is within the height
 bound and reproduces the congruence.  Ties are broken by (degree of the
 relation, height, lexicographic coefficient order), so output is
-deterministic.  Building a ``RelationQuery`` checks every cap before any
+deterministic.  Every vector the filter accepts lies in the box, so when the
+box has at most ``EXHAUSTIVE_CAP`` vectors the lattice mode first asks a
+meet-in-the-middle search whether the box holds any hit at all, and answers
+``None`` without LLL when it holds none: within that cap a lattice ``None``
+means that nothing inside the box satisfies the congruence.  Past the cap it
+means only that the reduced rows and their pairwise sums and differences
+held no hit.  Building a ``RelationQuery`` checks every cap before any
 monomial is listed: ``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and
 ``LATTICE_DIM_CAP`` or ``EXHAUSTIVE_CAP``; past a cap it raises BudgetExceeded.
 """
@@ -200,13 +206,20 @@ def find_relation(query):
 
     The mode proposes sign-normalized vectors, each once; a vector is a hit
     when it is within the height bound and reproduces the congruence in
-    every coefficient column.
+    every coefficient column.  In lattice mode a box of at most
+    ``EXHAUSTIVE_CAP`` vectors that ``_box_hits`` finds empty answers None
+    at once: no lattice row could have passed the filter.
     """
     monos = monomials(len(query.values), query.deg_bound)
     w = _monomial_values(query.values, monos, query.precision)
-    vectors = (_exhaustive_vectors if query.mode == "exhaustive" else _lattice_vectors)(query, w)
     mod = query.params.p ** query.precision
     H = query.height_bound
+    if query.mode == "exhaustive":
+        vectors = _exhaustive_vectors(query, w)
+    elif (2 * H + 1) ** len(w) <= EXHAUSTIVE_CAP and next(_box_hits(w, H, mod), None) is None:
+        return None
+    else:
+        vectors = _lattice_vectors(query, w)
     columns = list(zip(*w))
     hits = []
     for c in vectors:
@@ -242,6 +255,41 @@ def _exhaustive_vectors(query, w):
     return ((0,) * i + (lead,) + rest
             for i in range(n) for lead in range(1, H + 1)
             for rest in product(range(-H, H + 1), repeat=n - i - 1))
+
+
+def _box_hits(w, H, mod):
+    """Every nonzero c in [-H, H]^n whose first nonzero entry is positive and
+    with sum c_i w_i = 0 mod ``mod`` in every coordinate, yielded lazily.
+
+    Meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974): the half sums
+    of the first n//2 values are tabled under their negations, and each half
+    sum of the other values is looked up there, so about (2H+1)^(n/2) sums
+    are formed, not (2H+1)^n.  The keys are whole residue vectors, so every
+    match is a hit.
+    """
+    k, cs = len(w) // 2, range(-H, H + 1)
+    table = {}
+    # summed over the reversed range, the sum at a's place is -sum a_i w_i
+    for a, key in zip(product(cs, repeat=k), _half_sums(w[:k], cs[::-1], mod, len(w[0]))):
+        table.setdefault(key, []).append(a)
+    for b, s in zip(product(cs, repeat=len(w) - k), _half_sums(w[k:], cs, mod, len(w[0]))):
+        for a in table.get(s, ()):
+            c = a + b
+            if _sign_normalized(c) == c:
+                yield c
+
+
+def _half_sums(ws, cs, mod, f):
+    """sum c_i w_i mod ``mod`` for every c in cs^len(ws), in ``product`` order,
+    each a residue vector of length f; one coordinate at a time, as plain ints."""
+    columns = []
+    for j in range(f):
+        column = [0]
+        for v in ws:
+            multiples = [c * v[j] for c in cs]
+            column = [(x + m) % mod for x in column for m in multiples]
+        columns.append(column)
+    return zip(*columns)
 
 
 def _lattice_vectors(query, w):

@@ -62,6 +62,17 @@ def _exponents(e):
     return tuple(read_int(x, "an exponent") for x in array(e, "an exponent vector"))
 
 
+def _check_ring(obj, params, what):
+    """Refuse an object whose p, f or poly, where it gives them, are not the ring's."""
+    p = _int_field(obj, "p") if "p" in obj else params.p
+    f = _int_field(obj, "f") if "f" in obj else params.f
+    if (p, f) != (params.p, params.f):
+        raise ParamsMismatch(
+            f"{what} is over (p={p}, f={f}), ring is (p={params.p}, f={params.f})")
+    if "poly" in obj and tuple(coeffs_from_obj(obj["poly"])) != params.poly:
+        raise ParamsMismatch(f"{what} was serialized over a different modulus")
+
+
 def element_to_obj(u):
     return {
         "p": u.params.p,
@@ -75,15 +86,11 @@ def element_to_obj(u):
 def element_from_obj(obj, params=None):
     """Rebuild an element; with ``params`` given, the object must match it."""
     p, f, prec = _int_field(obj, "p"), _int_field(obj, "f"), _int_field(obj, "prec")
-    poly = coeffs_from_obj(obj["poly"]) if "poly" in obj else None
     if params is None:
+        poly = coeffs_from_obj(obj["poly"]) if "poly" in obj else None
         params = PadicParams(p, f, max(prec, 2), poly)
     else:
-        if (p, f) != (params.p, params.f):
-            raise ParamsMismatch(
-                f"element is over (p={p}, f={f}), ring is (p={params.p}, f={params.f})")
-        if poly is not None and tuple(poly) != params.poly:
-            raise ParamsMismatch("element was serialized over a different modulus")
+        _check_ring(obj, params, "element")
         if prec > params.N:
             raise DomainError(f"element precision {prec} exceeds the ring's {params.N}")
     return params.from_coeffs(coeffs_from_obj(field(obj, "coeffs")), prec)
@@ -130,6 +137,9 @@ def series_from_obj(obj, params):
 
 def matrix_to_obj(m):
     return {
+        "p": m.params.p,
+        "f": m.params.f,
+        "poly": list(m.params.poly),
         "n": m.n,
         "prec": m.prec,
         "entries": [[[str(c) for c in e.coeffs] for e in row] for row in m.entries],
@@ -143,7 +153,12 @@ def _rows(obj, what):
 
 
 def matrix_from_obj(obj, params):
-    prec = _int_field(obj, "prec") if isinstance(obj, dict) and "prec" in obj else None
+    """Rebuild a matrix from a bare grid or an object; an object's p, f and
+    poly, where given, must be the ring's."""
+    prec = None
+    if isinstance(obj, dict):
+        _check_ring(obj, params, "matrix")
+        prec = _int_field(obj, "prec") if "prec" in obj else None
     return ZqMatrix(tuple(
         tuple(params.from_coeffs(coeffs_from_obj(e), prec) for e in row)
         for row in _rows(obj, "matrix entries")))

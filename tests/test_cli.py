@@ -332,6 +332,56 @@ def test_jet_and_digits_round_trip():
     assert doc["prec"] == 6 and len(doc["digits"]) == 6
 
 
+def test_usage_errors_print_one_line_to_the_given_stderr():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittcalc
+
+    refused = [
+        (["--p", "5", "--prec", "6", "delta"], "the following arguments are required: element"),
+        (["--p", "x", "--prec", "6", "delta", '["2"]'], "argument --p: invalid int value: 'x'"),
+        (["--p", "5", "--prec", "6", "delta", '["2"]', "a\nb"],
+         "unrecognized arguments: a\\nb"),
+        (["--p", "5", "--prec", "6", "relations", "--deg", "1"],
+         "the following arguments are required: --height"),
+    ]
+    for argv, message in refused:
+        assert invoke(argv) == (2, "", f"error: {message}\n"), argv
+    # a process prints the same one line, not argparse's usage and error
+    env = dict(os.environ, PYTHONPATH=str(Path(wittcalc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wittcalc.cli"] + refused[0][0],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {refused[0][1]}\n")
+
+
+def test_matrix_wire_form_carries_its_ring():
+    code, out = invoke_twice(["--p", "7", "--f", "1", "--prec", "6", "solve-matrix",
+                              "--beta", '[[["2"]]]'])
+    u = json.loads(out)["solution"]
+    assert code == 0 and (u["p"], u["f"], u["poly"]) == (7, 1, [0, 1])
+    item = {"kind": "matrix", "beta": [[["2"]]], "u": u}
+    code, out, _ = invoke(["--p", "7", "--prec", "6", "verify", json.dumps([item])])
+    assert code == 0 and json.loads(out)["results"][0]["ok"] is True
+    # a Z_7 answer is refused by a Z_5 verify, not reported as "ok": false
+    assert invoke(["--p", "5", "--prec", "6", "verify", json.dumps([item])]) == (
+        2, "", "error: matrix is over (p=7, f=1), ring is (p=5, f=1)\n")
+    assert invoke(["--p", "7", "--f", "2", "--prec", "6", "solve-matrix",
+                   "--beta", json.dumps(u)]) == (
+        2, "", "error: matrix is over (p=7, f=1), ring is (p=7, f=2)\n")
+    assert invoke(["--p", "7", "--prec", "6", "--poly", "[2, 1]", "solve-matrix",
+                   "--beta", json.dumps(u)]) == (
+        2, "", "error: matrix was serialized over a different modulus\n")
+    # bare grids and objects without the fields are read as before
+    ring = ["--p", "5", "--prec", "6", "solve-matrix", "--beta"]
+    outs = {invoke(ring + [beta])[1] for beta in (
+        '[[["2"]]]', '{"entries": [[["2"]]]}', '{"n": 1, "prec": 6, "entries": [[["2"]]]}',
+        '{"p": 5, "f": 1, "poly": [0, 1], "entries": [[["2"]]]}')}
+    assert len(outs) == 1 and json.loads(outs.pop())["solution"]["p"] == 5
+
+
 def test_format_digits_rendering():
     code, out = invoke_twice(["--p", "5", "--f", "1", "--prec", "6",
                               "--format", "digits", "exp", '["5"]'])

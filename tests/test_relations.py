@@ -170,7 +170,7 @@ def test_pipeline_matches_per_mode_candidate_oracle():
     # one power list and one candidate filter give the certificates, or the
     # None, of an evaluation loop per use and a filter per mode
     rng = random.Random(10)
-    queries = []
+    queries, empty = [], []
     # low precision keeps the oracle's Fraction LLL of dimension 7 and 8 cheap
     for P, H in ((get_params(5, 1, 10), 2), (get_params(3, 2, 6), 1)):
         units = [random_element(P, rng, unit=True) for _ in range(8)]
@@ -185,11 +185,56 @@ def test_pipeline_matches_per_mode_candidate_oracle():
         queries += [((u,), 2, 3) for u in units[2:6]]
         queries += [((units[6], units[7]), 1, 3), ((units[2], units[2] + 1), 1, 3),
                     ((units[3], 2 * units[3] - 1), 1, 3)]
-    assert len(queries) == 40
+        # no relation inside these boxes: lattice mode answers them without LLL
+        empty += [((units[4],), 3, 1), ((units[5],), 2, 2), ((units[6], units[7]), 1, 2)]
+    queries += empty
+    assert len(queries) == 46
     for values, d, H in queries:
         for mode in ("exhaustive", "lattice"):
             query = RelationQuery(values=values, deg_bound=d, height_bound=H, mode=mode)
             assert find_relation(query) == candidate_find_relation(query)
+    assert all(find_relation(RelationQuery(values=values, deg_bound=d, height_bound=H)) is None
+               for values, d, H in empty)
+
+
+def test_box_hits_match_a_brute_force_filter():
+    # the meet-in-the-middle search against a filter of the whole box, at small
+    # p^M so that boxes hold hits; p = 2 and f up to 3, n up to 7, H up to 3
+    rng = random.Random(12)
+    checked = 0
+    for f, p, M, n, H in product((1, 2, 3), (2, 3, 5), (1, 2), range(1, 8), (1, 2, 3)):
+        if (2 * H + 1) ** n > 2_401:
+            continue
+        mod = p ** M
+        w = [tuple(rng.randrange(mod) for _ in range(f)) for _ in range(n)]
+        if checked % 3 == 1:  # every first coordinate 0: no key may stop at it
+            w = [(0,) + v[1:] for v in w]
+        if checked % 4 == 2:  # a zero value: every multiple of its unit vector is a hit
+            w[rng.randrange(n)] = (0,) * f
+        want = [c for c in product(range(-H, H + 1), repeat=n)
+                if next(x for x in c + (1,) if x) > 0 and any(c)
+                and all(sum(x * v[j] for x, v in zip(c, w)) % mod == 0 for j in range(f))]
+        got = list(relations._box_hits(w, H, mod))
+        assert len(got) == len(set(got)) and sorted(got) == want, (f, p, M, n, H, w)
+        checked += 1
+    assert checked == 270
+
+
+def test_lattice_mode_reduces_no_lattice_when_the_box_holds_no_hit(monkeypatch):
+    calls = []
+    real = relations.lll_reduce
+    monkeypatch.setattr(relations, "lll_reduce",
+                        lambda rows, delta: calls.append(len(rows)) or real(rows, delta))
+    P = get_params(13, 1, 20)
+    rng = random.Random(13)
+    for _ in range(10):
+        u = random_element(P, rng, unit=True)
+        assert find_relation(RelationQuery(values=(u,), deg_bound=3, height_bound=1)) is None
+    assert calls == []
+    u = random_element(P, rng, unit=True)
+    cert = find_relation(RelationQuery(values=(u, u * u), deg_bound=2, height_bound=1))
+    assert cert.monomials == ((0, 1), (2, 0)) and cert.coeffs == (1, -1)
+    assert calls == [7]
 
 
 def test_base_solution_with_algebraic_rhs_is_recovered():
@@ -335,8 +380,10 @@ def test_lll_reduces_known_lattice():
 
 
 def test_lll_matches_fraction_oracle_on_probe_lattices(monkeypatch):
-    # every lattice the probe reduces in a seeded sweep over p, f and N, at
-    # dimensions 3 to 8: the integral LLL returns the oracle's basis exactly
+    # every lattice the probe's lattice code builds in a seeded sweep over p,
+    # f and N, at dimensions 3 to 8: the integral LLL returns the oracle's
+    # basis exactly.  The lattices are built directly, since find_relation
+    # answers a box with no hit without reducing any.
     lattices = []
     real = relations.lll_reduce
     monkeypatch.setattr(relations, "lll_reduce",
@@ -351,7 +398,9 @@ def test_lll_matches_fraction_oracle_on_probe_lattices(monkeypatch):
         values = tuple(teichmuller(random_element(P, rng, unit=True).residue())
                        if rng.random() < 0.5 else random_element(P, rng, unit=True)
                        for _ in range(m))
-        find_relation(RelationQuery(values=values, deg_bound=d, height_bound=1))
+        query = RelationQuery(values=values, deg_bound=d, height_bound=1)
+        w = relations._monomial_values(values, relations.monomials(m, d), query.precision)
+        relations._lattice_vectors(query, w)
     assert len(lattices) == 12
     assert {len(rows) for rows in lattices} == {3, 4, 5, 6, 7, 8}
     for rows in lattices:
