@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stdout
 
 from . import serialize as ser
 from .delta import delta_jet, fermat_quotient, padic_exp, padic_log, psi
@@ -153,7 +154,8 @@ def run(argv, stdout=None, stderr=None):
     stdin = sys.stdin
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(stdout):  # argparse prints --help to sys.stdout
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # --help
         return EXIT_DOMAIN if exc.code else EXIT_OK
     except DomainError as exc:
@@ -333,8 +335,8 @@ def _verify(args, params, stdin):
                 results.append({"index": i, "kind": kind, "ok": ok, "precision": k})
         except KeyError as exc:
             raise DomainError(f"item {i} ({kind}): missing field {exc}") from None
-        except DomainError as exc:
-            raise DomainError(f"item {i} ({kind}): {exc}") from None
+        except WittError as exc:  # same class, so the same exit code
+            raise type(exc)(f"item {i} ({kind}): {exc}") from None
     return {"results": results}, EXIT_OK
 
 

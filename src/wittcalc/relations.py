@@ -7,23 +7,25 @@ whose status is always "proven-congruence": finite precision can certify the
 congruence, never exact vanishing, and a ``None`` result means only that
 nothing inside the searched box passed -- it is not a transcendence claim.
 
-Two modes propose nonzero, sign-normalized integer coefficient vectors:
+Two modes find nonzero, sign-normalized integer coefficient vectors:
 
 * exhaustive -- every vector in the box whose first nonzero entry is
-  positive; feasible only for tiny boxes but complete within them;
+  positive and that reproduces the congruence, found by meeting in the
+  middle: about 2 (2H+1)^(n/2) half sums for a box of (2H+1)^n vectors;
 * lattice   -- the integer parts of the rows of the lattice spanned by
   [identity | monomial values] rows augmented with p^M rows, reduced by the
   integral LLL below with quality parameter 0.99, and the sums and
-  differences of pairs of those rows, each kept once.
+  differences of pairs of those rows, each kept once, of which a filter
+  keeps those within the height bound that reproduce the congruence.
 
-One filter serves both: a vector is accepted iff it is within the height
-bound and reproduces the congruence.  Ties are broken by (degree of the
-relation, height, lexicographic coefficient order), so output is
-deterministic.  Every vector the filter accepts lies in the box, so when the
-box has at most ``EXHAUSTIVE_CAP`` vectors the lattice mode first asks a
-meet-in-the-middle search whether the box holds any hit at all, and answers
-``None`` without LLL when it holds none: within that cap a lattice ``None``
-means that nothing inside the box satisfies the congruence.  Past the cap it
+Ties are broken by (degree of the relation, height, lexicographic
+coefficient order), so output is deterministic, and the least hit is kept
+as a running minimum.  Exhaustive mode is complete within its box: a
+``None`` means that nothing inside the box satisfies the congruence.  Every
+vector the lattice filter accepts lies in the box, so when the box has at
+most ``EXHAUSTIVE_CAP`` vectors the lattice mode first runs the same search
+and answers ``None`` without LLL when it finds no hit; within that cap a
+lattice ``None`` means the same as an exhaustive one.  Past the cap it
 means only that the reduced rows and their pairwise sums and differences
 held no hit.  Building a ``RelationQuery`` checks every cap before any
 monomial is listed: ``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and
@@ -32,7 +34,7 @@ monomial is listed: ``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb, log2
 
 from . import polyarith as pa
@@ -162,27 +164,27 @@ class RelationCertificate:
 
 
 def _monomial_values(values, monos, k):
-    """The monomials at the values mod p^k, from one power list per variable."""
+    """The monomials at the values mod p^k, from one power list per variable;
+    a monomial's first factor is its power itself, not a product by one."""
     params = values[0].params
     mod = params.p ** k
-    pows = [pa.vec_powers(v.mask(k).coeffs, max(e[j] for e in monos), params.poly, mod)
+    # vec_powers masks to p^k, and k never exceeds a value's precision
+    pows = [pa.vec_powers(v.coeffs, max(e[j] for e in monos), params.poly, mod)
             for j, v in enumerate(values)]
     out = []
     for e in monos:
-        w = pa.vec_one(params.f)
-        for row, kk in zip(pows, e):
-            if kk:
-                w = pa.vec_mul(w, row[kk], params.poly, mod)
+        factors = [row[kk] for row, kk in zip(pows, e) if kk] or [pows[0][0]]
+        w = factors[0]
+        for x in factors[1:]:
+            w = pa.vec_mul(w, x, params.poly, mod)
         out.append(w)
     return out
 
 
-def _evaluate(monos, coeffs, values, k):
-    """sum c*w over the monomial values w, mod p^k."""
-    params = values[0].params
+def _evaluate(coeffs, ws, params, k):
+    """sum c*w over the monomial values ws, mod p^k."""
     mod = params.p ** k
     cs = [pa.vec_from_int(c, params.f, mod) for c in coeffs]
-    ws = _monomial_values(values, monos, k)
     return params.from_coeffs(pa.vec_dot(cs, ws, params.poly, mod), k)
 
 
@@ -195,45 +197,40 @@ def _sign_normalized(c):
     return None
 
 
-def _candidate_key(monos, c):
-    deg = max((sum(e) for e, x in zip(monos, c) if x), default=0)
-    height = max(abs(x) for x in c)
-    return (deg, height, c)
-
-
 def find_relation(query):
     """Search the query box; return the best certificate found, or None.
 
-    The mode proposes sign-normalized vectors, each once; a vector is a hit
-    when it is within the height bound and reproduces the congruence in
-    every coefficient column.  In lattice mode a box of at most
-    ``EXHAUSTIVE_CAP`` vectors that ``_box_hits`` finds empty answers None
-    at once: no lattice row could have passed the filter.
+    A hit is a sign-normalized vector within the height bound that
+    reproduces the congruence in every coefficient column.  Exhaustive mode
+    takes the hits of ``_box_hits``; lattice mode filters its rows, after a
+    box of at most ``EXHAUSTIVE_CAP`` vectors that ``_box_hits`` finds empty
+    has answered None at once: no lattice row could have passed the filter.
     """
     monos = monomials(len(query.values), query.deg_bound)
     w = _monomial_values(query.values, monos, query.precision)
     mod = query.params.p ** query.precision
     H = query.height_bound
     if query.mode == "exhaustive":
-        vectors = _exhaustive_vectors(query, w)
+        hits = _box_hits(w, H, mod)
     elif (2 * H + 1) ** len(w) <= EXHAUSTIVE_CAP and next(_box_hits(w, H, mod), None) is None:
         return None
     else:
-        vectors = _lattice_vectors(query, w)
-    columns = list(zip(*w))
-    hits = []
-    for c in vectors:
-        if max(map(abs, c)) <= H and all(
-                sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns):
-            hits.append(c)
-    if not hits:
-        return None
-    return _certify(query, monos, min(hits, key=lambda c: _candidate_key(monos, c)))
+        columns = list(zip(*w))
+        hits = (c for c in _lattice_vectors(query, w) if max(map(abs, c)) <= H and all(
+            sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns))
+    # least by (degree, height, lex order)
+    degs = [sum(e) for e in monos]
+    best = min(hits, key=lambda c: (max(compress(degs, c)), max(map(abs, c)), c), default=None)
+    return None if best is None else _certify(query, monos, w, best)
 
 
-def _certify(query, monos, coeffs):
+def _certify(query, monos, w, coeffs):
+    """Re-verify the hit at the values' own precision; w, the monomial values at
+    the search precision, serves when that is the same."""
     minprec = min(v.prec for v in query.values)
-    result = _evaluate(monos, coeffs, query.values, minprec)
+    if minprec > query.precision:
+        w = _monomial_values(query.values, monos, minprec)
+    result = _evaluate(coeffs, w, query.params, minprec)
     achieved = agreement_precision(result, query.params.zero(minprec))
     if achieved < query.precision:
         raise ArithmeticError("candidate relation failed re-verification")
@@ -248,15 +245,6 @@ def _certify(query, monos, coeffs):
         mode=query.mode)
 
 
-def _exhaustive_vectors(query, w):
-    """Every vector of the box whose first nonzero entry is positive."""
-    H = query.height_bound
-    n = len(w)
-    return ((0,) * i + (lead,) + rest
-            for i in range(n) for lead in range(1, H + 1)
-            for rest in product(range(-H, H + 1), repeat=n - i - 1))
-
-
 def _box_hits(w, H, mod):
     """Every nonzero c in [-H, H]^n whose first nonzero entry is positive and
     with sum c_i w_i = 0 mod ``mod`` in every coordinate, yielded lazily.
@@ -267,16 +255,19 @@ def _box_hits(w, H, mod):
     are formed, not (2H+1)^n.  The keys are whole residue vectors, so every
     match is a hit.
     """
-    k, cs = len(w) // 2, range(-H, H + 1)
+    k, cs, f = len(w) // 2, range(-H, H + 1), len(w[0])
+    left, right, zero = (0,) * k, (0,) * (len(w) - k), (0,) * f
     table = {}
-    # summed over the reversed range, the sum at a's place is -sum a_i w_i
-    for a, key in zip(product(cs, repeat=k), _half_sums(w[:k], cs[::-1], mod, len(w[0]))):
-        table.setdefault(key, []).append(a)
-    for b, s in zip(product(cs, repeat=len(w) - k), _half_sums(w[k:], cs, mod, len(w[0]))):
+    # summed over the reversed range, the sum at a's place is -sum a_i w_i;
+    # a tuple is above the zero tuple iff its first nonzero entry is positive
+    for a, key in zip(product(cs, repeat=k), _half_sums(w[:k], cs[::-1], mod, f)):
+        if a > left:
+            table.setdefault(key, []).append(a)
+    for b, s in zip(product(cs, repeat=len(w) - k), _half_sums(w[k:], cs, mod, f)):
         for a in table.get(s, ()):
-            c = a + b
-            if _sign_normalized(c) == c:
-                yield c
+            yield a + b
+        if s == zero and b > right:  # a = 0, left out of the table
+            yield left + b
 
 
 def _half_sums(ws, cs, mod, f):
@@ -345,7 +336,8 @@ def verify_relation(cert, values, k):
     if any(len(e) != len(values) for e in cert.monomials):
         raise DomainError(f"certificate exponents are not all of length {len(values)}")
     _monomial_count(len(values), cert.deg_bound)
-    result = _evaluate(list(cert.monomials), list(cert.coeffs), list(values), k)
+    ws = _monomial_values(values, cert.monomials, k)
+    result = _evaluate(cert.coeffs, ws, values[0].params, k)
     return result.is_zero()
 
 

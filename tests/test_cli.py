@@ -367,7 +367,7 @@ def test_matrix_wire_form_carries_its_ring():
     assert code == 0 and json.loads(out)["results"][0]["ok"] is True
     # a Z_7 answer is refused by a Z_5 verify, not reported as "ok": false
     assert invoke(["--p", "5", "--prec", "6", "verify", json.dumps([item])]) == (
-        2, "", "error: matrix is over (p=7, f=1), ring is (p=5, f=1)\n")
+        2, "", "error: item 0 (matrix): matrix is over (p=7, f=1), ring is (p=5, f=1)\n")
     assert invoke(["--p", "7", "--f", "2", "--prec", "6", "solve-matrix",
                    "--beta", json.dumps(u)]) == (
         2, "", "error: matrix is over (p=7, f=1), ring is (p=7, f=2)\n")
@@ -544,3 +544,33 @@ def test_cli_import_leaves_dataclasses_and_fractions_out():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_help_prints_to_the_given_stdout(capsys):
+    for argv, usage, option in ((["--help"], "usage: wittcalc [-h]", "--prec PREC"),
+                                (["relations", "--help"], "usage: wittcalc relations [-h]",
+                                 "--min-poly")):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "") and out.startswith(usage) and option in out, argv
+    # nothing reached the process's own streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_verify_names_the_item_for_every_error_it_raises():
+    ring = ["--p", "5", "--prec", "6", "verify"]
+    z7 = {"p": 7, "f": 1, "prec": 6, "coeffs": ["1"]}
+    big = {"monomials": [[0]], "coeffs": [1], "verified_precision": 6,
+           "bounds": {"d": 600, "H": 1, "M": 6}, "mode": "lattice"}
+    refused = [
+        # ParamsMismatch (exit 2)
+        ({"kind": "difference", "eps": z7, "u": ["2"]},
+         2, "item 0 (difference): element is over (p=7, f=1), ring is (p=5, f=1)"),
+        # BudgetExceeded keeps its exit code 5
+        ({"kind": "relation", "values": [["2"]], "certificate": big},
+         5, "item 0 (relation): 601 monomials exceed the budget of 512"),
+        # NonUnit (exit 2)
+        ({"kind": "exponential", "beta": ["1"], "u": ["5"]},
+         2, "item 0 (exponential): candidate solutions must be units"),
+    ]
+    for item, code, message in refused:
+        assert invoke(ring + [json.dumps([item])]) == (code, "", f"error: {message}\n"), item

@@ -10,15 +10,16 @@ delta sum and product laws and the multiplicative law of phi(u) = eps*u
 element-wise oracles (p = 2 included), the JSON round trips of every wire
 form, the column-table product against the schoolbook one (reducible moduli
 included), the fused Horner series against the schoolbook one and the
-exp/log and psi laws (p odd), and the integral LLL against the Fraction LLL
-oracle on random integer bases."""
+exp/log and psi laws (p odd), the integral LLL against the Fraction LLL
+oracle on random integer bases, and exhaustive relation search against the
+whole-box oracle (p = 2 included)."""
 
 import io
 import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, log2
 
 import pytest
 
@@ -27,6 +28,7 @@ from wittcalc import (
     ExponentialProblem,
     FqElement,
     RelationCertificate,
+    RelationQuery,
     RestrictedSeries,
     SingularSeed,
     digits,
@@ -34,6 +36,7 @@ from wittcalc import (
     ZqMatrix,
     enumerate_constants,
     fermat_quotient,
+    find_relation,
     frobenius,
     lll_reduce,
     new_params,
@@ -56,6 +59,7 @@ from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
 from oracles import (
+    candidate_find_relation,
     RecordResidue,
     digitwise_solve_matrix_linear,
     fraction_lll_reduce,
@@ -403,6 +407,53 @@ def test_psi_is_a_homomorphism(ring, data):
         lambda c: any(x % P.p for x in c))
     u, v = (P.from_coeffs(data.draw(units)) for _ in range(2))
     assert psi(u * v) == psi(u) + psi(v)
+
+
+# (values, degree bound, height bound) with boxes of at most 3^8 vectors, so
+# the oracle's walk over the whole box stays cheap
+RELATION_BOXES = [(m, d, H) for m in (1, 2, 3) for d in (1, 2, 3) for H in (1, 2, 3)
+                  if (2 * H + 1) ** comb(m + d, d) <= 3 ** 8]
+
+
+def _relation_value(data, P, earlier):
+    # a planted value is a quadratic in an earlier one; the first falls back to a unit
+    kind = data.draw(st.sampled_from(
+        ("unit", "zero", "int", "p-multiple", "teichmuller", "planted")))
+    if kind == "planted" and earlier:
+        u = data.draw(st.sampled_from(earlier))
+        a, b, c = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        return a * u * u + b * u + c
+    if kind == "zero":
+        return P.zero()
+    if kind == "int":
+        return P.from_int(data.draw(st.integers(-3, 3)))
+    if kind == "p-multiple":
+        return P.p * _element(data, P)
+    if kind == "teichmuller":
+        return teichmuller(_residue(data, P))
+    return P.from_coeffs(data.draw(st.tuples(*[st.integers(0, P.p ** P.N - 1)] * P.f).filter(
+        lambda c: any(x % P.p for x in c))))
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3),
+                  st.sampled_from(RELATION_BOXES), st.data())
+def test_exhaustive_relations_match_the_box_oracle(p, f, box, data):
+    # the meet-in-the-middle search against every vector of the box, at the
+    # lowest precisions the signal floor allows, where hits are common
+    m, d, H = box
+    bits_needed = 2 * (log2(2 * H + 1) + log2(comb(m + d, d) + 1))
+    M = 2
+    while M * f * log2(p) < bits_needed:
+        M += 1
+    P = get_params(p, f, M + data.draw(st.integers(0, 2)))
+    values = []
+    for _ in range(m):
+        values.append(_relation_value(data, P, values))
+    precision = data.draw(st.sampled_from((None, M)))
+    query = RelationQuery(values=tuple(values), deg_bound=d, height_bound=H,
+                          mode="exhaustive", precision=precision)
+    assert find_relation(query) == candidate_find_relation(query)
 
 
 def _rank(rows):

@@ -1,6 +1,7 @@
 """Integer relation probe: both search modes, certificates, and the LLL core."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -431,21 +432,6 @@ def test_lll_rounds_ties_to_even_and_keeps_rows_at_lovasz_equality():
         assert lll_reduce(basis, Fraction(3, 4)) == fraction_lll_reduce(basis, Fraction(3, 4))
 
 
-def test_exhaustive_mode_proposes_each_vector_once_up_to_sign():
-    P = get_params(5, 1, 30)
-    u = random_element(P, random.Random(3), unit=True)
-    for values, d, H in (((u,), 2, 3), ((u, u + 1), 1, 2), ((u,), 4, 1)):
-        query = RelationQuery(values=values, deg_bound=d, height_bound=H, mode="exhaustive")
-        n = comb(len(values) + d, d)
-        vectors = relations._exhaustive_vectors(query, [None] * n)
-        assert iter(vectors) is vectors  # proposed lazily, nothing kept
-        vectors = list(vectors)
-        assert len(vectors) == ((2 * H + 1) ** n - 1) // 2
-        assert all(next(x for x in v if x) > 0 for v in vectors)
-        negated = {tuple(-x for x in v) for v in vectors}
-        assert set(vectors) | negated | {(0,) * n} == set(product(range(-H, H + 1), repeat=n))
-
-
 def test_exhaustive_certificates_match_oracle_without_a_seen_set():
     # two units, degree 2: the box the seen set used to fill
     rng = random.Random(4)
@@ -463,3 +449,33 @@ def test_exhaustive_certificates_match_oracle_without_a_seen_set():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_exhaustive_memory_stays_flat_when_most_of_the_box_is_hits():
+    # 0 at degree 10: 177,147 vectors, and every one with c_0 = 0 is a hit;
+    # the least is x itself, and no list of hits is kept on the way
+    P = get_params(13, 1, 20)
+    query = RelationQuery(values=(P.from_int(0),), deg_bound=10, height_bound=1,
+                          mode="exhaustive")
+    tracemalloc.start()
+    cert = find_relation(query)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert cert.monomials == ((1,),) and cert.coeffs == (1,)
+    assert peak < 100_000
+
+
+def test_exhaustive_query_near_the_cap_returns_at_once():
+    # 1,401^2 = 1,962,801 vectors, just under EXHAUSTIVE_CAP: about 2 * 1,401
+    # half sums, where a walk over the box checked about a million vectors
+    P = get_params(13, 1, 20)
+    u = random_element(P, random.Random(14), unit=True)
+    assert 1_401 ** 2 <= relations.EXHAUSTIVE_CAP
+    t0 = time.process_time()
+    cert = find_relation(RelationQuery(values=(P.from_int(5),), deg_bound=1,
+                                       height_bound=700, mode="exhaustive"))
+    none = find_relation(RelationQuery(values=(u,), deg_bound=1, height_bound=700,
+                                       mode="exhaustive"))
+    assert time.process_time() - t0 < 1.0
+    assert cert.monomials == ((0,), (1,)) and cert.coeffs == (5, -1)
+    assert none is None
