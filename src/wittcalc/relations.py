@@ -7,7 +7,9 @@ whose status is always "proven-congruence": finite precision can certify the
 congruence, never exact vanishing, and a ``None`` result means only that
 nothing inside the searched box passed -- it is not a transcendence claim.
 
-Two modes find nonzero, sign-normalized integer coefficient vectors:
+The monomials of degree <= k are a prefix of the graded list, and the search
+walks these prefixes for k = 1, ..., d, stopping at the first degree where
+a mode finds nonzero, sign-normalized integer coefficient vectors:
 
 * exhaustive -- every vector in the box whose first nonzero entry is
   positive and that reproduces the congruence, found by meeting in the
@@ -18,16 +20,14 @@ Two modes find nonzero, sign-normalized integer coefficient vectors:
   differences of pairs of those rows, each kept once, of which a filter
   keeps those within the height bound that reproduce the congruence.
 
-Ties are broken by (degree of the relation, height, lexicographic
-coefficient order), so output is deterministic, and the least hit is kept
-as a running minimum.  Exhaustive mode is complete within its box: a
-``None`` means that nothing inside the box satisfies the congruence.  Every
-vector the lattice filter accepts lies in the box, so when the box has at
-most ``EXHAUSTIVE_CAP`` vectors the lattice mode first runs the same search
-and answers ``None`` without LLL when it finds no hit; within that cap a
-lattice ``None`` means the same as an exhaustive one.  Past the cap it
-means only that the reduced rows and their pairwise sums and differences
-held no hit.  Building a ``RelationQuery`` checks every cap before any
+There the least hit by (degree, height, lexicographic coefficient order) is
+returned.  Exhaustive mode is complete: a ``None`` means that nothing in the
+box satisfies the congruence.  Every vector the lattice filter accepts lies
+in the box, so at a degree whose box has at most ``EXHAUSTIVE_CAP`` vectors
+lattice mode first runs the same search and skips the degree without LLL
+when it finds no hit: a lattice ``None`` speaks for the box of every degree
+within that cap, and past it only for the rows it reduced.  Building a
+``RelationQuery`` checks every cap for the whole degree-d query before any
 monomial is listed: ``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and
 ``LATTICE_DIM_CAP`` or ``EXHAUSTIVE_CAP``; past a cap it raises BudgetExceeded.
 """
@@ -107,10 +107,10 @@ class RelationQuery:
         count = _monomial_count(len(self.values), self.deg_bound)
         if self.height_bound > MAX_HEIGHT:
             raise BudgetExceeded(f"height bound {self.height_bound} exceeds {MAX_HEIGHT}")
-        # Signal floor: p^(M*f) must dwarf the searched box or a "hit" is noise.
+        # Signal floor: p^(M*f) must dwarf the box and p^M exceed H, or a "hit" is noise.
         bits_available = M * params.f * log2(params.p)
         bits_needed = 2 * (log2(2 * self.height_bound + 1) + log2(count + 1))
-        if bits_available < bits_needed:
+        if bits_available < bits_needed or params.p ** M <= self.height_bound:
             raise DomainError(
                 f"precision M={M} too low for H={self.height_bound}, "
                 f"{count} monomials (heuristic floor)")
@@ -198,35 +198,42 @@ def _sign_normalized(c):
 
 
 def find_relation(query):
-    """Search the query box; return the best certificate found, or None.
+    """Search the query box degree by degree; return the certificate of the least
+    hit of the first degree that has one, or None.  A hit is a sign-normalized
+    vector within the height bound that reproduces the congruence mod p^M."""
+    found = _graded_search(query)
+    return None if found is None else _certify(query, query.deg_bound, *found[1:])
 
-    A hit is a sign-normalized vector within the height bound that
-    reproduces the congruence in every coefficient column.  Exhaustive mode
-    takes the hits of ``_box_hits``; lattice mode filters its rows, after a
-    box of at most ``EXHAUSTIVE_CAP`` vectors that ``_box_hits`` finds empty
-    has answered None at once: no lattice row could have passed the filter.
-    """
-    monos = monomials(len(query.values), query.deg_bound)
+
+def _graded_search(query):
+    """(k, monos, w, c): the first degree k with a hit, the monomials of degree <= d,
+    their values w mod p^M and the least hit c at k, padded with zeros; or None.
+    Lattice mode skips a degree whose box ``_box_hits`` finds empty: no row could pass."""
+    m, H = len(query.values), query.height_bound
+    monos = monomials(m, query.deg_bound)
     w = _monomial_values(query.values, monos, query.precision)
     mod = query.params.p ** query.precision
-    H = query.height_bound
-    if query.mode == "exhaustive":
-        hits = _box_hits(w, H, mod)
-    elif (2 * H + 1) ** len(w) <= EXHAUSTIVE_CAP and next(_box_hits(w, H, mod), None) is None:
-        return None
-    else:
-        columns = list(zip(*w))
-        hits = (c for c in _lattice_vectors(query, w) if max(map(abs, c)) <= H and all(
-            sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns))
-    # least by (degree, height, lex order)
     degs = [sum(e) for e in monos]
-    best = min(hits, key=lambda c: (max(compress(degs, c)), max(map(abs, c)), c), default=None)
-    return None if best is None else _certify(query, monos, w, best)
+    for k in range(1, query.deg_bound + 1):
+        wk = w[:comb(m + k, k)]  # the monomials of degree <= k, by graded order
+        if query.mode == "exhaustive":
+            hits = _box_hits(wk, H, mod)
+        elif (2 * H + 1) ** len(wk) <= EXHAUSTIVE_CAP and not any(_box_hits(wk, H, mod)):
+            continue
+        else:
+            columns = list(zip(*wk))
+            hits = (c for c in _lattice_vectors(query, wk) if max(map(abs, c)) <= H and all(
+                sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns))
+        best = min(hits, key=lambda c: (max(compress(degs, c)), max(map(abs, c)), c),
+                   default=None)
+        if best is not None:
+            return k, monos, w, best + (0,) * (len(w) - len(wk))
+    return None
 
 
-def _certify(query, monos, w, coeffs):
-    """Re-verify the hit at the values' own precision; w, the monomial values at
-    the search precision, serves when that is the same."""
+def _certify(query, deg_bound, monos, w, coeffs):
+    """Certify the hit under degree bound deg_bound, re-verified at the values'
+    own precision; w, the values at the search precision, serves when equal."""
     minprec = min(v.prec for v in query.values)
     if minprec > query.precision:
         w = _monomial_values(query.values, monos, minprec)
@@ -239,7 +246,7 @@ def _certify(query, monos, w, coeffs):
         monomials=tuple(e for e, _ in support),
         coeffs=tuple(c for _, c in support),
         verified_precision=achieved,
-        deg_bound=query.deg_bound,
+        deg_bound=deg_bound,
         height_bound=query.height_bound,
         precision_bound=query.precision,
         mode=query.mode)
@@ -309,21 +316,14 @@ def _lattice_vectors(query, w):
 
 
 def minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive", precision=None):
-    """Lowest-degree, then lowest-height univariate relation for u, or None.
-
-    Runs the search with increasing degree so the first hit is minimal among
-    what the chosen mode can see; every query is held to the caps.  For a
-    Teichmuller unit the result divides x^(q-1) - 1 over the integers.
-    """
-    if deg_bound < 1 or height_bound < 1:
-        raise DomainError("degree and height bounds must be >= 1")
-    for d in range(1, deg_bound + 1):
-        cert = find_relation(RelationQuery(
-            values=(u,), deg_bound=d, height_bound=height_bound,
-            mode=mode, precision=precision))
-        if cert is not None:
-            return cert
-    return None
+    """Lowest-degree, then lowest-height univariate relation for u, or None:
+    one query held to the caps at deg_bound, certified under the degree where
+    its graded search stopped.  For a Teichmuller unit the result divides
+    x^(q-1) - 1 over the integers."""
+    query = RelationQuery(values=(u,), deg_bound=deg_bound, height_bound=height_bound,
+                          mode=mode, precision=precision)
+    found = _graded_search(query)
+    return None if found is None else _certify(query, *found)
 
 
 def verify_relation(cert, values, k):

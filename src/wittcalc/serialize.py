@@ -2,10 +2,10 @@
 
 Elements travel as {p, f, prec, poly, coeffs} with coefficients as decimal
 strings (the canonical representatives in [0, p^prec)), so fixtures do not
-depend on any integer-width convention.  Digit expansions, restricted
-series, matrices, solution families, certificates and obstructions reuse
-that element form.  These layouts are the package's stable wire format; see
-the README for the full schema.
+depend on any integer-width convention.  Digit expansions, matrices,
+solution families, certificates and obstructions reuse that element form.
+These layouts are the package's stable wire format; see the README for the
+full schema.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import re
 
-from .delta import RestrictedSeries
 from .errors import DomainError, ParamsMismatch
 from .relations import RelationCertificate
 from .solvers import ZqMatrix
-from .zq import PadicParams, TeichmullerDigits
+from .zq import PadicParams
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -103,36 +102,6 @@ def digits_to_obj(d):
         "prec": d.prec,
         "digits": [list(c.coeffs) for c in d.digits],
     }
-
-
-def digits_from_obj(obj, params):
-    """Rebuild a digit expansion; the object's (p, f) must be the ring's."""
-    p, f = _int_field(obj, "p"), _int_field(obj, "f")
-    if (p, f) != (params.p, params.f):
-        raise ParamsMismatch(f"digits are over (p={p}, f={f}), not (p={params.p}, f={params.f})")
-    return TeichmullerDigits(params, tuple(
-        params.fq(coeffs_from_obj(c)) for c in array(field(obj, "digits"), "field 'digits'")))
-
-
-def series_to_obj(s):
-    return {
-        "order": s.order,
-        "arity": s.arity,
-        "denominator": s.denominator,
-        "terms": [
-            {"exponents": list(e), "coeff": element_to_obj(c)} for e, c in s.terms
-        ],
-    }
-
-
-def series_from_obj(obj, params):
-    terms = tuple(
-        (_exponents(field(t, "exponents")), element_from_obj(field(t, "coeff"), params))
-        for t in array(field(obj, "terms"), "field 'terms'"))
-    if not isinstance(obj.get("denominator", False), bool):
-        raise DomainError("field 'denominator' must be true or false")
-    return RestrictedSeries(order=_int_field(obj, "order"), arity=_int_field(obj, "arity"),
-                            terms=terms, denominator=obj.get("denominator", False))
 
 
 def matrix_to_obj(m):

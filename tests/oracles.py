@@ -58,6 +58,10 @@ per use, each raising every value to every exponent by its own power, and
 one candidate filter per search mode, where the library builds one power
 list per variable and runs one filter over the vectors either mode
 proposes.  Its lattice mode reduces by ``fraction_lll_reduce``.
+``degree_loop_minimal_polynomial`` runs one such query per degree bound
+1, 2, ..., d, each held to the caps on its own, and returns the first hit,
+where the library makes one query of degree d whose search walks the
+graded prefixes of one monomial list.
 ``filtered_monomials`` lists each degree d by filtering all (d+1)^arity
 tuples by their sum, where the library lists the compositions of d
 directly by stars and bars.
@@ -87,12 +91,14 @@ from itertools import count, product
 from math import gcd, isqrt
 
 from wittcalc import (
+    DomainError,
     FqElement,
     NonUnit,
     Obstruction,
     ParamsMismatch,
     PrecisionExhausted,
     RelationCertificate,
+    RelationQuery,
     TeichmullerDigits,
     ZqElement,
     ZqMatrix,
@@ -797,3 +803,17 @@ def candidate_find_relation(query):
         height_bound=query.height_bound,
         precision_bound=query.precision,
         mode=query.mode)
+
+
+def degree_loop_minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustive",
+                                   precision=None):
+    """minimal_polynomial as one candidate_find_relation query per degree."""
+    if deg_bound < 1 or height_bound < 1:
+        raise DomainError("degree and height bounds must be >= 1")
+    for d in range(1, deg_bound + 1):
+        cert = candidate_find_relation(RelationQuery(
+            values=(u,), deg_bound=d, height_bound=height_bound,
+            mode=mode, precision=precision))
+        if cert is not None:
+            return cert
+    return None

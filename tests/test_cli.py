@@ -157,6 +157,17 @@ def test_relations_bounds_below_one_exit_2():
         assert code == 2 and out == "" and ">= 1" in err, tail
 
 
+def test_relations_height_at_or_past_p_to_the_m_exits_2():
+    # at (2, 8, 2), H = 8 >= p^M = 4 would certify the constant 4 for any unit
+    ring = ["--p", "2", "--f", "8", "--prec", "2", "relations",
+            "--values", '[["1","1","0","0","0","0","0","0"]]', "--deg", "1"]
+    for extra in ([], ["--mode", "exhaustive"], ["--min-poly"]):
+        code, out, err = invoke(ring + ["--height", "8"] + extra)
+        assert (code, out) == (2, "") and "heuristic floor" in err, extra
+    code, out = invoke_twice(ring + ["--height", "3"])
+    assert code == 0 and json.loads(out)["certificate"] is None
+
+
 def test_verify_fixture_results():
     _, out = invoke_twice(FIXTURES["verify"])
     doc = json.loads(out)
@@ -423,7 +434,7 @@ def test_exit_code_budget_exceeded(monkeypatch):
     code, _, _ = invoke(["--p", "3", "--f", "1", "--prec", "40", "relations",
                          "--values", '[["7"]]', "--deg", "2", "--height", "2097152"])
     assert code == 5
-    # --min-poly searches degree by degree and holds each query to the budget
+    # --min-poly is one query, held to the budget as a whole before any search
     monkeypatch.setattr(relations, "MAX_MONOMIALS", 2)
     code, _, err = invoke(FIXTURES["relations"])
     assert code == 5 and "budget" in err

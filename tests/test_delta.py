@@ -289,29 +289,6 @@ def test_psi_series_truncation_needs_positive_target():
     assert len(psi_series_truncation(P, 1).terms) == 1
 
 
-def test_series_serialization_round_trip():
-    from wittcalc.serialize import series_from_obj, series_to_obj
-
-    P = get_params(5, 2, 10)
-    F = psi_series_truncation(P, 6)
-    back = series_from_obj(series_to_obj(F), P)
-    assert back.order == F.order and back.arity == F.arity
-    assert back.denominator is True
-    assert len(back.terms) == len(F.terms)
-    u = P.from_int(7)
-    assert eval_delta_function(back, [u]) == eval_delta_function(F, [u])
-    obj = series_to_obj(F)
-    term = obj["terms"][0]
-    for bad, message in ((dict(obj, order=1.0), "field 'order'"),
-                         (dict(obj, arity=True), "field 'arity'"),
-                         (dict(obj, denominator=1), "field 'denominator'"),
-                         (dict(obj, terms={}), "field 'terms'"),
-                         (dict(obj, terms=[dict(term, exponents=[-5, 1.0])]), "an exponent"),
-                         ({k: v for k, v in obj.items() if k != "order"}, "missing field")):
-        with pytest.raises(DomainError, match=message):
-            series_from_obj(bad, P)
-
-
 # ---------------------------------------------------------------------------
 # the Paterson-Stockmeyer sum and the power tables against the term-by-term loops
 

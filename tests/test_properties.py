@@ -7,12 +7,13 @@ included), the CLI's exit codes and one-line diagnostics on random JSON
 inputs, the
 delta sum and product laws and the multiplicative law of phi(u) = eps*u
 (p = 2 included), the digit expansion and its inverse against the
-element-wise oracles (p = 2 included), the JSON round trips of every wire
-form, the column-table product against the schoolbook one (reducible moduli
-included), the fused Horner series against the schoolbook one and the
-exp/log and psi laws (p odd), the integral LLL against the Fraction LLL
-oracle on random integer bases, and exhaustive relation search against the
-whole-box oracle (p = 2 included)."""
+element-wise oracles (p = 2 included), the JSON round trips of the element
+and matrix wire forms, the column-table product against the schoolbook one
+(reducible moduli included), the fused Horner series against the schoolbook
+one and the exp/log and psi laws (p odd), the integral LLL against the
+Fraction LLL oracle on random integer bases, exhaustive relation search
+against the whole-box oracle, and minimal polynomials in both modes against
+one query per degree (p = 2 included)."""
 
 import io
 import itertools
@@ -29,7 +30,6 @@ from wittcalc import (
     FqElement,
     RelationCertificate,
     RelationQuery,
-    RestrictedSeries,
     SingularSeed,
     digits,
     from_digits,
@@ -39,6 +39,7 @@ from wittcalc import (
     find_relation,
     frobenius,
     lll_reduce,
+    minimal_polynomial,
     new_params,
     padic_exp,
     padic_log,
@@ -60,6 +61,7 @@ from wittcalc.conway import is_irreducible_mod_p
 from conftest import get_params
 from oracles import (
     candidate_find_relation,
+    degree_loop_minimal_polynomial,
     RecordResidue,
     digitwise_solve_matrix_linear,
     fraction_lll_reduce,
@@ -328,16 +330,6 @@ def test_wire_forms_survive_json_round_trips(ring, data):
     v = ser.element_from_obj(_json(ser.element_to_obj(u)))
     assert (v.params.p, v.params.f, v.params.poly, v.coeffs, v.prec) == \
         (P.p, P.f, P.poly, u.coeffs, u.prec)
-    d = ser.digits_from_obj(_json(ser.digits_to_obj(digits(u))), P)
-    assert [c.coeffs for c in d] == [c.coeffs for c in digits(u)]
-    order, arity = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
-    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * ((order + 1) * arity)),
-                              min_size=1, max_size=4, unique=True))
-    s = RestrictedSeries(order, arity, tuple((e, _element(data, P)) for e in exps))
-    t = ser.series_from_obj(_json(ser.series_to_obj(s)), P)
-    assert (t.order, t.arity, t.denominator) == (s.order, s.arity, s.denominator)
-    assert [(e, c.coeffs, c.prec) for e, c in t.terms] == \
-        [(e, c.coeffs, c.prec) for e, c in s.terms]
     n = data.draw(st.integers(1, 3))
     m = ZqMatrix(tuple(tuple(_element(data, P) for _ in range(n)) for _ in range(n)))
     m = m.map(lambda e: e.mask(u.prec))
@@ -345,6 +337,7 @@ def test_wire_forms_survive_json_round_trips(ring, data):
     assert back.prec == m.prec
     assert [[e.coeffs for e in row] for row in back.entries] == \
         [[e.coeffs for e in row] for row in m.entries]
+    arity = data.draw(st.integers(1, 2))
     monos = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * arity), min_size=1,
                                max_size=4, unique=True))
     height = data.draw(st.integers(1, 9))
@@ -455,6 +448,29 @@ def test_exhaustive_relations_match_the_box_oracle(p, f, box, data):
                           mode="exhaustive", precision=precision)
     assert find_relation(query) == candidate_find_relation(query)
 
+
+
+# the oracle's lattice mode reduces by the Fraction LLL at every degree, so
+# fewer examples keep this property near the others' cost
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 4),
+                  st.integers(1, 2), st.data())
+def test_minimal_polynomial_matches_the_degree_loop_oracle(p, f, d, H, data):
+    # one graded query against one query per degree, certificate for
+    # certificate and in both modes, at the lowest precisions the floor allows
+    bits_needed = 2 * (log2(2 * H + 1) + log2(d + 2))
+    M = 2
+    while M * f * log2(p) < bits_needed or p ** M <= H:
+        M += 1
+    P = get_params(p, f, M + data.draw(st.integers(0, 2)))
+    u = _relation_value(data, P, [])
+    precision = data.draw(st.sampled_from((None, M)))
+    for mode in ("exhaustive", "lattice"):
+        assert minimal_polynomial(u, d, H, mode=mode, precision=precision) == \
+            degree_loop_minimal_polynomial(u, d, H, mode=mode, precision=precision)
+    query = RelationQuery(values=(u,), deg_bound=d, height_bound=H, mode="exhaustive",
+                          precision=precision)
+    assert find_relation(query) == candidate_find_relation(query)
 
 def _rank(rows):
     """Rank over Q by Gaussian elimination on Fractions."""

@@ -72,12 +72,81 @@ def test_minimal_polynomial_picks_lowest_degree():
 
 def test_minimal_polynomial_rejects_bounds_below_one():
     # the box d = -3 would be searched by no query at all, so it is refused
-    # before the degree loop rather than reported as searched
+    # when the query is built rather than reported as searched
     u = get_params(3, 1, 40).from_int(1)
     for deg, height in ((-3, 0), (0, 1), (2, 0)):
         with pytest.raises(DomainError, match=">= 1"):
             minimal_polynomial(u, deg, height)
 
+
+
+def test_minimal_polynomial_is_one_query_gated_as_a_whole(monkeypatch):
+    # one RelationQuery, one monomial list and one set of monomial values for
+    # every degree the search walks; omega(g) over F_9 stops at x^4 + 1
+    calls = []
+    for name in ("monomials", "_monomial_values"):
+        real = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *a, real=real, name=name: (
+            calls.append(name), real(*a))[1])
+    real_init = RelationQuery.__post_init__
+    monkeypatch.setattr(RelationQuery, "__post_init__",
+                        lambda self: (calls.append("query"), real_init(self))[1])
+    P = get_params(3, 2, 20)
+    w = teichmuller(P.gen().residue())
+    for mode in ("exhaustive", "lattice"):
+        calls.clear()
+        cert = minimal_polynomial(w, 4, 1, mode=mode)
+        assert (cert.monomials, cert.coeffs, cert.deg_bound) == (((0,), (4,)), (1, 1), 4)
+        assert sorted(calls) == ["_monomial_values", "monomials", "query"]
+    # the whole degree-13 box, 3^14 vectors, is past EXHAUSTIVE_CAP: refused,
+    # although degree 1 alone would have answered x - 1
+    assert (2 * 1 + 1) ** 14 > relations.EXHAUSTIVE_CAP
+    with pytest.raises(BudgetExceeded, match="exhaustive enumeration"):
+        minimal_polynomial(get_params(13, 1, 20).from_int(1), 13, 1)
+    cert = minimal_polynomial(get_params(13, 1, 20).from_int(1), 12, 1)
+    assert (cert.coeffs, cert.deg_bound) == ((1, -1), 1)  # the degree it stopped at
+
+
+def test_hit_heavy_exhaustive_box_stops_at_the_first_degree(monkeypatch):
+    # 0 at degree 12: 3^13 vectors, most of them hits, but the degree-1 prefix
+    # (the monomials 1 and x) already holds the least hit, x itself
+    sizes = []
+    real = relations._box_hits
+    monkeypatch.setattr(relations, "_box_hits",
+                        lambda w, H, mod: sizes.append(len(w)) or real(w, H, mod))
+    query = RelationQuery(values=(get_params(13, 1, 20).from_int(0),), deg_bound=12,
+                          height_bound=1, mode="exhaustive")
+    cert = find_relation(query)
+    assert (cert.monomials, cert.coeffs, cert.deg_bound) == (((1,),), (1,), 12)
+    assert sizes == [2]
+
+
+def test_lattice_mode_answers_at_the_first_degree_with_a_hit():
+    # omega(1 + 2g) over F_25 has order 3: x^2 + x + 1.  One lattice of degree
+    # 4 returned its multiple x^3 + x^2 + x; the degree-2 lattice returns it
+    P = get_params(5, 2, 16)
+    w = teichmuller((1 + 2 * P.gen()).residue())
+    assert w ** 3 == 1 and w != 1
+    for mode in ("exhaustive", "lattice"):
+        cert = find_relation(RelationQuery(values=(w,), deg_bound=4, height_bound=2,
+                                           mode=mode))
+        assert (cert.monomials, cert.coeffs, cert.deg_bound) == \
+            (((0,), (1,), (2,)), (1, 1, 1), 4)
+
+
+def test_signal_floor_refuses_a_height_bound_at_or_past_p_to_the_m():
+    # at (2, 8, 2) the box floor admits H = 8, but 4 = p^M is then a height-8
+    # "relation" of every value: the constant polynomial 4
+    P = get_params(2, 8, 2)
+    u = random_element(P, random.Random(15), unit=True)
+    for mode in ("exhaustive", "lattice"):
+        with pytest.raises(DomainError, match="heuristic floor"):
+            find_relation(RelationQuery(values=(u,), deg_bound=1, height_bound=8, mode=mode))
+        with pytest.raises(DomainError, match="heuristic floor"):
+            minimal_polynomial(u, 1, 4, mode=mode)
+        # H = 3 < 4 is searched, and the constants 1..3 are no hits
+        assert find_relation(RelationQuery(values=(u,), deg_bound=1, height_bound=3,
+                                           mode=mode)) is None
 
 def _poly_divides(d_coeffs, n_coeffs):
     """Exact division test for integer polynomials given as dense coeff lists."""

@@ -31,7 +31,7 @@ from wittcalc import (
     teichmuller,
 )
 from wittcalc import conway, polyarith, solvers, zq
-from wittcalc.serialize import digits_from_obj, digits_to_obj, element_from_obj, element_to_obj
+from wittcalc.serialize import element_from_obj, element_to_obj
 
 from conftest import get_params
 from oracles import (
@@ -640,27 +640,3 @@ def test_element_serialization_round_trip():
         assert v == u and v.prec == u.prec
         w = element_from_obj(obj)  # standalone params rebuilt from the object
         assert w.coeffs == u.coeffs
-
-
-def test_digits_serialization_round_trip():
-    P = get_params(3, 2, 6)
-    u = P.from_int(35)
-    d = digits(u)
-    obj = digits_to_obj(d)
-    assert from_digits(digits_from_obj(obj, P)) == u
-
-
-def test_digits_from_obj_refuses_another_residue_field():
-    # a Z_7 expansion read into Z_5 used to come back as the digits 1, 0, 1, 0
-    obj = {"p": 7, "f": 1, "prec": 4, "digits": [[6], [0], [1], [0]]}
-    with pytest.raises(ParamsMismatch):
-        digits_from_obj(obj, get_params(5, 1, 4))
-    with pytest.raises(ParamsMismatch):
-        digits_from_obj(dict(obj, p=5, f=2, digits=[[1, 0]] * 4), get_params(5, 1, 4))
-    d = digits_from_obj(dict(obj, p=5, digits=[[4], [0], [1], [0]]), get_params(5, 1, 4))
-    assert from_digits(d) == get_params(5, 1, 4).from_int(-1 + 25)
-    for bad, message in ((dict(obj, p="7.0"), "field 'p'"),
-                         (dict(obj, digits=[[6.0]]), "a coefficient"),
-                         (dict(obj, digits=6), "field 'digits'")):
-        with pytest.raises(DomainError, match=message):
-            digits_from_obj(bad, get_params(7, 1, 4))
