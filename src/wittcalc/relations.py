@@ -7,40 +7,46 @@ whose status is always "proven-congruence": finite precision can certify the
 congruence, never exact vanishing, and a ``None`` result means only that
 nothing inside the searched box passed -- it is not a transcendence claim.
 
-The monomials of degree <= k are a prefix of the graded list, and the search
-walks these prefixes for k = 1, ..., d, stopping at the first degree where
-a mode finds nonzero, sign-normalized integer coefficient vectors:
+A hit is a nonzero, sign-normalized integer coefficient vector over the
+monomials of degree <= d, in graded order, that reproduces the congruence;
+hits are ranked by (degree, height, lexicographic coefficient order).  The
+monomials of degree <= k are a prefix of the list, and one pass searches the
+largest prefix whose box holds at most ``EXHAUSTIVE_CAP`` vectors, which in
+exhaustive mode is the whole query:
 
-* exhaustive -- every vector in the box whose first nonzero entry is
-  positive and that reproduces the congruence, found by meeting in the
-  middle: about 2 (2H+1)^(n/2) half sums for a box of (2H+1)^n vectors;
-* lattice   -- the integer parts of the rows of the lattice spanned by
-  [identity | monomial values] rows augmented with p^M rows, reduced by the
-  integral LLL below with quality parameter 0.99, and the sums and
-  differences of pairs of those rows, each kept once, of which a filter
-  keeps those within the height bound that reproduce the congruence.
+* exhaustive -- the least hit of the box, found by meeting in the middle
+  once: the half sums of the first half of the monomials are tabled, the
+  left-only hits ranked first, and the other half walked once, by degree, so
+  about 2 (2H+1)^(n/2) half sums for a box of (2H+1)^n vectors;
+* lattice   -- from the degree k of that least hit on, or from the first
+  degree past the cap when the box holds none: the integer parts of the rows
+  of the lattice spanned by [identity | monomial values] rows of degree <= k
+  augmented with p^M rows, reduced by the integral LLL below with quality
+  parameter 0.99, and the sums and differences of pairs of those rows, each
+  kept once, of which a filter keeps those within the height bound that
+  reproduce the congruence.  The first degree where it keeps one answers
+  with the least.
 
-There the least hit by (degree, height, lexicographic coefficient order) is
-returned.  Exhaustive mode is complete: a ``None`` means that nothing in the
-box satisfies the congruence.  Every vector the lattice filter accepts lies
-in the box, so at a degree whose box has at most ``EXHAUSTIVE_CAP`` vectors
-lattice mode first runs the same search and skips the degree without LLL
-when it finds no hit: a lattice ``None`` speaks for the box of every degree
-within that cap, and past it only for the rows it reduced.  Building a
-``RelationQuery`` checks every cap for the whole degree-d query before any
-monomial is listed: ``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and
-``LATTICE_DIM_CAP`` or ``EXHAUSTIVE_CAP``; past a cap it raises BudgetExceeded.
+Exhaustive mode is complete: a ``None`` means that nothing in the box
+satisfies the congruence.  Every vector the lattice filter accepts lies in
+the box, so lattice mode reduces no lattice below the degree of the box's
+least hit: a lattice ``None`` speaks for the box of every degree within the
+cap, and past it only for the rows it reduced.  Building a ``RelationQuery``
+checks every cap for the whole degree-d query before any monomial is listed:
+``MAX_MONOMIALS``, ``MAX_HEIGHT``, the signal floor, and ``LATTICE_DIM_CAP``
+or ``EXHAUSTIVE_CAP``; past a cap it raises BudgetExceeded.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, compress, product
+from bisect import bisect_right
+from functools import partial
+from itertools import combinations, compress, islice, product
 from math import comb, log2
 
 from . import polyarith as pa
 from .errors import BudgetExceeded, DomainError, MixedParams
 from .record import frozen_record
-from .zq import agreement_precision
 
 MAX_MONOMIALS = 512
 MAX_HEIGHT = 1 << 20
@@ -182,10 +188,10 @@ def _monomial_values(values, monos, k):
 
 
 def _evaluate(coeffs, ws, params, k):
-    """sum c*w over the monomial values ws, mod p^k."""
+    """sum c*w over the monomial values ws, mod p^k: integer multiples summed per coordinate."""
     mod = params.p ** k
-    cs = [pa.vec_from_int(c, params.f, mod) for c in coeffs]
-    return params.from_coeffs(pa.vec_dot(cs, ws, params.poly, mod), k)
+    return params.from_coeffs([sum(c * x for c, x in zip(coeffs, col)) % mod
+                               for col in zip(*ws)], k)
 
 
 def _sign_normalized(c):
@@ -206,29 +212,42 @@ def find_relation(query):
 
 
 def _graded_search(query):
-    """(k, monos, w, c): the first degree k with a hit, the monomials of degree <= d,
-    their values w mod p^M and the least hit c at k, padded with zeros; or None.
-    Lattice mode skips a degree whose box ``_box_hits`` finds empty: no row could pass."""
-    m, H = len(query.values), query.height_bound
-    monos = monomials(m, query.deg_bound)
+    """(k, monos, w, c): the degree k where the search stopped, the monomials of
+    degree <= d, their values w mod p^M and the least hit c found at k, padded
+    with zeros; or None.
+
+    One meet-in-the-middle pass ranks the hits of the largest prefix whose box
+    has at most ``EXHAUSTIVE_CAP`` vectors, the whole query in exhaustive mode,
+    which returns the least of them.  Lattice mode reduces the lattice of each
+    degree from the degree of that least hit on, or from the first degree past
+    the cap when the capped box holds none: a lower degree has no hit, so no
+    row could pass there.
+    """
+    m, H, d = len(query.values), query.height_bound, query.deg_bound
+    monos = monomials(m, d)
     w = _monomial_values(query.values, monos, query.precision)
     mod = query.params.p ** query.precision
     degs = [sum(e) for e in monos]
-    for k in range(1, query.deg_bound + 1):
+    rank = partial(_rank, degs)
+    # the boxes grow with the degree, so those within the cap are of degrees 1..capped
+    capped = sum((2 * H + 1) ** comb(m + k, k) <= EXHAUSTIVE_CAP for k in range(1, d + 1))
+    best = _least_box_hit(w[:comb(m + capped, capped)], degs, H, mod) if capped else None
+    if query.mode == "exhaustive":  # capped == d: the query's own cap
+        return None if best is None else (rank(best)[0], monos, w, best)
+    for k in range(capped + 1 if best is None else rank(best)[0], d + 1):
         wk = w[:comb(m + k, k)]  # the monomials of degree <= k, by graded order
-        if query.mode == "exhaustive":
-            hits = _box_hits(wk, H, mod)
-        elif (2 * H + 1) ** len(wk) <= EXHAUSTIVE_CAP and not any(_box_hits(wk, H, mod)):
-            continue
-        else:
-            columns = list(zip(*wk))
-            hits = (c for c in _lattice_vectors(query, wk) if max(map(abs, c)) <= H and all(
-                sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns))
-        best = min(hits, key=lambda c: (max(compress(degs, c)), max(map(abs, c)), c),
-                   default=None)
+        columns = list(zip(*wk))
+        hits = (c for c in _lattice_vectors(query, wk) if max(map(abs, c)) <= H and all(
+            sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns))
+        best = min(hits, key=rank, default=None)
         if best is not None:
             return k, monos, w, best + (0,) * (len(w) - len(wk))
     return None
+
+
+def _rank(degs, c):
+    """(degree, height, c): hits are ranked by this key, the least first."""
+    return max(compress(degs, c)), max(map(abs, c)), c
 
 
 def _certify(query, deg_bound, monos, w, coeffs):
@@ -238,7 +257,7 @@ def _certify(query, deg_bound, monos, w, coeffs):
     if minprec > query.precision:
         w = _monomial_values(query.values, monos, minprec)
     result = _evaluate(coeffs, w, query.params, minprec)
-    achieved = agreement_precision(result, query.params.zero(minprec))
+    achieved = minprec if result.is_zero() else result.valuation()
     if achieved < query.precision:
         raise ArithmeticError("candidate relation failed re-verification")
     support = [(e, c) for e, c in zip(monos, coeffs) if c]
@@ -252,42 +271,88 @@ def _certify(query, deg_bound, monos, w, coeffs):
         mode=query.mode)
 
 
-def _box_hits(w, H, mod):
-    """Every nonzero c in [-H, H]^n whose first nonzero entry is positive and
-    with sum c_i w_i = 0 mod ``mod`` in every coordinate, yielded lazily.
+def _least_box_hit(w, degs, H, mod):
+    """The least nonzero c in [-H, H]^n by ``_rank`` whose first nonzero entry
+    is positive and with sum c_i w_i = 0 mod ``mod`` in every coordinate, or
+    None; ``degs`` are the degrees of the values' monomials, in graded order.
 
-    Meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974): the half sums
-    of the first n//2 values are tabled under their negations, and each half
-    sum of the other values is looked up there, so about (2H+1)^(n/2) sums
-    are formed, not (2H+1)^n.  The keys are whole residue vectors, so every
-    match is a hit.
+    Meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974), once: the
+    negated half sums of the first n//2 values are tabled by residue vector,
+    a degree at a time, stopping at the first degree with a left-only hit
+    (key 0); the right half's sums, over values of degree at most that hit's,
+    are looked up in order of degree until a hit of higher degree than the
+    least turns up.  So about 2 (2H+1)^(n/2) half sums are formed, and a
+    hit-heavy box costs no more: a hit with a nonzero right half b has b's
+    degree, and the least left half meeting b is one step into a staircase
+    of its bucket, however many hits the bucket holds.
     """
     k, cs, f = len(w) // 2, range(-H, H + 1), len(w[0])
-    left, right, zero = (0,) * k, (0,) * (len(w) - k), (0,) * f
-    table = {}
-    # summed over the reversed range, the sum at a's place is -sum a_i w_i;
-    # a tuple is above the zero tuple iff its first nonzero entry is positive
-    for a, key in zip(product(cs, repeat=k), _half_sums(w[:k], cs[::-1], mod, f)):
+    zero, rank = (0,) * f, partial(_rank, degs)
+    columns, done = [[0]] * f, 0
+    while done < k:
+        end = min(bisect_right(degs, degs[done]), k)
+        columns, done = _half_sums(w[done:end], cs[::-1], mod, columns), end
+        # over the reversed range, the sum at a's place is -sum a_i w_i, and the
+        # tuples past the middle of ``product`` order are those above 0
+        if done < k and zero in islice(zip(*columns), len(columns[0]) // 2 + 1, None):
+            break
+    left, table = (0,) * done, {}
+    for a, key in zip(product(cs, repeat=done), zip(*columns)):
         if a > left:
             table.setdefault(key, []).append(a)
-    for b, s in zip(product(cs, repeat=len(w) - k), _half_sums(w[k:], cs, mod, f)):
-        for a in table.get(s, ()):
-            yield a + b
-        if s == zero and b > right:  # a = 0, left out of the table
-            yield left + b
+    pad = (0,) * (len(w) - done)
+    best = min((a + pad for a in table.get(zero, ())), key=rank, default=None)
+    top = len(w) if best is None else bisect_right(degs, rank(best)[0], done, len(w))
+    if top == done:
+        return best
+    # the right values summed last first, over 0 first: a sum's place in
+    # ``product`` order puts the last value it uses, so its degree, first
+    cz, right, stairs = sorted(cs, key=abs), pad[:top - done], {}
+    sums = zip(*_half_sums(w[done:top][::-1], cz, mod, [[0]] * f))
+    for t, s in islice(zip(product(cz, repeat=top - done), sums), 1, None):
+        if s != zero and s not in table:
+            continue
+        b = t[::-1]
+        if s == zero and b > right:
+            a = left  # b alone is a hit, and no left half ranks below 0
+        elif s in table:
+            if s not in stairs:
+                stairs[s] = _staircase(table[s])
+            height = max(map(abs, b))
+            a = next((a for a, h in stairs[s] if h <= height), stairs[s][-1][0])
+        else:
+            continue
+        c = a + b + pad[top - done:]
+        if best is None or rank(c) < rank(best):
+            best = c
+        elif rank(c)[0] > rank(best)[0]:
+            break  # every sum still to come is of this degree or higher
+    return best
 
 
-def _half_sums(ws, cs, mod, f):
-    """sum c_i w_i mod ``mod`` for every c in cs^len(ws), in ``product`` order,
-    each a residue vector of length f; one coordinate at a time, as plain ints."""
-    columns = []
-    for j in range(f):
-        column = [0]
+def _staircase(bucket):
+    """(a, height of a) for each a of the lex-ordered bucket that is lower than
+    every a before it: the lex-least a of height <= h is the first entry of
+    height <= h, and the last entry is the lex-least of the least height."""
+    stair = []
+    for a in bucket:
+        h = max(map(abs, a))
+        if not stair or h < stair[-1][1]:
+            stair.append((a, h))
+    return stair
+
+
+def _half_sums(ws, cs, mod, columns):
+    """The columns, one per coordinate, of s + sum c_i w_i mod ``mod`` for every
+    sum s of ``columns`` and every c in cs^len(ws): ``product`` order over the
+    values summed before and then ws, as plain ints."""
+    out = []
+    for j, column in enumerate(columns):
         for v in ws:
             multiples = [c * v[j] for c in cs]
             column = [(x + m) % mod for x in column for m in multiples]
-        columns.append(column)
-    return zip(*columns)
+        out.append(column)
+    return out
 
 
 def _lattice_vectors(query, w):

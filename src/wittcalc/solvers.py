@@ -200,8 +200,10 @@ def verify_exponential(u, problem, base=None):
     psi_res = _psi(phi_u, up) - beta
     if base is None:
         base, _ = _verified_base(problem)
-    ratio = u * base.inv()
-    ratio_res = fermat_quotient(ratio)
+    if u is base:  # u/base = 1, whose Fermat quotient is 0 at one digit less
+        ratio_res = u.params.zero(u.prec - 1)
+    else:
+        ratio_res = fermat_quotient(u * base.inv())
     forms = tuple(
         (agreement_precision(r, r.params.zero(r.prec)), r.prec)
         for r in (phi_res, delta_res, psi_res, ratio_res))

@@ -62,6 +62,13 @@ proposes.  Its lattice mode reduces by ``fraction_lll_reduce``.
 1, 2, ..., d, each held to the caps on its own, and returns the first hit,
 where the library makes one query of degree d whose search walks the
 graded prefixes of one monomial list.
+``per_degree_graded_search`` is the graded search as one meet-in-the-middle
+box search per degree: at each k = 1, ..., d it tables the half sums of the
+degree-k prefix afresh, lists every hit of that box (``box_hits``) and stops
+at the first degree that has one; lattice mode runs that search to skip a
+degree whose box within ``EXHAUSTIVE_CAP`` is empty, and reduces the lattice
+of every other degree.  The library makes one pass over the largest prefix
+within the cap, ranking its hits as it meets them.
 ``filtered_monomials`` lists each degree d by filtering all (d+1)^arity
 tuples by their sum, where the library lists the compositions of d
 directly by stars and bars.
@@ -87,8 +94,8 @@ mod-p seed tracks only a's.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
-from math import gcd, isqrt
+from itertools import compress, count, product
+from math import comb, gcd, isqrt
 
 from wittcalc import (
     DomainError,
@@ -109,6 +116,7 @@ from wittcalc import (
     teichmuller,
 )
 from wittcalc import polyarith as pa
+from wittcalc import relations
 from wittcalc.polyarith import vec_eval_int_poly, vec_one, vec_pow
 from wittcalc.zq import agreement_precision
 from wittcalc.record import frozen_record
@@ -816,4 +824,57 @@ def degree_loop_minimal_polynomial(u, deg_bound, height_bound=1, mode="exhaustiv
             mode=mode, precision=precision))
         if cert is not None:
             return cert
+    return None
+
+
+def box_hits(w, H, mod):
+    """Every nonzero c in [-H, H]^n whose first nonzero entry is positive and
+    with sum c_i w_i = 0 mod ``mod`` in every coordinate, by meeting in the
+    middle: the negated half sums of the first n//2 values tabled, the others
+    looked up there."""
+    k, cs, f = len(w) // 2, range(-H, H + 1), len(w[0])
+    left, right, zero = (0,) * k, (0,) * (len(w) - k), (0,) * f
+
+    def sums(ws, cs):
+        columns = []
+        for j in range(f):
+            column = [0]
+            for v in ws:
+                column = [(x + c * v[j]) % mod for x in column for c in cs]
+            columns.append(column)
+        return zip(*columns)
+
+    table = {}
+    for a, key in zip(product(cs, repeat=k), sums(w[:k], cs[::-1])):
+        if a > left:
+            table.setdefault(key, []).append(a)
+    for b, s in zip(product(cs, repeat=len(w) - k), sums(w[k:], cs)):
+        for a in table.get(s, ()):
+            yield a + b
+        if s == zero and b > right:
+            yield left + b
+
+
+def per_degree_graded_search(query):
+    """(k, monos, w, c) as ``relations._graded_search`` returns it, or None, by
+    one box search per degree k = 1, ..., d."""
+    m, H = len(query.values), query.height_bound
+    monos = monomials(m, query.deg_bound)
+    w = relations._monomial_values(query.values, monos, query.precision)
+    mod = query.params.p ** query.precision
+    degs = [sum(e) for e in monos]
+    for k in range(1, query.deg_bound + 1):
+        wk = w[:comb(m + k, k)]
+        if query.mode == "exhaustive":
+            hits = box_hits(wk, H, mod)
+        elif (2 * H + 1) ** len(wk) <= relations.EXHAUSTIVE_CAP and not any(box_hits(wk, H, mod)):
+            continue
+        else:
+            columns = list(zip(*wk))
+            hits = (c for c in relations._lattice_vectors(query, wk) if max(map(abs, c)) <= H
+                    and all(sum(x * y for x, y in zip(c, col)) % mod == 0 for col in columns))
+        best = min(hits, key=lambda c: (max(compress(degs, c)), max(map(abs, c)), c),
+                   default=None)
+        if best is not None:
+            return k, monos, w, best + (0,) * (len(w) - len(wk))
     return None

@@ -12,8 +12,10 @@ and matrix wire forms, the column-table product against the schoolbook one
 (reducible moduli included), the fused Horner series against the schoolbook
 one and the exp/log and psi laws (p odd), the integral LLL against the
 Fraction LLL oracle on random integer bases, exhaustive relation search
-against the whole-box oracle, and minimal polynomials in both modes against
-one query per degree (p = 2 included)."""
+against the whole-box oracle, minimal polynomials in both modes against
+one query per degree, the one-pass graded search against one box search per
+degree in both modes (lattice queries past EXHAUSTIVE_CAP included) and the
+integer evaluation of a relation against ring products (p = 2 included)."""
 
 import io
 import itertools
@@ -51,7 +53,7 @@ from wittcalc import (
     teichmuller,
     verify_matrix_linear,
 )
-from wittcalc import delta
+from wittcalc import delta, relations
 from wittcalc.cli import run
 from wittcalc.zq import teichmuller_table
 from wittcalc import polyarith as pa
@@ -60,8 +62,10 @@ from wittcalc.conway import is_irreducible_mod_p
 
 from conftest import get_params
 from oracles import (
+    _relation_evaluate,
     candidate_find_relation,
     degree_loop_minimal_polynomial,
+    per_degree_graded_search,
     RecordResidue,
     digitwise_solve_matrix_linear,
     fraction_lll_reduce,
@@ -471,6 +475,57 @@ def test_minimal_polynomial_matches_the_degree_loop_oracle(p, f, d, H, data):
     query = RelationQuery(values=(u,), deg_bound=d, height_bound=H, mode="exhaustive",
                           precision=precision)
     assert find_relation(query) == candidate_find_relation(query)
+
+# 1-3 values, d <= 4, H <= 3: every box within EXHAUSTIVE_CAP is searched in
+# both modes; a bigger one is refused in exhaustive mode and searched past the
+# cap by LLL in lattice mode, which the oracle does one degree at a time too
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 3),
+                  st.integers(1, 4), st.integers(1, 3), st.data())
+def test_graded_search_matches_the_per_degree_oracle(p, f, m, d, H, data):
+    # one meet-in-the-middle pass against one box search per degree: the same
+    # certificate or None from find_relation and minimal_polynomial, both modes
+    count = comb(m + d, d)
+    bits_needed = 2 * (log2(2 * H + 1) + log2(count + 1))
+    M = 2
+    while M * f * log2(p) < bits_needed or p ** M <= H:
+        M += 1
+    # past the floor, a None is as likely as a hit
+    P = get_params(p, f, M + data.draw(st.integers(0, 6)))
+    values = []
+    for _ in range(m):
+        values.append(_relation_value(data, P, values))
+    precision = data.draw(st.sampled_from((None, M)))
+    for mode in ("exhaustive", "lattice"):
+        if mode == "exhaustive" and (2 * H + 1) ** count > relations.EXHAUSTIVE_CAP:
+            continue
+        query = RelationQuery(values=tuple(values), deg_bound=d, height_bound=H, mode=mode,
+                              precision=precision)
+        found = per_degree_graded_search(query)
+        assert find_relation(query) == (
+            None if found is None else relations._certify(query, d, *found[1:]))
+        query = RelationQuery(values=tuple(values[:1]), deg_bound=d, height_bound=H,
+                              mode=mode, precision=precision)
+        found = per_degree_graded_search(query)
+        assert minimal_polynomial(values[0], d, H, mode=mode, precision=precision) == (
+            None if found is None else relations._certify(query, *found))
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.integers(1, 3), st.data())
+def test_integer_evaluation_matches_the_ring_oracle(ring, m, data):
+    # sum c*w by integer multiples per coordinate against one ring product per
+    # factor, negative coefficients and p = 2 included
+    P = get_params(*ring)
+    values = [_element(data, P) for _ in range(m)]
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=1, max_size=6))
+    coeffs = data.draw(st.lists(st.integers(-60, 60), min_size=len(monos),
+                                max_size=len(monos)))
+    k = data.draw(st.integers(1, P.N))
+    got = relations._evaluate(coeffs, relations._monomial_values(values, monos, k), P, k)
+    want = _relation_evaluate(monos, coeffs, values, k)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
 
 def _rank(rows):
     """Rank over Q by Gaussian elimination on Fractions."""

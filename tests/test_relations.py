@@ -27,7 +27,8 @@ from wittcalc import relations
 from wittcalc.serialize import relation_certificate_from_obj, relation_certificate_to_obj
 
 from conftest import get_params
-from oracles import candidate_find_relation, filtered_monomials, fraction_lll_reduce
+from oracles import (box_hits, candidate_find_relation, filtered_monomials, fraction_lll_reduce,
+                     per_degree_graded_search)
 
 
 def test_integer_value_yields_linear_relation():
@@ -108,17 +109,36 @@ def test_minimal_polynomial_is_one_query_gated_as_a_whole(monkeypatch):
 
 
 def test_hit_heavy_exhaustive_box_stops_at_the_first_degree(monkeypatch):
-    # 0 at degree 12: 3^13 vectors, most of them hits, but the degree-1 prefix
-    # (the monomials 1 and x) already holds the least hit, x itself
-    sizes = []
-    real = relations._box_hits
-    monkeypatch.setattr(relations, "_box_hits",
-                        lambda w, H, mod: sizes.append(len(w)) or real(w, H, mod))
-    query = RelationQuery(values=(get_params(13, 1, 20).from_int(0),), deg_bound=12,
-                          height_bound=1, mode="exhaustive")
+    # the half sums each query forms, as (sums before, sums after) per call: one
+    # left table grown value by value, then at most one right half from scratch
+    calls = []
+    real = relations._half_sums
+
+    def counted(ws, cs, mod, columns):
+        out = real(ws, cs, mod, columns)
+        calls.append((len(columns[0]), len(out[0])))
+        return out
+
+    monkeypatch.setattr(relations, "_half_sums", counted)
+    P = get_params(13, 1, 20)
+    # 0 at degree 12: 3^13 vectors, most of them hits, but the left table of the
+    # monomials 1 and x already holds the least, x itself: 9 <= 3^6 left sums
+    # and no right half
+    query = RelationQuery(values=(P.from_int(0),), deg_bound=12, height_bound=1,
+                          mode="exhaustive")
     cert = find_relation(query)
     assert (cert.monomials, cert.coeffs, cert.deg_bound) == (((1,),), (1,), 12)
-    assert sizes == [2]
+    assert calls == [(1, 3), (3, 9)]
+    # 13^3: its powers from x^7 on vanish mod 13^20 and no relation of lower
+    # degree holds, so the whole left table (1, ..., x^5) meets the right half
+    # (x^6, ..., x^12) once: 3^6 + 3^7 half sums
+    calls.clear()
+    query = RelationQuery(values=(P.from_int(13 ** 3),), deg_bound=12, height_bound=1,
+                          mode="exhaustive")
+    cert = find_relation(query)
+    assert (cert.monomials, cert.coeffs, cert.deg_bound) == (((7,),), (1,), 12)
+    assert calls == [(3 ** i, 3 ** (i + 1)) for i in range(6)] + [(1, 3 ** 7)]
+    assert minimal_polynomial(P.from_int(13 ** 3), 12, 1).deg_bound == 7
 
 
 def test_lattice_mode_answers_at_the_first_degree_with_a_hit():
@@ -268,8 +288,10 @@ def test_pipeline_matches_per_mode_candidate_oracle():
 
 
 def test_box_hits_match_a_brute_force_filter():
-    # the meet-in-the-middle search against a filter of the whole box, at small
-    # p^M so that boxes hold hits; p = 2 and f up to 3, n up to 7, H up to 3
+    # the oracle's meet-in-the-middle list of hits and the library's least hit
+    # against a filter of the whole box, at small p^M so that boxes hold hits;
+    # p = 2 and f up to 3, n up to 7, H up to 3, and monomial degrees from a
+    # graded list, so that degree blocks split between the halves
     rng = random.Random(12)
     checked = 0
     for f, p, M, n, H in product((1, 2, 3), (2, 3, 5), (1, 2), range(1, 8), (1, 2, 3)):
@@ -281,13 +303,24 @@ def test_box_hits_match_a_brute_force_filter():
             w = [(0,) + v[1:] for v in w]
         if checked % 4 == 2:  # a zero value: every multiple of its unit vector is a hit
             w[rng.randrange(n)] = (0,) * f
+        degs = [sum(e) for e in relations.monomials(checked % 3 + 1, n)][:n]
         want = [c for c in product(range(-H, H + 1), repeat=n)
                 if next(x for x in c + (1,) if x) > 0 and any(c)
                 and all(sum(x * v[j] for x, v in zip(c, w)) % mod == 0 for j in range(f))]
-        got = list(relations._box_hits(w, H, mod))
+        got = list(box_hits(w, H, mod))
         assert len(got) == len(set(got)) and sorted(got) == want, (f, p, M, n, H, w)
+        least = min(want, key=lambda c: relations._rank(degs, c), default=None)
+        assert relations._least_box_hit(w, degs, H, mod) == least, (f, p, M, n, H, w, degs)
         checked += 1
     assert checked == 270
+    # buckets whose lex-least left half is not of the least height, so that the
+    # least partner of a right half depends on the right half's own height
+    for w, mod, least in (([(12,), (9,), (6,), (12,)], 16, (1, -2, 1, 0)),
+                          ([(3,), (1,), (9,), (8,)], 11, (1, -1, 1, 0))):
+        hits = [c for c in product(range(-2, 3), repeat=4) if c > (0,) * 4
+                and sum(x * v[0] for x, v in zip(c, w)) % mod == 0]
+        assert min(hits, key=lambda c: relations._rank(range(4), c)) == least
+        assert relations._least_box_hit(w, range(4), 2, mod) == least
 
 
 def test_lattice_mode_reduces_no_lattice_when_the_box_holds_no_hit(monkeypatch):
@@ -305,6 +338,30 @@ def test_lattice_mode_reduces_no_lattice_when_the_box_holds_no_hit(monkeypatch):
     cert = find_relation(RelationQuery(values=(u, u * u), deg_bound=2, height_bound=1))
     assert cert.monomials == ((0, 1), (2, 0)) and cert.coeffs == (1, -1)
     assert calls == [7]
+
+
+def test_lattice_mode_past_the_cap_matches_the_per_degree_oracle(monkeypatch):
+    # two values at degree 3 and H = 2: 5^10 vectors, past EXHAUSTIVE_CAP, so one
+    # pass ranks the degree-2 box (5^6 vectors) and LLL takes over from the degree
+    # of its least hit, or from degree 3 when it holds none
+    dims = []
+    real = relations.lll_reduce
+    monkeypatch.setattr(relations, "lll_reduce",
+                        lambda rows, delta: dims.append(len(rows)) or real(rows, delta))
+    P = get_params(7, 1, 20)
+    rng = random.Random(16)
+    u, v = (random_element(P, rng, unit=True) for _ in range(2))
+    assert 5 ** 6 <= relations.EXHAUSTIVE_CAP < 5 ** 10
+    for values, coeffs, reduced in (((u, v), None, [11]), ((u, u ** 3), (1, -1), [11]),
+                                    ((u, u * u), (1, -1), [7])):
+        query = RelationQuery(values=values, deg_bound=3, height_bound=2)
+        found = per_degree_graded_search(query)
+        dims.clear()
+        cert = find_relation(query)
+        assert dims == reduced
+        assert cert == (None if found is None else
+                        relations._certify(query, 3, *found[1:]))
+        assert (cert and cert.coeffs) == coeffs
 
 
 def test_base_solution_with_algebraic_rhs_is_recovered():

@@ -168,6 +168,27 @@ def test_verified_base_matches_termwise_oracle(monkeypatch):
             assert cert.ok
 
 
+def test_self_verification_skips_the_ratio_it_knows(monkeypatch):
+    # the base checked against itself takes its ratio form without inverting the
+    # base; an equal but distinct copy takes the full path to the same certificate
+    inverted = []
+    inv = ZqElement.inv
+    monkeypatch.setattr(ZqElement, "inv", lambda u: inverted.append(u) or inv(u))
+    rng = random.Random(19)
+    for p, f, N in [(3, 1, 7), (5, 2, 6), (3, 3, 9), (7, 1, 12)]:
+        P = get_params(p, f, N)
+        for prec in (2, N - 1, N):
+            problem = ExponentialProblem.from_beta(random_element(P, rng, prec=prec))
+            inverted.clear()
+            base, cert = solvers._verified_base(problem)
+            assert all(u is not base for u in inverted) and cert.ok
+            assert cert.ratio == (base.prec - 1, base.prec - 1)
+            copy = ZqElement(P, base.coeffs, base.prec)
+            assert copy is not base and copy == base
+            assert verify_exponential(base, problem, base=copy) == cert
+            assert inverted[-1] is copy
+
+
 def test_solve_exponential_rejects_p2():
     with pytest.raises(UnsupportedPrime):
         solve_exponential(get_params(2, 1, 8).from_int(1))
