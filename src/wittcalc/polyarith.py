@@ -10,13 +10,24 @@ p^k are then exact.
 Multiplying by an element y that stays fixed over a loop is a linear map on
 coefficient vectors.  ``vec_mul_cols`` builds its f x f matrix once, as the
 columns cols[j] = (coefficient j of y, of g*y, ..., of g^(f-1)*y), and
-``vec_apply`` then makes each output coordinate one C-level dot product
-``sum(map(mul, x, cols[j]))`` instead of a schoolbook product and a
-reduction in bytecode.  Columns of several maps laid end to end apply to the
-concatenated input, so a sum of products with fixed factors is one call.
-"""
+``vec_apply`` then makes each output coordinate one dot product of x with
+cols[j].  Columns of several maps laid end to end apply to the concatenated
+input, so a sum of products with fixed factors is one call.  The width of
+``vec_apply`` is len(x): every column holds at least that many entries and
+only those are read, so a short input (such as the series' short last Horner
+block) applies the leading part of each column.
 
-from operator import mul
+The four ring kernels ``vec_mul``, ``vec_apply``, ``vec_dot`` and
+``vec_mul_cols`` are straight-line code: on the first call with a new shape
+(f for ``vec_mul`` and ``vec_mul_cols``, (len(x), len(cols)) for
+``vec_apply``, (terms, f) for ``vec_dot``) the body is generated with every
+loop unrolled over named locals, compiled, and kept in that kernel's dict,
+as ``record.frozen_record`` builds its methods.  Importing the module
+compiles nothing.  The reduction by the monic poly still takes c_i = t_i mod
+p^K from the top coefficient down, so every result is the integer the loops
+gave and a modulus with large coefficients does not make the sums grow.
+The loop versions are the differential oracles in ``tests/oracles.py``.
+"""
 
 from .errors import NonUnit
 
@@ -57,36 +68,24 @@ def vec_mask(a, mod):
 
 
 def vec_mul(a, b, poly, mod):
-    """Product in Z[g]/(poly, mod); schoolbook, reduced by the monic poly."""
+    """Product in Z[g]/(poly, mod); schoolbook, reduced by the monic poly.
+
+    At length 1 the product is made here: a kernel call costs more than it."""
     f = len(a)
     if f == 1:
-        return ((a[0] * b[0]) % mod,)
-    t = [0] * (2 * f - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                t[i + j] += x * y
-    return _reduce(t, poly, mod)
-
-
-def _reduce(t, poly, mod):
-    """The integer product coefficients t, of length 2f-1, mod (poly, mod)."""
-    f = len(poly) - 1
-    for i in range(2 * f - 2, f - 1, -1):
-        c = t[i] % mod
-        if c:
-            off = i - f
-            for j in range(f):
-                t[off + j] -= c * poly[j]
-    return tuple(t[i] % mod for i in range(f))
+        return (a[0] * b[0] % mod,)
+    return _mul[f](a, b, poly, mod)
 
 
 def vec_pow(a, e, poly, mod):
-    """a**e for e >= 0 by square-and-multiply from the top bit."""
+    """a**e for e >= 0 by square-and-multiply from the top bit; for length 1
+    the builtin pow."""
     if e < 0:
         raise ValueError("negative exponent at the vector level")
     if e == 0:
         return vec_one(len(a))
+    if len(a) == 1:
+        return (pow(a[0], e, mod),)
     base = acc = vec_mask(a, mod)
     for bit in bin(e)[3:]:
         acc = vec_mul(acc, acc, poly, mod)
@@ -114,29 +113,116 @@ def vec_mul_cols(y, poly, mod):
 
     The rows g^i * y come from y by f-1 shifts by g, each reduced by the
     monic poly."""
-    row = vec_mask(y, mod)
-    rows = [row]
-    for _ in range(len(y) - 1):
-        top = row[-1]
-        row = tuple((a - top * c) % mod for a, c in zip((0,) + row[:-1], poly))
-        rows.append(row)
-    return tuple(zip(*rows))
+    return _cols[len(y)](y, poly, mod)
 
 
 def vec_apply(x, cols, mod):
-    """The linear map with columns ``cols`` (see ``vec_mul_cols``) applied to x, mod mod."""
-    return tuple(sum(map(mul, x, col)) % mod for col in cols)
+    """The linear map with columns ``cols`` (see ``vec_mul_cols``) applied to x, mod mod.
+
+    The map's width is len(x): every column holds at least that many entries,
+    and only those are read."""
+    return _apply[len(x), len(cols)](x, cols, mod)
 
 
 def vec_dot(xs, ys, poly, mod):
-    """sum_k xs[k]*ys[k] in Z[g]/(poly, mod): products summed unreduced, reduced once."""
-    t = [0] * (2 * len(poly) - 3)
-    for a, b in zip(xs, ys):
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    t[i + j] += x * y
-    return _reduce(t, poly, mod)
+    """sum_k xs[k]*ys[k] in Z[g]/(poly, mod), xs and ys of one length: products
+    summed unreduced, reduced once."""
+    return _dot[len(xs), len(poly) - 1](xs, ys, poly, mod)
+
+
+# ---------------------------------------------------------------------------
+# straight-line kernels, one per shape
+
+class _Kernels(dict):
+    """Kernels by shape; a missing one is generated by ``source(shape)`` and compiled."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, shape):
+        ns, name = {}, f"<polyarith {self.source.__name__} {shape}>"
+        exec(compile(self.source(shape), name, "exec"), ns)
+        kernel = self[shape] = ns["kernel"]
+        return kernel
+
+
+def _sum(terms):
+    """The terms added as a balanced tree, so a wide sum nests only log2 deep."""
+    if len(terms) < 2:
+        return terms[0] if terms else "0"
+    h = len(terms) // 2
+    return f"({_sum(terms[:h])} + {_sum(terms[h:])})"
+
+
+def _names(prefix, n):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _unpack(names, seq):
+    return f"    {''.join(n + ', ' for n in names)}= {seq}\n" if names else ""
+
+
+def _tuple(items):
+    return f"({''.join(i + ', ' for i in items)})"
+
+
+def _poly(f):
+    return _unpack(_names("m", f) + ["_"], "poly") if f > 1 else ""
+
+
+def _reduced(f, pairs):
+    """Statements returning sum x*y over the vector pairs, x and y named by
+    coefficient, mod (poly, mod): the product coefficients t_0..t_(2f-2),
+    reduced from the top as c_i = t_i mod mod, c_i * poly taken off t_(i-f..i-1)."""
+    def coeff(i):
+        t = [f"{x[j]} * {y[i - j]}" for x, y in pairs
+             for j in range(max(0, i - f + 1), min(i, f - 1) + 1)]
+        less = [f"c{k} * m{i - k + f}" for k in range(max(f, i + 1), min(i + f, 2 * f - 2) + 1)]
+        return f"({_sum(t)} - {_sum(less)}) % mod" if less else f"{_sum(t)} % mod"
+
+    body = _poly(f) + "".join(f"    c{i} = {coeff(i)}\n" for i in range(2 * f - 2, f - 1, -1))
+    return body + f"    return {_tuple(coeff(i) for i in range(f))}\n"
+
+
+def _mul_source(f):
+    a, b = _names("a", f), _names("b", f)
+    return ("def kernel(a, b, poly, mod):\n" + _unpack(a, "a") + _unpack(b, "b")
+            + _reduced(f, [(a, b)]))
+
+
+def _dot_source(shape):
+    n, f = shape
+    a, b = ([_names(f"{v}{k}_", f) for k in range(n)] for v in "ab")
+    return ("def kernel(xs, ys, poly, mod):\n" + _unpack([_tuple(x) for x in a], "xs")
+            + _unpack([_tuple(y) for y in b], "ys") + _reduced(f, list(zip(a, b))))
+
+
+def _cols_source(f):
+    rows = [_names("r0_", f)]
+    body = _unpack(_names("y", f), "y") + _poly(f)
+    body += "".join(f"    r0_{j} = y{j} % mod\n" for j in range(f))
+    for i in range(1, f):
+        top = rows[-1][-1]
+        rows.append(_names(f"r{i}_", f))
+        body += f"    r{i}_0 = -{top} * m0 % mod\n"
+        body += "".join(f"    r{i}_{j} = ({rows[-2][j - 1]} - {top} * m{j}) % mod\n"
+                        for j in range(1, f))
+    cols = _tuple(_tuple(col) for col in zip(*rows))
+    return f"def kernel(y, poly, mod):\n{body}    return {cols}\n"
+
+
+def _apply_source(shape):
+    n, w = shape
+    out = (f"{_sum([f'x{i} * c{j}[{i}]' for i in range(n)])} % mod" for j in range(w))
+    return ("def kernel(x, cols, mod):\n" + _unpack(_names("x", n), "x")
+            + _unpack(_names("c", w), "cols") + f"    return {_tuple(out)}\n")
+
+
+_mul = _Kernels(_mul_source)
+_dot = _Kernels(_dot_source)
+_cols = _Kernels(_cols_source)
+_apply = _Kernels(_apply_source)
 
 
 def vec_eval_int_poly(cs, y, poly, mod):

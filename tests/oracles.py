@@ -90,12 +90,18 @@ modulus by Euclid on trimmed int lists, where the library asks ``vec_inv``
 whether the difference is a unit.  ``euclid_inv_mod_p`` computes both
 Bezout cofactors of (a, m) over F_p and keeps one, where the library's
 mod-p seed tracks only a's.
+
+``loop_vec_mul``, ``loop_vec_apply``, ``loop_vec_dot`` and
+``loop_vec_mul_cols`` are the ring kernels as loops over the coefficients,
+with ``loop_reduce`` the reduction by the monic modulus, where the library
+runs one straight-line kernel compiled per vector shape.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, product
 from math import comb, gcd, isqrt
+from operator import mul
 
 from wittcalc import (
     DomainError,
@@ -878,3 +884,50 @@ def per_degree_graded_search(query):
         if best is not None:
             return k, monos, w, best + (0,) * (len(w) - len(wk))
     return None
+
+
+def loop_vec_mul(a, b, poly, mod):
+    f = len(a)
+    if f == 1:
+        return ((a[0] * b[0]) % mod,)
+    t = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                t[i + j] += x * y
+    return loop_reduce(t, poly, mod)
+
+
+def loop_reduce(t, poly, mod):
+    f = len(poly) - 1
+    for i in range(2 * f - 2, f - 1, -1):
+        c = t[i] % mod
+        if c:
+            off = i - f
+            for j in range(f):
+                t[off + j] -= c * poly[j]
+    return tuple(t[i] % mod for i in range(f))
+
+
+def loop_vec_mul_cols(y, poly, mod):
+    row = tuple(x % mod for x in y)
+    rows = [row]
+    for _ in range(len(y) - 1):
+        top = row[-1]
+        row = tuple((a - top * c) % mod for a, c in zip((0,) + row[:-1], poly))
+        rows.append(row)
+    return tuple(zip(*rows))
+
+
+def loop_vec_apply(x, cols, mod):
+    return tuple(sum(map(mul, x, col)) % mod for col in cols)
+
+
+def loop_vec_dot(xs, ys, poly, mod):
+    t = [0] * (2 * len(poly) - 3)
+    for a, b in zip(xs, ys):
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    t[i + j] += x * y
+    return loop_reduce(t, poly, mod)

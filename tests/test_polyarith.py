@@ -1,0 +1,50 @@
+"""Kernel layer: the straight-line ring kernels are compiled lazily, once per shape."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from wittcalc import new_params, padic_exp, psi, random_element, solve_matrix_linear, ZqMatrix
+from wittcalc import polyarith as pa
+
+
+def _caches():
+    return {name: k for name, k in vars(pa).items() if isinstance(k, pa._Kernels)}
+
+
+def test_import_compiles_no_kernel():
+    # a CLI process pays for its imports before any work; they build nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import wittcalc.cli; from wittcalc import polyarith as pa; print(sorted("
+            "(n, len(k)) for n, k in vars(pa).items() if isinstance(k, pa._Kernels)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[('_apply', 0), ('_cols', 0), ('_dot', 0), ('_mul', 0)]\n"
+
+
+def test_a_seen_shape_compiles_nothing(monkeypatch):
+    built = []
+    missing = pa._Kernels.__missing__
+
+    def counted(self, shape):
+        built.append((self.source, shape))
+        return missing(self, shape)
+
+    monkeypatch.setattr(pa._Kernels, "__missing__", counted)
+    for name, kernels in _caches().items():
+        monkeypatch.setattr(pa, name, pa._Kernels(kernels.source))
+
+    def work():
+        P = new_params(5, 3, 12)
+        rng = random.Random(4)
+        u = random_element(P, rng, unit=True)
+        beta = ZqMatrix(tuple(tuple(random_element(P, rng) for _ in range(2)) for _ in range(2)))
+        return psi(u), padic_exp(u.mul_p_power(1).mask(P.N)), solve_matrix_linear(beta), u * u
+
+    first = work()
+    assert len(built) == len(set(built)) == sum(map(len, _caches().values())) > 4
+    built.clear()
+    assert work() == first and built == []

@@ -9,8 +9,14 @@ delta sum and product laws and the multiplicative law of phi(u) = eps*u
 (p = 2 included), the digit expansion and its inverse against the
 element-wise oracles (p = 2 included), the JSON round trips of the element
 and matrix wire forms, the column-table product against the schoolbook one
-(reducible moduli included), the fused Horner series against the schoolbook
-one and the exp/log and psi laws (p odd), the integral LLL against the
+(reducible moduli included), the straight-line ring kernels against their
+loop oracles (any monic modulus, unreduced and negative inputs, inputs
+shorter than their columns, stacked columns and length-1 powers), the ring
+laws at mixed precisions with mask and agreement_precision (p = 2
+included), phi(u) = eps*u recovering its solution up to Z_p^* (p = 2
+included) and psi(u) = beta up to a Teichmuller unit (p odd), the fused
+Horner series against the schoolbook one and the exp/log and psi laws (p
+odd), the integral LLL against the
 Fraction LLL oracle on random integer bases, exhaustive relation search
 against the whole-box oracle, minimal polynomials in both modes against
 one query per degree, the one-pass graded search against one box search per
@@ -36,6 +42,7 @@ from wittcalc import (
     digits,
     from_digits,
     ZqMatrix,
+    agreement_precision,
     enumerate_constants,
     fermat_quotient,
     find_relation,
@@ -70,6 +77,10 @@ from oracles import (
     digitwise_solve_matrix_linear,
     fraction_lll_reduce,
     iterated_teichmuller,
+    loop_vec_apply,
+    loop_vec_dot,
+    loop_vec_mul,
+    loop_vec_mul_cols,
     peel_digits,
     power_teichmuller,
     scaled_from_digits,
@@ -372,6 +383,100 @@ def test_column_table_product_is_vec_mul(p, f, K, data):
     assert pa.vec_apply(x + w, stacked, mod) == pa.vec_add(
         pa.vec_mul(x, y, poly, mod), pa.vec_mul(w, z, poly, mod), mod)
 
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from((2, 3, 5, 7, 13)), st.integers(1, 10), st.integers(1, 12),
+                  st.data())
+def test_straight_line_kernels_match_the_loop_oracles(p, f, K, data):
+    # any monic modulus: the zero-low one, reducible products and
+    # coefficients up to p^K in size; inputs reduced, unreduced and negative
+    mod = p ** K
+
+    def vec(n=f):
+        return data.draw(st.one_of(st.tuples(*[st.integers(0, mod - 1)] * n),
+                                   st.tuples(*[st.integers(-2 * mod, 2 * mod)] * n)))
+
+    def monic(d):
+        return data.draw(st.tuples(*[st.integers(-mod, mod)] * d)) + (1,)
+
+    low = data.draw(st.sampled_from(("zero", "wide", "reducible")))
+    if low == "zero":
+        poly = (0,) * f + (1,)
+    elif low == "reducible" and f > 1:
+        d = data.draw(st.integers(1, f - 1))
+        g, h = monic(d), monic(f - d)
+        poly = tuple(sum(g[i] * h[n - i] for i in range(len(g)) if 0 <= n - i < len(h))
+                     for n in range(f + 1))
+    else:
+        poly = monic(f)
+    a, b = vec(), vec()
+    assert pa.vec_mul(a, b, poly, mod) == loop_vec_mul(a, b, poly, mod)
+    cols = pa.vec_mul_cols(b, poly, mod)
+    assert cols == loop_vec_mul_cols(b, poly, mod)
+    assert pa.vec_apply(a, cols, mod) == loop_vec_apply(a, cols, mod)
+    n = data.draw(st.integers(0, 4))
+    xs, ys = [vec() for _ in range(n)], tuple(vec() for _ in range(n))
+    assert pa.vec_dot(xs, ys, poly, mod) == loop_vec_dot(xs, ys, poly, mod)
+    # columns stacked end to end, applied to inputs of every width up to theirs
+    stacked = tuple(c + d for c, d in zip(cols, pa.vec_mul_cols(vec(), poly, mod)))
+    x = vec(data.draw(st.integers(0, 2 * f)))
+    assert pa.vec_apply(x, stacked, mod) == loop_vec_apply(x, stacked, mod)
+    # powers, by the builtin pow at length 1 and square-and-multiply above
+    e = data.draw(st.integers(0, 40))
+    power = pa.vec_one(f)
+    for _ in range(e):
+        power = loop_vec_mul(power, a, poly, mod)
+    assert pa.vec_pow(a, e, poly, mod) == power
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_ring_laws_at_mixed_precisions(ring, data):
+    # associativity, distributivity and inverses at mixed precisions; mask is
+    # a ring map to every lower precision; agreement_precision finds the
+    # first digit where two elements differ
+    P = get_params(*ring)
+    a, b, c = (_element(data, P).mask(data.draw(st.integers(1, P.N))) for _ in range(3))
+    abc = (a * b) * c
+    assert abc == a * (b * c) and abc.prec == min(a.prec, b.prec, c.prec)
+    assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+    units = st.tuples(*[st.integers(0, P.p ** P.N - 1)] * P.f).filter(
+        lambda cs: any(x % P.p for x in cs))
+    w = P.from_coeffs(data.draw(units))
+    u = w.mask(data.draw(st.integers(1, P.N)))
+    assert (u * u.inv()).coeffs == P.one(u.prec).coeffs
+    k = data.draw(st.integers(1, min(a.prec, b.prec)))
+    for x, y in (((a * b).mask(k), a.mask(k) * b.mask(k)),
+                 ((a - b).mask(k), a.mask(k) - b.mask(k))):
+        assert (x.coeffs, x.prec) == (y.coeffs, y.prec)
+    assert agreement_precision(a, a.mask(k)) == agreement_precision(a.mask(k), a) == k
+    j = data.draw(st.integers(0, P.N))
+    assert agreement_precision(a, a + w.mul_p_power(j)) == min(j, a.prec)
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_difference_equation_recovers_its_solution_up_to_z_p(ring, data):
+    # phi(u) = eps*u with eps = phi(v)/v has v as a solution, and any two
+    # unit solutions differ by a unit of Z_p
+    P = get_params(*ring)
+    units = st.tuples(*[st.integers(0, P.p ** P.N - 1)] * P.f).filter(
+        lambda cs: any(x % P.p for x in cs))
+    v = P.from_coeffs(data.draw(units))
+    ratio = solve_difference(frobenius(v) * v.inv()) * v.inv()
+    assert ratio.is_unit() and frobenius(ratio) == ratio and not any(ratio.coeffs[1:])
+
+
+@SETTINGS
+@hypothesis.given(ODD_RINGS.filter(lambda ring: ring[2] >= 3), st.data())
+def test_exponential_equation_recovers_its_solution_up_to_a_constant(ring, data):
+    # psi(u) = psi(v) holds exactly when u/v is a Teichmuller unit
+    P = get_params(*ring)
+    units = st.tuples(*[st.integers(0, P.p ** P.N - 1)] * P.f).filter(
+        lambda cs: any(x % P.p for x in cs))
+    u = P.from_coeffs(data.draw(units))
+    ratio = u * solve_exponential(psi(u)).base.inv()
+    assert ratio == teichmuller(ratio.residue())
 
 @SETTINGS
 @hypothesis.given(RINGS, st.data())
