@@ -27,6 +27,30 @@ compiles nothing.  The reduction by the monic poly still takes c_i = t_i mod
 p^K from the top coefficient down, so every result is the integer the loops
 gave and a modulus with large coefficients does not make the sums grow.
 The loop versions are the differential oracles in ``tests/oracles.py``.
+
+``vec_lift_block``, one Taylor block of the Frobenius lift over an n x n
+grid, is generated the same way per grid shape (n, f).  A column of the
+lifted map reads only the same column of the grid, so the one unrolled pass
+covers one column, n f^2 products for G o D and n^2 f^2 for
+phi^(-1)(C * .), in a loop over the passes (T(a) first) inside a loop over
+the columns: a block is one call where it was 2n^2 ``vec_apply`` calls per
+pass, and the source grows as the coupling table, not n times it.
+Compiling costs, per shape (CPU time, best of 5, and tracemalloc peak;
+Python 3.11, 2-core shared machine):
+
+    (n, f)   products   compile    peak
+    (1, 1)          2    0.24 ms   0.07 MB
+    (1, 4)         32    0.59 ms   0.20 MB
+    (1, 8)        128    1.34 ms   0.44 MB
+    (2, 3)         54    0.86 ms   0.27 MB
+    (3, 3)        108    1.37 ms   0.45 MB
+    (8, 4)      1,152    5.0 ms    2.8 MB
+
+Generating the source adds about a fifth.  Emitting the whole grid's pass
+instead (n^2 f^2 (n + 1) products) costs 5.3 ms and 1.3 MB at (3, 3) and
+0.3 s and 16 MB at (8, 4), and leaves about 1 MB resident after the (3, 3)
+compile in the ``solve`` benchmark process, where one column's leaves
+0.23 MB.
 """
 
 from .errors import NonUnit
@@ -130,6 +154,18 @@ def vec_dot(xs, ys, poly, mod):
     return _dot[len(xs), len(poly) - 1](xs, ys, poly, mod)
 
 
+def vec_lift_block(u, g, table, p, pm, mod):
+    """One Taylor block of ``zq._frobenius_lift``: the n x n grid ``u`` of vectors
+    right mod pm = p^m, lifted to the grid of the fixed point mod mod = p^top, top <= 2m.
+
+    ``g[k][j]`` is the columns of multiplication by u[k][j]^(p-1) mod p^top and
+    ``table[i]`` the columns of (x_k) -> phi^(-1)(sum_k C_ik x_k).  With
+    L(x) = phi^(-1)(C * (G o x)), the block takes T(a) = L(a) mod p^top and
+    e0 = (T(a) - a)/p^m, runs the passes D <- e0 + p L(D) mod p^(k-m) for
+    k = m+2, ..., top from D = e0, and returns a + p^m D."""
+    return _lift[len(u), len(u[0][0])](u, g, table, p, pm, mod)
+
+
 # ---------------------------------------------------------------------------
 # straight-line kernels, one per shape
 
@@ -219,10 +255,52 @@ def _apply_source(shape):
             + _unpack(_names("c", w), "cols") + f"    return {_tuple(out)}\n")
 
 
+def _lift_source(shape):
+    """The block over an n x n grid of length-f vectors.  Column j of T(x)
+    reads only column j of x, so the pass L is emitted once for one column,
+    inside a loop over the passes (its first turn takes T(a) mod p^top, each
+    later one a pass mod r = p^(k-m-1)) inside a loop over the columns: the
+    source grows as the coupling table, n^2 f^2, not n times it.  G o x is
+    reduced mod r, phi^(-1)(C * .) only by the update that reads it; sums are
+    written flat and each row of the arguments is unpacked by a statement of
+    its own, which compile faster than balanced sums and nested unpacking."""
+    n, f = shape
+    entries = [(k, l) for k in range(n) for l in range(f)]
+
+    def each(name, expr, indent=12):
+        return "".join(f"{' ' * indent}{name}{k}_{l} = {expr(k, l)}\n" for k, l in entries)
+
+    def flat(name):
+        return ", ".join(f"{name}{k}_{l}" for k, l in entries)
+
+    def g_o_x(k, l):
+        return f"({' + '.join(f'x{k}_{s} * g{k}_{l}_{s}' for s in range(f))}) % r"
+
+    def phi_inv_c(i, l):
+        return " + ".join(f"h{k}_{s} * t{i}_{l}_{k * f + s}" for k in range(n) for s in range(f))
+
+    tables = "".join(_unpack(_names(f"t{i}_{l}_", n * f), f"table[{i}][{l}]") for i, l in entries)
+    column = ("".join("    " + _unpack(_names(f"a{k}_", f), f"u[{k}][j]") for k in range(n))
+              + "".join("    " + _unpack(_names(f"g{k}_{l}_", f), f"g[{k}][j][{l}]")
+                        for k, l in entries))
+    out = _tuple(_tuple(f"a{k}_{l} + pm * x{k}_{l}" for l in range(f)) for k in range(n))
+    return ("def kernel(u, g, table, p, pm, mod):\n" + tables
+            + "    cols = []\n    for j in range(len(u)):\n" + column
+            + f"        {flat('x')} = {flat('a')}\n        r = mod\n        while True:\n"
+            + each("h", g_o_x) + each("y", phi_inv_c)
+            + "            if r == mod:\n"
+            + each("x", lambda k, l: f"e{k}_{l} = (y{k}_{l} % mod - a{k}_{l}) // pm", 16)
+            + "                r = 1\n            else:\n                pr = p * r\n"
+            + each("x", lambda k, l: f"(e{k}_{l} + p * y{k}_{l}) % pr", 16)
+            + "            r *= p\n            if r * pm >= mod:\n                break\n"
+            + f"        cols.append({out})\n    return tuple(zip(*cols))\n")
+
+
 _mul = _Kernels(_mul_source)
 _dot = _Kernels(_dot_source)
 _cols = _Kernels(_cols_source)
 _apply = _Kernels(_apply_source)
+_lift = _Kernels(_lift_source)
 
 
 def vec_eval_int_poly(cs, y, poly, mod):

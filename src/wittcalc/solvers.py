@@ -21,7 +21,8 @@ invertible residue seed works, and each seed lifts uniquely: the solution
 set is an exact GL_n(F_q)-torsor over seeds.  The lift is
 ``zq._frobenius_lift``, shared with the Teichmuller table: Taylor blocks in
 which one p-th power per entry at a block start k = 2, 3, 5, 9, 17, ...
-serves every digit up to p^(2k-2), the passes inside a block being affine.
+serves every digit up to p^(2k-2), the passes inside a block being affine
+and the whole block one compiled kernel per grid shape.
 """
 
 from __future__ import annotations
@@ -416,11 +417,13 @@ def solve_matrix_linear(beta, seed=None):
 
     Rewritten as u = T(u) = phi^(-1)((I + p*beta) * u^(p)) the equation is
     vacuous mod p, so the seed is free, and T lifts it uniquely.  The lift
-    is ``zq._frobenius_lift``, the Taylor-block kernel that also fills the
+    is ``zq._frobenius_lift``, the Taylor-block lift that also fills the
     Teichmuller table (n = 1, coupling 1), here with the columns of
-    x -> phi^(-1)((I + p*beta) * x) built once per call.  The solution mod
-    p^W is then checked against the equation at full precision by a matrix
-    product that does not go through the kernel.
+    x -> phi^(-1)((I + p*beta) * x) built once per call; each block is one
+    call of the straight-line kernel ``polyarith.vec_lift_block`` compiled
+    for the shape (n, f).  The solution mod p^W is then checked against the
+    equation at full precision by a matrix product that does not go through
+    the kernel.
     """
     params = beta.params
     if beta.prec < 2:

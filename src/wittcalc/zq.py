@@ -41,6 +41,11 @@ from .errors import (
 )
 from .record import frozen_record
 
+# The most digits ``from_digits`` sums by one kernel.  A kernel as wide as a
+# long precision costs more to compile than it saves (1,000 wide: about 50 ms
+# and 12 MB); up to 64 digits the sum stays one call.
+DIGIT_BLOCK = 64
+
 
 class PadicParams:
     """Ambient ring descriptor: (p, f, N) plus the defining polynomial.
@@ -510,37 +515,27 @@ def _frobenius_lift(params, table, u, W):
     over the n x n grid ``u`` of residue tuples; coefficients in [0, p^W).
 
     ``table[i]`` is the columns of (x_k) -> phi^(-1)(sum_k C_ik x_k), rows
-    phi^(-1)(g^l C_ik) for k < n, l < f: entry (i, j) of a pass is one
-    ``vec_apply`` of column j laid end to end.  T fixes residues and T mod
+    phi^(-1)(g^l C_ik) for k < n, l < f.  T fixes residues and T mod
     p^(k+1) depends only on x mod p^k.  With a = x mod p^m,
     (a + p^m D)^p = a^p + p^(m+1) a^(p-1) D mod p^(2m) for every p, so
     T(a + p^m D) = T(a) + p^(m+1) phi^(-1)(C * (G o D)) mod p^k, k <= 2m,
-    G = a^(p-1).  A Taylor block takes G as column tables and T(a), one p-th
-    power per entry, and then each pass k is the affine step
+    G = a^(p-1).  A Taylor block takes G as column tables, one p-th power per
+    entry, and T(a), and then each pass k is the affine step
     D <- (T(a) - a)/p^m + p phi^(-1)(C * (G o D)) mod p^(k-m).  Blocks start
-    at k = m + 1 = 2, 3, 5, 9, 17, ...
+    at k = m + 1 = 2, 3, 5, 9, 17, ...  Past the tables G, a block is one
+    call of ``polyarith.vec_lift_block``, the straight-line kernel of the
+    grid's shape (n, f), which takes T(a) and runs every pass; the blocks
+    with their passes as ``vec_apply`` calls are the oracle
+    ``tests/oracles.py::loop_frobenius_lift``.
     """
-    p, poly, idx = params.p, params.poly, range(len(u))
-
-    def t_linear(g, x, mod):
-        # phi^(-1)(C * (g o x)) mod `mod`, one column of g o x at a time
-        cols = [sum((pa.vec_apply(x[k][j], g[k][j], mod) for k in idx), ()) for j in idx]
-        return [[pa.vec_apply(col, t, mod) for col in cols] for t in table]
-
+    p, poly = params.p, params.poly
     m = 1
     while m < W:
-        top, pm = min(2 * m, W), p ** m
+        top = min(2 * m, W)
         mod = p ** top
-        g = [[pa.vec_mul_cols(pa.vec_pow(a, p - 1, poly, mod), poly, mod) for a in row]
-             for row in u]
-        e0 = d = [[tuple((x - y) // pm for x, y in zip(ta, a)) for ta, a in zip(*rows)]
-                  for rows in zip(t_linear(g, u, mod), u)]
-        for k in range(m + 2, top + 1):
-            r = p ** (k - m - 1)
-            d = [[tuple((x + p * y) % (p * r) for x, y in zip(ea, za)) for ea, za in zip(*rows)]
-                 for rows in zip(e0, t_linear(g, d, r))]
-        u = [[tuple(x + pm * y for x, y in zip(a, da)) for a, da in zip(*rows)]
-             for rows in zip(u, d)]
+        g = tuple(tuple(pa.vec_mul_cols(pa.vec_pow(a, p - 1, poly, mod), poly, mod) for a in row)
+                  for row in u)
+        u = pa.vec_lift_block(u, g, table, p, p ** m, mod)
         m = top
     return u
 
@@ -572,20 +567,28 @@ def digits(u):
 def from_digits(d):
     """Evaluate sum_i omega(digits[i]) p^i at precision len(digits).
 
-    One linear map: the omega vectors are the columns' entries and
-    (1, p, ..., p^(n-1)) the input.  Every digit must come from the residue
-    field of d's ring.
+    Linear maps whose columns' entries are the omega vectors, applied to
+    (1, p, p^2, ...): the top block of at most ``DIGIT_BLOCK`` digits, then
+    each block of ``DIGIT_BLOCK`` below it with the sum so far as one more
+    column, scaled by p^DIGIT_BLOCK (Horner in p^DIGIT_BLOCK), so no kernel is
+    wider than DIGIT_BLOCK + 1.  Every digit must come from the residue field
+    of d's ring.
     """
     params = d.params
     prec = params._prec(len(d.digits))
-    p = params.p
+    p, width = params.p, DIGIT_BLOCK
     ws = []
     for c in d.digits:
         if not _same_residue_field(params, c.params):
             raise ParamsMismatch("digit lives in another residue field")
         ws.append(_omega(params, c.coeffs))
-    return ZqElement(params, pa.vec_apply([p ** i for i in range(prec)], tuple(zip(*ws)),
-                                          p ** prec), prec)
+    mod, top = p ** prec, (prec - 1) // width * width
+    acc = pa.vec_apply([p ** i for i in range(prec - top)], tuple(zip(*ws[top:])), mod)
+    if top:
+        xs = [p ** i for i in range(width + 1)]
+        for s in range(top - width, -1, -width):
+            acc = pa.vec_apply(xs, tuple(zip(*ws[s:s + width], acc)), mod)
+    return ZqElement(params, acc, prec)
 
 
 def valuation(u):

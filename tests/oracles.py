@@ -95,6 +95,10 @@ mod-p seed tracks only a's.
 ``loop_vec_mul_cols`` are the ring kernels as loops over the coefficients,
 with ``loop_reduce`` the reduction by the monic modulus, where the library
 runs one straight-line kernel compiled per vector shape.
+``loop_frobenius_lift`` is the Taylor-block lift with each pass made of
+``vec_apply`` calls, two per entry of the grid, and Python glue, where the
+library runs each block as one straight-line kernel compiled per grid shape
+(n, f).
 """
 
 from fractions import Fraction
@@ -931,3 +935,31 @@ def loop_vec_dot(xs, ys, poly, mod):
                 for j, y in enumerate(b):
                     t[i + j] += x * y
     return loop_reduce(t, poly, mod)
+
+
+def loop_frobenius_lift(params, table, u, W):
+    """The fixed point of T(x) = phi^(-1)(C * x^(p)) mod p^W over the grid ``u``,
+    by Taylor blocks whose passes are ``vec_apply`` calls of column tables."""
+    p, poly, idx = params.p, params.poly, range(len(u))
+
+    def t_linear(g, x, mod):
+        # phi^(-1)(C * (g o x)) mod `mod`, one column of g o x at a time
+        cols = [sum((pa.vec_apply(x[k][j], g[k][j], mod) for k in idx), ()) for j in idx]
+        return [[pa.vec_apply(col, t, mod) for col in cols] for t in table]
+
+    m = 1
+    while m < W:
+        top, pm = min(2 * m, W), p ** m
+        mod = p ** top
+        g = [[pa.vec_mul_cols(pa.vec_pow(a, p - 1, poly, mod), poly, mod) for a in row]
+             for row in u]
+        e0 = d = [[tuple((x - y) // pm for x, y in zip(ta, a)) for ta, a in zip(*rows)]
+                  for rows in zip(t_linear(g, u, mod), u)]
+        for k in range(m + 2, top + 1):
+            r = p ** (k - m - 1)
+            d = [[tuple((x + p * y) % (p * r) for x, y in zip(ea, za)) for ea, za in zip(*rows)]
+                 for rows in zip(e0, t_linear(g, d, r))]
+        u = [[tuple(x + pm * y for x, y in zip(a, da)) for a, da in zip(*rows)]
+             for rows in zip(u, d)]
+        m = top
+    return u

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ def test_import_compiles_no_kernel():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[('_apply', 0), ('_cols', 0), ('_dot', 0), ('_mul', 0)]\n"
+    assert proc.stdout == "[('_apply', 0), ('_cols', 0), ('_dot', 0), ('_lift', 0), ('_mul', 0)]\n"
 
 
 def test_a_seen_shape_compiles_nothing(monkeypatch):
@@ -46,5 +47,15 @@ def test_a_seen_shape_compiles_nothing(monkeypatch):
 
     first = work()
     assert len(built) == len(set(built)) == sum(map(len, _caches().values())) > 4
+    assert (pa._lift_source, (2, 3)) in built
     built.clear()
     assert work() == first and built == []
+
+
+def test_lift_block_source_has_one_pass_of_products():
+    # the pass is emitted once, for one column of the grid: n f^2 products
+    # for G o D and n^2 f^2 for phi^(-1)(C * .), which bounds the compile
+    # time and memory per shape by the size of the coupling table
+    for n, f in ((1, 1), (1, 8), (2, 3), (3, 1), (3, 3), (6, 2)):
+        products = re.findall(r"\b[xh]\d+_\d+ \* [gt]\d", pa._lift_source((n, f)))
+        assert len(products) == n * f * f * (n + 1)

@@ -11,7 +11,10 @@ element-wise oracles (p = 2 included), the JSON round trips of the element
 and matrix wire forms, the column-table product against the schoolbook one
 (reducible moduli included), the straight-line ring kernels against their
 loop oracles (any monic modulus, unreduced and negative inputs, inputs
-shorter than their columns, stacked columns and length-1 powers), the ring
+shorter than their columns, stacked columns and length-1 powers), the
+compiled Taylor block of the Frobenius lift against the loop lift on the
+matrix solver's grids and on Teichmuller lifts (p = 2 and p = 101
+included), the ring
 laws at mixed precisions with mask and agreement_precision (p = 2
 included), phi(u) = eps*u recovering its solution up to Z_p^* (p = 2
 included) and psi(u) = beta up to a Teichmuller unit (p odd), the fused
@@ -60,7 +63,7 @@ from wittcalc import (
     teichmuller,
     verify_matrix_linear,
 )
-from wittcalc import delta, relations
+from wittcalc import delta, relations, solvers, zq
 from wittcalc.cli import run
 from wittcalc.zq import teichmuller_table
 from wittcalc import polyarith as pa
@@ -77,6 +80,7 @@ from oracles import (
     digitwise_solve_matrix_linear,
     fraction_lll_reduce,
     iterated_teichmuller,
+    loop_frobenius_lift,
     loop_vec_apply,
     loop_vec_dot,
     loop_vec_mul,
@@ -269,6 +273,39 @@ def test_matrix_taylor_block_lift_matches_digitwise_oracle(ring, n, data):
     old = digitwise_solve_matrix_linear(beta, seed)
     assert [[e.coeffs for e in row] for row in u.entries] == \
         [[e.coeffs for e in row] for row in old.entries]
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(st.one_of(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4)),
+                            st.tuples(st.sampled_from((13, 101)), st.integers(1, 2))),
+                  st.integers(2, 30), st.integers(0, 3), st.randoms(use_true_random=False))
+@hypothesis.example((2, 4), 30, 3, random.Random(0))
+@hypothesis.example((101, 2), 20, 0, random.Random(1))
+def test_lift_block_kernel_matches_the_loop_lift(pf, N, n, rnd):
+    # n = 0 is a Teichmuller lift (n = 1, coupling 1) to a random W; n >= 1
+    # the solver's own table and seed, captured on their way into the lift
+    (p, f), lift = pf, zq._frobenius_lift
+    P = get_params(p, f, N)
+
+    def residue():
+        return tuple(rnd.randrange(p) for _ in range(f))
+
+    W = rnd.randint(2, N)
+    if n == 0:
+        args = [(P, (P._phi_inv_cols,), ((residue(),),), W)]
+    else:
+        args = []
+        beta = ZqMatrix(tuple(tuple(random_element(P, rnd, W) for _ in range(n))
+                              for _ in range(n)))
+        seed = tuple(tuple(P.fq(residue()) for _ in range(n)) for _ in range(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_frobenius_lift", lambda *a: args.append(a) or lift(*a))
+            try:
+                solve_matrix_linear(beta, seed)
+            except SingularSeed:
+                solve_matrix_linear(beta)
+    for a in args:
+        assert list(map(list, lift(*a))) == loop_frobenius_lift(*a)
 
 
 @SETTINGS

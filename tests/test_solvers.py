@@ -569,23 +569,30 @@ def test_solve_layer_cost_in_ring_products(ring_products):
     # full-precision check makes vec_dot calls.  The constants took
     # (111, 214, 8) while omega(gamma) filled its Frobenius orbit in the
     # table; now they are the table, filled whole from the powers of
-    # omega(gamma), and the orbit's three vec_apply calls are gone.
+    # omega(gamma), and the orbit's three vec_apply calls are gone.  The
+    # passes of the shared lift were vec_apply calls, (180, 378, 54) for the
+    # matrix solve and (111, 211, 8) for the constants; now each Taylor
+    # block is one vec_lift_block call, and (180, 36, 54) and (111, 173, 8)
+    # remain: the solver's columns of phi^(-1)(C_ik g^l) and its check's
+    # Frobenius, and the constants' powers of omega(gamma).
     # the Conway search's products are not the solve layer's
     for p, f in ((7, 3), (3, 6), (2, 8)):
         conway_polynomial(p, f)
     P = new_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
-    runs = ((lambda: new_params(7, 3, 20), (45, 3, 2), 0),
-            (lambda: solve_matrix_linear(beta), (180, 378, 54), 9),
-            (lambda: enumerate_constants(new_params(7, 3, 20)), (111, 211, 8), 0),
-            (lambda: new_params(3, 6, 60), (90, 12, 2), 0),
-            (lambda: new_params(2, 8, 30), (97, 18, 2), 0))
-    for run, counts, dots in runs:
+    runs = ((lambda: new_params(7, 3, 20), (45, 3, 2), 0, 0),
+            (lambda: solve_matrix_linear(beta), (180, 36, 54), 9, 5),
+            (lambda: enumerate_constants(new_params(7, 3, 20)), (111, 173, 8), 0, 5),
+            (lambda: new_params(3, 6, 60), (90, 12, 2), 0, 0),
+            (lambda: new_params(2, 8, 30), (97, 18, 2), 0, 0))
+    for run, counts, dots, blocks in runs:
         got = ring_products(run)
         assert 0 < got[0] and got == counts and len(ring_products.calls["vec_dot"]) == dots
+        assert len(ring_products.calls["vec_lift_block"]) == blocks
     # the matrix lift takes one p-th power per entry per Taylor block, the
     # blocks starting at k = 2, 3, 5, 9, 17 and ending at p^2, p^4, p^8,
     # p^16 and p^20, and the check one more per entry mod p^20
     ring_products(lambda: solve_matrix_linear(beta))
     assert ring_products.calls["vec_pow"] == [7 ** k for k in (2, 4, 8, 16, 20, 20)
                                               for _ in range(9)]
+    assert ring_products.calls["vec_lift_block"] == [7 ** k for k in (2, 4, 8, 16, 20)]

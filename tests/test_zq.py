@@ -40,6 +40,7 @@ from oracles import (
     full_scan_conway_polynomial,
     gcd_is_irreducible_mod_p,
     iterated_teichmuller,
+    scaled_from_digits,
     trial_division_prime_factors,
 )
 
@@ -535,28 +536,35 @@ def test_teichmuller_table_cost_in_powers(ring_products):
     # fills the whole table: the generator search's powers mod p, one lift
     # of omega(gamma), its blocks ending at p^2, p^4, ..., p^N, the check
     # phi(omega) = omega^p one p-th power mod p^N, and the powers of omega
-    # one vec_apply each.
-    runs = {(3, 6, 60): ((35, 481, 7), 3, (2, 4, 8, 16, 32, 60)),
-            (5, 4, 40): ((132, 389, 7), 12, (2, 4, 8, 16, 32, 40)),
-            (2, 8, 30): ((24, 312, 6), 3, (2, 4, 8, 16, 30))}
+    # one vec_apply each.  While the lift's passes were vec_apply calls
+    # these took (35, 481, 7), (132, 389, 7) and (24, 312, 6); now each
+    # block is one vec_lift_block call and they take (35, 363, 7),
+    # (132, 311, 7) and (24, 254, 6).
+    runs = {(3, 6, 60): ((35, 363, 7), 3, (2, 4, 8, 16, 32, 60)),
+            (5, 4, 40): ((132, 311, 7), 12, (2, 4, 8, 16, 32, 40)),
+            (2, 8, 30): ((24, 254, 6), 3, (2, 4, 8, 16, 30))}
     for (p, f, N), (counts, search, tops) in runs.items():
         P = new_params(p, f, N)
         a = P.fq((1,) * f)
         assert ring_products(lambda: teichmuller(a)) == counts
         assert ring_products.calls["vec_pow"] == [p] * search + [p ** k for k in tops + (N,)]
+        assert ring_products.calls["vec_lift_block"] == [p ** k for k in tops]
         assert len(P._teich) == p ** f
         full = ring_products(lambda: [teichmuller(P.fq(c))
                                       for c in itertools.product(range(p), repeat=f)])
         assert full == (0, 0, 0) and ring_products.calls["vec_pow"] == []
     # Above it, a cold call makes one lift and fills at most its orbit, 2f
-    # entries, and the Frobenius image and the negation are then hits.
-    runs = {(3, 8, 20): (7, 47, 5), (101, 2, 20): (49, 41, 5), (2, 12, 20): (1, 51, 5)}
+    # entries, and the Frobenius image and the negation are then hits.  These
+    # took (7, 47, 5), (49, 41, 5) and (1, 51, 5) while the passes were
+    # vec_apply calls; the orbit fill's Frobenius images remain.
+    runs = {(3, 8, 20): (7, 9, 5), (101, 2, 20): (49, 3, 5), (2, 12, 20): (1, 13, 5)}
     for (p, f, N), counts in runs.items():
         P = new_params(p, f, N)
         a = P.fq((1,) * f)
         ap = a ** p
         assert ring_products(lambda: teichmuller(a)) == counts
         assert ring_products.calls["vec_pow"] == [p ** k for k in (2, 4, 8, 16, 20, 20)]
+        assert ring_products.calls["vec_lift_block"] == [p ** k for k in (2, 4, 8, 16, 20)]
         assert 1 <= len(P._teich) <= 2 * f
         w = teichmuller(a)
         hits = ring_products(lambda: (teichmuller(ap), teichmuller(-a)))
@@ -613,6 +621,21 @@ def test_from_digits_refuses_digits_from_another_residue_field():
         own = digits(random_element(S, random.Random(25)))
         moved = TeichmullerDigits(S, tuple(R.fq(c.coeffs) for c in own))
         assert from_digits(moved).coeffs == from_digits(own).coeffs
+
+
+def test_from_digits_compiles_kernels_of_bounded_width(monkeypatch):
+    # one kernel as wide as the precision took 52 ms and 12.3 MB to compile
+    # at precision 1,000; the blocks keep every width at most DIGIT_BLOCK + 1
+    P = new_params(3, 2, 300)
+    zq.teichmuller_table(P)
+    monkeypatch.setattr(polyarith, "_apply", polyarith._Kernels(polyarith._apply_source))
+    rng = random.Random(26)
+    for prec in range(2, 301):
+        d = TeichmullerDigits(P, tuple(P.fq((rng.randrange(3), rng.randrange(3)))
+                                       for _ in range(prec)))
+        assert from_digits(d) == scaled_from_digits(d)
+    widths = sorted(w for w, _ in polyarith._apply)
+    assert widths == list(range(1, zq.DIGIT_BLOCK + 2))
 
 
 def test_p2_ring_layer_is_available():
