@@ -27,6 +27,8 @@ compiles nothing.  The reduction by the monic poly still takes c_i = t_i mod
 p^K from the top coefficient down, so every result is the integer the loops
 gave and a modulus with large coefficients does not make the sums grow.
 The loop versions are the differential oracles in ``tests/oracles.py``.
+With ``vec_lift_block`` and ``vec_power_table`` below these are all six
+kernels, one ``_Kernels`` cache each.
 
 ``vec_lift_block``, one Taylor block of the Frobenius lift over an n x n
 grid, is generated the same way per grid shape (n, f).  A column of the
@@ -51,6 +53,20 @@ instead (n^2 f^2 (n + 1) products) costs 5.3 ms and 1.3 MB at (3, 3) and
 0.3 s and 16 MB at (8, 4), and leaves about 1 MB resident after the (3, 3)
 compile in the ``solve`` benchmark process, where one column's leaves
 0.23 MB.
+
+``vec_power_table``, the walk over the powers of omega(gamma) that fills
+a whole Teichmuller table, is generated per (f, p odd): a loop of n steps,
+each entering x (and for p odd -x) under its residue and then taking
+x <- x * w by the f^2 products of w's columns, unrolled over named locals.
+So any p compiles at most two kernels per f; the loop over ``vec_powers``
+it replaces is the oracle ``loop_teichmuller_table``.  Compiling costs
+(same measure as above):
+
+    f   compile, p = 2 / odd   peak, p = 2 / odd
+    1       0.07 / 0.08 ms       0.04 / 0.04 MB
+    3       0.13 / 0.14 ms       0.06 / 0.07 MB
+    4       0.16 / 0.19 ms       0.08 / 0.10 MB
+    8       0.38 / 0.42 ms       0.19 / 0.21 MB
 """
 
 from .errors import NonUnit
@@ -164,6 +180,14 @@ def vec_lift_block(u, g, table, p, pm, mod):
     e0 = (T(a) - a)/p^m, runs the passes D <- e0 + p L(D) mod p^(k-m) for
     k = m+2, ..., top from D = e0, and returns a + p^m D."""
     return _lift[len(u), len(u[0][0])](u, g, table, p, pm, mod)
+
+
+def vec_power_table(table, w, n, p, poly, mod):
+    """Enter w^0, ..., w^(n-1) mod mod in ``table`` under their residues mod p,
+    in that order, and for p odd each one's negative right after it under its
+    own residue; returns ``table``.  Each power applies the columns of w to
+    the last, and the walk is one kernel per (len(w), p odd)."""
+    return _powers[len(w), p > 2](table, vec_mul_cols(w, poly, mod), n, p, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +320,29 @@ def _lift_source(shape):
             + f"        cols.append({out})\n    return tuple(zip(*cols))\n")
 
 
+def _powers_source(shape):
+    """The walk x <- x * w from x = 1, n steps, each entering x (and for p
+    odd -x) under its residue before the step; the step is the column map."""
+    f, odd = shape
+    x = _names("x", f)
+    res = _tuple(f"{v} % p" for v in x)
+    step = _tuple(f"({' + '.join(f'{v} * c{j}_{i}' for i, v in enumerate(x))}) % mod"
+                  for j in range(f))
+    neg = (f"        table[{_tuple(f'-{v} % p' for v in x)}] = "
+           f"{_tuple(f'-{v} % mod' for v in x)}\n" if odd else "")
+    return ("def kernel(table, cols, n, p, mod):\n" + _unpack(_names("c", f), "cols")
+            + "".join(_unpack(_names(f"c{j}_", f), f"c{j}") for j in range(f))
+            + _unpack(x, _tuple(["1"] + ["0"] * (f - 1))) + "    for _ in range(n):\n"
+            + f"        table[{res}] = {_tuple(x)}\n" + neg
+            + f"        {', '.join(x)}, = {step}\n    return table\n")
+
+
 _mul = _Kernels(_mul_source)
 _dot = _Kernels(_dot_source)
 _cols = _Kernels(_cols_source)
 _apply = _Kernels(_apply_source)
 _lift = _Kernels(_lift_source)
+_powers = _Kernels(_powers_source)
 
 
 def vec_eval_int_poly(cs, y, poly, mod):

@@ -22,7 +22,9 @@ set is an exact GL_n(F_q)-torsor over seeds.  The lift is
 ``zq._frobenius_lift``, shared with the Teichmuller table: Taylor blocks in
 which one p-th power per entry at a block start k = 2, 3, 5, 9, 17, ...
 serves every digit up to p^(2k-2), the passes inside a block being affine
-and the whole block one compiled kernel per grid shape.
+and the whole block one compiled kernel per grid shape.  The seed test, the
+coupling I + p*beta and the check of the answer run on coefficient tuples;
+only the answer is built as ring elements.
 """
 
 from __future__ import annotations
@@ -385,21 +387,22 @@ def _mat_mul(a, b, poly, mod):
     return tuple(tuple(pa.vec_dot(row, col, poly, mod) for col in cols) for row in a)
 
 
-def _residue_invertible(residues):
-    """Gaussian elimination over F_q on a residue grid."""
-    n = len(residues)
-    rows = [list(row) for row in residues]
+def _residue_invertible(rows, poly, p):
+    """Gaussian elimination over F_q on a grid of residue coefficient tuples."""
+    n = len(rows)
+    rows = [list(row) for row in rows]
     for col in range(n):
-        piv = next((i for i in range(col, n) if not rows[i][col].is_zero()), None)
+        piv = next((i for i in range(col, n) if any(rows[i][col])), None)
         if piv is None:
             return False
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inv()
-        rows[col] = [x * inv for x in rows[col]]
+        inv = pa.vec_inv(rows[col][col], poly, p, 1)
+        rows[col] = [pa.vec_mul(x, inv, poly, p) for x in rows[col]]
         for i in range(n):
-            if i != col and not rows[i][col].is_zero():
+            if i != col and any(rows[i][col]):
                 factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+                rows[i] = [pa.vec_sub(x, pa.vec_mul(factor, y, poly, p), p)
+                           for x, y in zip(rows[i], rows[col])]
     return True
 
 
@@ -422,34 +425,39 @@ def solve_matrix_linear(beta, seed=None):
     x -> phi^(-1)((I + p*beta) * x) built once per call; each block is one
     call of the straight-line kernel ``polyarith.vec_lift_block`` compiled
     for the shape (n, f).  The solution mod p^W is then checked against the
-    equation at full precision by a matrix product that does not go through
-    the kernel.
+    equation at full precision, C @ u^(p) == phi(u), by a matrix product
+    that does not go through the kernel.  The seed's invertibility over
+    F_q, the coupling C = I + p*beta mod p^W, its table and the check all
+    run on the entries' coefficient tuples; ring elements are built only
+    for the returned u.
     """
     params = beta.params
     if beta.prec < 2:
         raise PrecisionExhausted("solve_matrix_linear needs precision >= 2")
-    n, W = beta.n, beta.prec
+    p, f, poly, n, W = params.p, params.f, params.poly, beta.n, beta.prec
     if seed is None:
-        seed_res = tuple(
-            tuple(params.fq_from_int(1 if i == j else 0) for j in range(n))
-            for i in range(n))
+        seed_res = tuple(tuple(pa.vec_one(f) if i == j else pa.vec_zero(f) for j in range(n))
+                         for i in range(n))
     else:
-        seed_res = tuple(tuple(_seed_residue(params, e) for e in row) for row in seed)
+        seed_res = tuple(tuple(_seed_residue(params, e).coeffs for e in row) for row in seed)
         if len(seed_res) != n or any(len(row) != n for row in seed_res):
             raise DomainError("seed shape does not match beta")
-    if not _residue_invertible(seed_res):
+    if not _residue_invertible(seed_res, poly, p):
         raise SingularSeed("seed matrix is not invertible over F_q")
-    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
-    poly, mod, inv_cols = params.poly, params.p ** W, params._phi_inv_cols
+    mod, one = p ** W, pa.vec_one(f)
+    coupling = tuple(tuple(pa.vec_add(pa.vec_scale(e.coeffs, p, mod), one, mod) if i == j
+                           else pa.vec_scale(e.coeffs, p, mod) for j, e in enumerate(row))
+                     for i, row in enumerate(beta.entries))
     # row i: the columns of (x_k) -> phi^(-1)(sum_k C_ik x_k), rows phi^(-1)(g^l C_ik)
-    table = tuple(tuple(zip(*(pa.vec_apply(row, inv_cols, mod) for e in c_row
-                              for row in zip(*pa.vec_mul_cols(e.coeffs, poly, mod)))))
-                  for c_row in coupling.entries)
-    u = ZqMatrix(_entrywise(lambda e: ZqElement(params, e, W),
-                            _frobenius_lift(params, table, _coeff_grid(seed_res), W)))
-    if coupling @ u.pow_entries_p() != u.frobenius():
+    table = tuple(tuple(zip(*(pa.vec_apply(row, params._phi_inv_cols, mod) for e in c_row
+                              for row in zip(*pa.vec_mul_cols(e, poly, mod)))))
+                  for c_row in coupling)
+    u = _frobenius_lift(params, table, seed_res, W)
+    up = tuple(tuple(pa.vec_pow(e, p, poly, mod) for e in row) for row in u)
+    if _mat_mul(coupling, up, poly, mod) != tuple(
+            tuple(pa.vec_apply(e, params._phi_cols, mod) for e in row) for row in u):
         raise ArithmeticError("matrix lift lost the invariant")
-    return u
+    return ZqMatrix(_entrywise(lambda e: ZqElement(params, e, W), u))
 
 
 def verify_matrix_linear(u, beta):

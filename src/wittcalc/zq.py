@@ -16,7 +16,8 @@ Besides the ring structure this module provides:
   unique root-of-unity-or-zero lift of each residue, cached per ring: by
   one Frobenius lift (``_frobenius_lift``, shared with the matrix solver)
   per orbit of <phi, -1>, or, for q - 1 <= 4 N^2 and for the solvers'
-  constants, whole (``teichmuller_table``) from the powers of one lift;
+  constants, whole (``teichmuller_table``) from the powers of one lift,
+  walked by one straight-line kernel (``polyarith.vec_power_table``);
 * ``digits``/``from_digits`` -- the expansion u = sum_i omega(c_i) p^i with
   residue digits c_i, on which the Frobenius acts digit-wise by c -> c^p.
 
@@ -490,7 +491,11 @@ def teichmuller_table(params):
     w^q = w, so the checked lift of gamma is omega(gamma) exactly mod p^N,
     and so are its powers.  For p odd omega(gamma)^((q-1)/2) = -1, so the
     first (q-1)/2 powers are multiplied out and the rest are their
-    negatives.  The table is published only once the lift passed its check.
+    negatives.  The walk over the powers is one straight-line kernel per
+    (f, p odd), ``polyarith.vec_power_table``, which enters each power and
+    its negative under their residues; the loop over ``vec_powers`` it
+    replaces is the oracle ``tests/oracles.py::loop_teichmuller_table``.
+    The table is published only once the lift passed its check.
     """
     p, f, poly = params.p, params.f, params.poly
     q1, mod = p ** f - 1, p ** params.N
@@ -499,15 +504,9 @@ def teichmuller_table(params):
     one, ells = pa.vec_one(f), prime_factors(q1)
     gamma = next(c for c in itertools.product(range(p), repeat=f)
                  if any(c) and all(pa.vec_pow(c, q1 // ell, poly, p) != one for ell in ells))
-    table = {pa.vec_zero(f): pa.vec_zero(f)}
-    for w in pa.vec_powers(_lift_checked(params, gamma), (q1 if p == 2 else q1 // 2) - 1,
-                           poly, mod):
-        c = tuple(x % p for x in w)
-        table[c] = w
-        if p > 2:
-            table[tuple(-x % p for x in c)] = pa.vec_neg(w, mod)
-    params._teich = table
-    return table
+    w, zero = _lift_checked(params, gamma), pa.vec_zero(f)
+    params._teich = pa.vec_power_table({zero: zero}, w, q1 if p == 2 else q1 // 2, p, poly, mod)
+    return params._teich
 
 
 def _frobenius_lift(params, table, u, W):

@@ -35,11 +35,13 @@ class ProductCounter:
     ``counter(run)`` clears the record, calls ``run()`` and returns the
     numbers of (vec_mul, vec_apply, vec_mul_cols) calls; ``counter.calls``
     keeps every kernel's moduli, p^top for each block of the Frobenius lift
-    (``vec_lift_block``).  Calls made inside another kernel, such as
-    vec_pow's products, count too.
+    (``vec_lift_block``) and p^N for each walk over the powers of a whole
+    Teichmuller table (``vec_power_table``).  Calls made inside another
+    kernel, such as vec_pow's products, count too.
     """
 
-    KERNELS = ("vec_mul", "vec_apply", "vec_mul_cols", "vec_dot", "vec_pow", "vec_lift_block")
+    KERNELS = ("vec_mul", "vec_apply", "vec_mul_cols", "vec_dot", "vec_pow", "vec_lift_block",
+               "vec_power_table")
 
     def __init__(self, monkeypatch):
         self.calls = {name: [] for name in self.KERNELS}

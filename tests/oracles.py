@@ -98,7 +98,19 @@ runs one straight-line kernel compiled per vector shape.
 ``loop_frobenius_lift`` is the Taylor-block lift with each pass made of
 ``vec_apply`` calls, two per entry of the grid, and Python glue, where the
 library runs each block as one straight-line kernel compiled per grid shape
-(n, f).
+(n, f).  ``loop_teichmuller_table`` fills the whole Teichmuller table from
+the ``vec_powers`` list of omega(gamma), with a residue genexpr per key and
+``vec_neg`` per negative, where the library walks the powers in one
+straight-line kernel per (f, p odd).
+
+``fq_residue_invertible`` is the matrix solver's seed check as Gaussian
+elimination on ``FqElement`` residues, where the library eliminates on
+their coefficient tuples.
+
+``lift`` moves an element known mod p^n to a random element of the ring
+that agrees with it mod p^n, at the ring's precision: the soundness
+property runs each operation on both and asks that the answers agree to
+the precision the first one reports.
 """
 
 from fractions import Fraction
@@ -963,3 +975,44 @@ def loop_frobenius_lift(params, table, u, W):
              for rows in zip(u, d)]
         m = top
     return u
+
+
+def loop_teichmuller_table(params):
+    """The whole table {residue: omega(residue) mod p^N} from the powers of
+    omega(gamma) listed by ``vec_powers``, negated for the rest when p is odd."""
+    p, f, poly = params.p, params.f, params.poly
+    q1, mod = p ** f - 1, p ** params.N
+    w = power_teichmuller(_fq_generator(params))
+    table = {pa.vec_zero(f): pa.vec_zero(f)}
+    for w in pa.vec_powers(w, (q1 if p == 2 else q1 // 2) - 1, poly, mod):
+        c = tuple(x % p for x in w)
+        table[c] = w
+        if p > 2:
+            table[tuple(-x % p for x in c)] = pa.vec_neg(w, mod)
+    return table
+
+
+def fq_residue_invertible(residues):
+    """Gaussian elimination over F_q on a grid of ``FqElement`` residues."""
+    n = len(residues)
+    rows = [list(row) for row in residues]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = rows[col][col].inv()
+        rows[col] = [x * inv for x in rows[col]]
+        for i in range(n):
+            if i != col and not rows[i][col].is_zero():
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return True
+
+
+def lift(x, rng):
+    """A random element at the ring's precision N that agrees with x mod p^(x.prec)."""
+    params = x.params
+    pn, big = params.p ** x.prec, params.p ** params.N
+    return ZqElement(params, tuple((c + pn * rng.randrange(big // pn)) % big for c in x.coeffs),
+                     params.N)

@@ -14,7 +14,11 @@ loop oracles (any monic modulus, unreduced and negative inputs, inputs
 shorter than their columns, stacked columns and length-1 powers), the
 compiled Taylor block of the Frobenius lift against the loop lift on the
 matrix solver's grids and on Teichmuller lifts (p = 2 and p = 101
-included), the ring
+included), the compiled walk over the powers of a whole Teichmuller table
+against the vec_powers loop (p = 2 and f = 1 included), the matrix
+solver's seed check on residue tuples against the FqElement elimination,
+every answer sound under lifts of its input and, where the change at the
+first unknown digit is a unit, tight (p = 2 included), the ring
 laws at mixed precisions with mask and agreement_precision (p = 2
 included), phi(u) = eps*u recovering its solution up to Z_p^* (p = 2
 included) and psi(u) = beta up to a Teichmuller unit (p odd), the fused
@@ -39,10 +43,14 @@ from wittcalc import (
     DomainError,
     ExponentialProblem,
     FqElement,
+    Obstruction,
     RelationCertificate,
     RelationQuery,
+    RestrictedSeries,
     SingularSeed,
+    delta_jet,
     digits,
+    eval_delta_function,
     from_digits,
     ZqMatrix,
     agreement_precision,
@@ -50,12 +58,14 @@ from wittcalc import (
     fermat_quotient,
     find_relation,
     frobenius,
+    frobenius_inv,
     lll_reduce,
     minimal_polynomial,
     new_params,
     padic_exp,
     padic_log,
     psi,
+    psi_series_truncation,
     random_element,
     solve_difference,
     solve_exponential,
@@ -78,9 +88,12 @@ from oracles import (
     per_degree_graded_search,
     RecordResidue,
     digitwise_solve_matrix_linear,
+    fq_residue_invertible,
     fraction_lll_reduce,
     iterated_teichmuller,
+    lift,
     loop_frobenius_lift,
+    loop_teichmuller_table,
     loop_vec_apply,
     loop_vec_dot,
     loop_vec_mul,
@@ -306,6 +319,141 @@ def test_lift_block_kernel_matches_the_loop_lift(pf, N, n, rnd):
                 solve_matrix_linear(beta)
     for a in args:
         assert list(map(list, lift(*a))) == loop_frobenius_lift(*a)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.sampled_from([(p, f) for p in (2, 3, 5, 7, 11, 13, 31) for f in (1, 2, 3, 4)
+                                   if p ** f <= 1024]), st.integers(0, 6))
+@hypothesis.example((2, 1), 0)
+@hypothesis.example((3, 1), 0)
+@hypothesis.example((2, 4), 1)
+def test_power_table_kernel_matches_the_loop_table(pf, extra):
+    # the whole table of a fresh ring, the powers walked by the kernel,
+    # against the vec_powers loop: the same items in the same order, for
+    # the least N that fills the ring whole (q - 1 <= 4 N^2) and above it
+    p, f = pf
+    N = 2
+    while 4 * N ** 2 < p ** f - 1:
+        N += 1
+    P = new_params(p, f, N + extra)
+    assert list(teichmuller_table(P).items()) == list(loop_teichmuller_table(P).items())
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.integers(1, 4), st.data())
+def test_seed_check_on_tuples_matches_the_residue_oracle(ring, n, data):
+    # singular grids are drawn often: a row may repeat another times a
+    # residue, or be zero
+    P = get_params(*ring)
+    rows = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(("random", "multiple", "zero")))
+        if kind == "multiple" and rows:
+            c = _residue(data, P)
+            rows.append([(x * c).residue() for x in data.draw(st.sampled_from(rows))])
+        else:
+            rows.append([_residue(data, P) if kind != "zero" else P.fq_from_int(0)
+                         for _ in range(n)])
+    grid = tuple(tuple(row) for row in rows)
+    want = fq_residue_invertible(grid)
+    assert solvers._residue_invertible(tuple(tuple(e.coeffs for e in row) for row in grid),
+                                       P.poly, P.p) == want
+    beta = ZqMatrix(tuple(tuple(P.zero() for _ in range(n)) for _ in range(n)))
+    if want:
+        assert solve_matrix_linear(beta, grid).residues() == grid
+    else:
+        with pytest.raises(SingularSeed):
+            solve_matrix_linear(beta, grid)
+
+
+def _mixed_delta_function(P):
+    # u * delta(u) + delta(u)^2 + 3 u^2 * delta(u), order 1 in one argument
+    return RestrictedSeries(order=1, arity=1, terms=(
+        ((1, 1), P.one()), ((0, 2), P.one()), ((2, 1), P.from_int(3))))
+
+
+# name: (domain of x, odd p only, answers of x known mod p^n, tight)
+LIFT_OPS = {
+    "inv": ("unit", False, lambda x, n: x.inv(), True),
+    "frobenius": ("any", False, lambda x, n: frobenius(x), True),
+    "frobenius_inv": ("any", False, lambda x, n: frobenius_inv(x), True),
+    "delta": ("any", False, lambda x, n: fermat_quotient(x), True),
+    "psi": ("unit", True, lambda x, n: psi(x), True),
+    "padic_log": ("1 + pZ", True, lambda x, n: padic_log(x), True),
+    "padic_exp": ("pZ", True, lambda x, n: padic_exp(x), True),
+    # x ** p reports n, where n + 1 digits always hold: (x + p^n r)^p = x^p mod p^(n+1)
+    "x ** p": ("any", False, lambda x, n: x ** x.params.p, False),
+    "from_digits(digits(x))": ("any", False, lambda x, n: from_digits(digits(x)), True),
+    "solve_exponential(x).base": ("any", True, lambda x, n: solve_exponential(x).base, True),
+    "teichmuller": ("any", False, lambda x, n: teichmuller(x), True),
+    "delta_jet": ("any", False, lambda x, n: delta_jet(x, n - 1).entries, True),
+    "psi truncation": ("unit", True, lambda x, n: eval_delta_function(
+        psi_series_truncation(x.params, n - 1), [x]), True),
+    # its change at digit n - 1 is (u + 2 delta(u) + 3 u^2) p^(n-1), not always a unit
+    "u du + du^2 + 3u^2 du": ("any", False, lambda x, n: eval_delta_function(
+        _mixed_delta_function(x.params), [x]), False),
+}
+
+
+def _known_mod(P, domain, n, rng):
+    """A random element of the domain known mod p^n."""
+    x = random_element(P, rng, n, unit=domain == "unit")
+    if domain == "1 + pZ":
+        return (x.mul_p_power(1) + 1).mask(n)
+    return x.mul_p_power(1).mask(n) if domain == "pZ" else x
+
+
+def _agreement(xs, ys):
+    xs, ys = (xs, ys) if isinstance(xs, tuple) else ((xs,), (ys,))
+    return [agreement_precision(x, y) for x, y in zip(xs, ys)]
+
+
+def _precs(xs):
+    return [x.prec for x in (xs if isinstance(xs, tuple) else (xs,))]
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(2, 12)),
+                  st.integers(0, 2 ** 32))
+def test_answers_are_sound_and_tight_under_lift(ring, seed):
+    # An answer must not depend on digits its input does not know: for x
+    # known mod p^n and its lifts x0 = lift(x) and x1 = x0 + p^n to p^N,
+    # every answer agrees with x's to the precision x's reports.  Tight:
+    # x0 and x1 differ by a unit at digit n, and for the operations marked
+    # tight their answers then differ at the reported precision (or agree
+    # to N when nothing is lost).
+    P, rng = get_params(*ring), random.Random(seed)
+    p, N = P.p, P.N
+    n = rng.randint(2, N)
+    for name, (domain, odd, fn, tight) in LIFT_OPS.items():
+        if odd and p == 2:
+            continue
+        x = _known_mod(P, domain, n, rng)
+        x0 = lift(x, rng)
+        x1 = x0 + P.from_int(p ** n)
+        want, got0, got1 = fn(x, n), fn(x0, n), fn(x1, n)
+        assert _agreement(want, got0) == _agreement(want, got1) == _precs(want), name
+        if tight:
+            assert _agreement(got0, got1) == _precs(want), name
+    # the solvers, whose inputs are a matrix or lie on a locus: beta known
+    # mod p^n, each entry lifted; eps = phi(v)/v known mod p^n against
+    # phi(v')/v' for a lift v' of v, and against a lift of eps where that
+    # lift still has a solution
+    k = rng.randint(1, 2)
+    beta = ZqMatrix(tuple(tuple(random_element(P, rng, n) for _ in range(k)) for _ in range(k)))
+    u = solve_matrix_linear(beta)
+    lifted = solve_matrix_linear(beta.map(lambda e: lift(e, rng)))
+    assert all(agreement_precision(a, b) == n for ra, rb in zip(u.entries, lifted.entries)
+               for a, b in zip(ra, rb))
+    v = random_element(P, rng, unit=True)
+    eps = (frobenius(v) * v.inv()).mask(n)
+    u = solve_difference(eps)
+    assert u.prec == n and frobenius(u) == eps * u
+    v1 = lift(v.mask(n), rng)
+    for e1 in (frobenius(v1) * v1.inv(), lift(eps, rng)):
+        u1 = solve_difference(e1)
+        if not isinstance(u1, Obstruction):
+            assert agreement_precision(u, u1) == n
 
 
 @SETTINGS

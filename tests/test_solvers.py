@@ -574,21 +574,26 @@ def test_solve_layer_cost_in_ring_products(ring_products):
     # matrix solve and (111, 211, 8) for the constants; now each Taylor
     # block is one vec_lift_block call, and (180, 36, 54) and (111, 173, 8)
     # remain: the solver's columns of phi^(-1)(C_ik g^l) and its check's
-    # Frobenius, and the constants' powers of omega(gamma).
+    # Frobenius, and the constants' powers of omega(gamma).  Now those
+    # powers are one vec_power_table walk, and the constants take
+    # (111, 4, 8): the fresh ring's three and the check's Frobenius.  The
+    # matrix solve sets up, checks its answer and tests its seed on
+    # coefficient tuples with the same products, so its counts stay.
     # the Conway search's products are not the solve layer's
     for p, f in ((7, 3), (3, 6), (2, 8)):
         conway_polynomial(p, f)
     P = new_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
-    runs = ((lambda: new_params(7, 3, 20), (45, 3, 2), 0, 0),
-            (lambda: solve_matrix_linear(beta), (180, 36, 54), 9, 5),
-            (lambda: enumerate_constants(new_params(7, 3, 20)), (111, 173, 8), 0, 5),
-            (lambda: new_params(3, 6, 60), (90, 12, 2), 0, 0),
-            (lambda: new_params(2, 8, 30), (97, 18, 2), 0, 0))
-    for run, counts, dots, blocks in runs:
+    runs = ((lambda: new_params(7, 3, 20), (45, 3, 2), 0, 0, 0),
+            (lambda: solve_matrix_linear(beta), (180, 36, 54), 9, 5, 0),
+            (lambda: enumerate_constants(new_params(7, 3, 20)), (111, 4, 8), 0, 5, 1),
+            (lambda: new_params(3, 6, 60), (90, 12, 2), 0, 0, 0),
+            (lambda: new_params(2, 8, 30), (97, 18, 2), 0, 0, 0))
+    for run, counts, dots, blocks, tables in runs:
         got = ring_products(run)
         assert 0 < got[0] and got == counts and len(ring_products.calls["vec_dot"]) == dots
         assert len(ring_products.calls["vec_lift_block"]) == blocks
+        assert len(ring_products.calls["vec_power_table"]) == tables
     # the matrix lift takes one p-th power per entry per Taylor block, the
     # blocks starting at k = 2, 3, 5, 9, 17 and ending at p^2, p^4, p^8,
     # p^16 and p^20, and the check one more per entry mod p^20

@@ -537,18 +537,22 @@ def test_teichmuller_table_cost_in_powers(ring_products):
     # of omega(gamma), its blocks ending at p^2, p^4, ..., p^N, the check
     # phi(omega) = omega^p one p-th power mod p^N, and the powers of omega
     # one vec_apply each.  While the lift's passes were vec_apply calls
-    # these took (35, 481, 7), (132, 389, 7) and (24, 312, 6); now each
-    # block is one vec_lift_block call and they take (35, 363, 7),
-    # (132, 311, 7) and (24, 254, 6).
-    runs = {(3, 6, 60): ((35, 363, 7), 3, (2, 4, 8, 16, 32, 60)),
-            (5, 4, 40): ((132, 311, 7), 12, (2, 4, 8, 16, 32, 40)),
-            (2, 8, 30): ((24, 254, 6), 3, (2, 4, 8, 16, 30))}
+    # these took (35, 481, 7), (132, 389, 7) and (24, 312, 6); with each
+    # block one vec_lift_block call, (35, 363, 7), (132, 311, 7) and
+    # (24, 254, 6).  Now the powers of omega are one vec_power_table walk,
+    # which applies the columns of omega inside its kernel, and (35, 1, 7),
+    # (132, 1, 7) and (24, 1, 6) remain: the check's Frobenius is the one
+    # vec_apply call.
+    runs = {(3, 6, 60): ((35, 1, 7), 3, (2, 4, 8, 16, 32, 60)),
+            (5, 4, 40): ((132, 1, 7), 12, (2, 4, 8, 16, 32, 40)),
+            (2, 8, 30): ((24, 1, 6), 3, (2, 4, 8, 16, 30))}
     for (p, f, N), (counts, search, tops) in runs.items():
         P = new_params(p, f, N)
         a = P.fq((1,) * f)
         assert ring_products(lambda: teichmuller(a)) == counts
         assert ring_products.calls["vec_pow"] == [p] * search + [p ** k for k in tops + (N,)]
         assert ring_products.calls["vec_lift_block"] == [p ** k for k in tops]
+        assert ring_products.calls["vec_power_table"] == [p ** N]
         assert len(P._teich) == p ** f
         full = ring_products(lambda: [teichmuller(P.fq(c))
                                       for c in itertools.product(range(p), repeat=f)])
@@ -565,6 +569,7 @@ def test_teichmuller_table_cost_in_powers(ring_products):
         assert ring_products(lambda: teichmuller(a)) == counts
         assert ring_products.calls["vec_pow"] == [p ** k for k in (2, 4, 8, 16, 20, 20)]
         assert ring_products.calls["vec_lift_block"] == [p ** k for k in (2, 4, 8, 16, 20)]
+        assert ring_products.calls["vec_power_table"] == []
         assert 1 <= len(P._teich) <= 2 * f
         w = teichmuller(a)
         hits = ring_products(lambda: (teichmuller(ap), teichmuller(-a)))
