@@ -42,6 +42,12 @@ division per digit, and ``scaled_from_digits`` sums omega(c_i) * p^i one
 scaled vector at a time, where the library peels raw coefficient tuples
 and evaluates the digits by one linear map.
 
+``log_route_psi`` is psi by its closed form log(phi(u)/u^p)/p: the log
+series in phi(u)/u^p - 1, whose terms 1/n need guard digits V > 0 once a
+multiple of p is among them, then an exact division by p, where the
+library sums the same power series in w = delta(u)/u^p = (phi(u)/u^p - 1)/p
+from a table with V = 0.
+
 ``termwise_series`` sums c * x^n / p^v one power of x at a time,
 ``termwise_table_series`` does the same for a table already scaled to p^V,
 and ``termwise_eval_delta_function`` raises each jet entry to each exponent
@@ -135,6 +141,7 @@ from wittcalc import (
     frobenius,
     frobenius_inv,
     monomials,
+    padic_log,
     teichmuller,
 )
 from wittcalc import polyarith as pa
@@ -632,6 +639,11 @@ def termwise_table_series(x, table, target):
         acc = pa.vec_add(acc, pa.vec_scale(xp, c, mod), mod)
         xp = pa.vec_mul(xp, x.coeffs, params.poly, mod)
     return ZqElement(params, pa.vec_mask(pa.vec_divexact_p(acc, p ** big_v), p ** target), target)
+
+
+def log_route_psi(u):
+    """psi(u) = log(phi(u)/u^p)/p by the log series at the precision of u."""
+    return padic_log(frobenius(u) * (u ** u.params.p).inv()).exact_div_p(1)
 
 
 def termwise_eval_delta_function(series, args):

@@ -37,6 +37,7 @@ from wittcalc import (
 )
 
 from conftest import get_params
+from oracles import log_route_psi
 
 
 def report(num, name, failures, total):
@@ -115,12 +116,16 @@ def test_criterion_04_psi_homomorphism_and_dual_paths():
     for _ in range(200):
         u = random_element(P, rng, unit=True)
         v = random_element(P, rng, unit=True)
-        # psi() itself insists both computation paths agree mod p^(N-1);
-        # the series route below re-checks through the public evaluator.
-        if agreement_precision(psi(u * v), psi(u) + psi(v)) < N - 2:
+        s = psi(u)
+        if agreement_precision(psi(u * v), s + psi(v)) < N - 2:
             failures += 1
             continue
-        if eval_delta_function(series, [u]) != psi(u):
+        # psi against its closed form log(phi(u)/u^p)/p, which the oracle
+        # sums as the log series, and against the truncation evaluated by
+        # the public evaluator
+        closed = log_route_psi(u)
+        if (closed.coeffs, closed.prec) != (s.coeffs, s.prec) \
+                or eval_delta_function(series, [u]) != s:
             failures += 1
     report(4, "psi is a homomorphism and both paths agree", failures, 200)
 

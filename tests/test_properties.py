@@ -18,12 +18,14 @@ included), the compiled walk over the powers of a whole Teichmuller table
 against the vec_powers loop (p = 2 and f = 1 included), the matrix
 solver's seed check on residue tuples against the FqElement elimination,
 every answer sound under lifts of its input and, where the change at the
-first unknown digit is a unit, tight (p = 2 included), the ring
-laws at mixed precisions with mask and agreement_precision (p = 2
+first unknown digit is a unit, tight, the obstructions of phi(u) = eps*u
+and the relation certificates unchanged under lifts (p = 2 included), the
+ring laws at mixed precisions with mask and agreement_precision (p = 2
 included), phi(u) = eps*u recovering its solution up to Z_p^* (p = 2
 included) and psi(u) = beta up to a Teichmuller unit (p odd), the fused
-Horner series against the schoolbook one and the exp/log and psi laws (p
-odd), the integral LLL against the
+Horner series against the schoolbook one, the exp/log and psi laws, psi
+and the psi form of verify_exponential against the log-route oracle (p
+odd, p = 101 included), the integral LLL against the
 Fraction LLL oracle on random integer bases, exhaustive relation search
 against the whole-box oracle, minimal polynomials in both modes against
 one query per degree, the one-pass graded search against one box search per
@@ -71,7 +73,9 @@ from wittcalc import (
     solve_exponential,
     solve_matrix_linear,
     teichmuller,
+    verify_exponential,
     verify_matrix_linear,
+    verify_relation,
 )
 from wittcalc import delta, relations, solvers, zq
 from wittcalc.cli import run
@@ -98,6 +102,7 @@ from oracles import (
     loop_vec_dot,
     loop_vec_mul,
     loop_vec_mul_cols,
+    log_route_psi,
     peel_digits,
     power_teichmuller,
     scaled_from_digits,
@@ -456,6 +461,59 @@ def test_answers_are_sound_and_tight_under_lift(ring, seed):
             assert agreement_precision(u, u1) == n
 
 
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(2, 12)),
+                  st.integers(0, 2 ** 32))
+def test_obstructions_and_relation_certificates_are_sound_under_lift(ring, seed):
+    # The answers that are not ring elements.  An obstruction of
+    # phi(u) = eps*u reads eps mod p ("mod-p") or mod p^(stage+1) ("trace",
+    # whose stage is below the precision n of eps), so every lift of eps
+    # gives the same stage, kind, witness, exponent and trace; only the
+    # partial solution moves.  A relation certificate verified at M reads
+    # its values mod p^M: it verifies at M on every lift of them, and the
+    # search over the lifts at M finds it again, verified at M or more as
+    # the lifts' extra digits allow.
+    P, rng = get_params(*ring), random.Random(seed)
+    p, N = P.p, P.N
+    n = rng.randint(2, N)
+    v = random_element(P, rng, unit=True)
+    twist = 1 + random_element(P, rng).mul_p_power(rng.randint(1, n - 1))
+    for eps in (random_element(P, rng, n, unit=True),
+                (frobenius(v) * v.inv() * twist).mask(n)):
+        obs = solve_difference(eps)
+        if not isinstance(obs, Obstruction):
+            continue
+        assert obs.stage == "mod-p" or obs.stage < n
+        for _ in range(2):
+            got = solve_difference(lift(eps, rng))
+            assert isinstance(got, Obstruction)
+            assert (got.stage, got.kind, got.witness, got.exponent, got.trace) == \
+                (obs.stage, obs.kind, obs.witness, obs.exponent, obs.trace)
+    # y - x^2 + x - 1 = 0 mod p^n, with height 1 in the degree-2 box
+    x = random_element(P, rng, n, unit=True)
+    values = (x, x * x - x + 1)
+    for mode in ("exhaustive", "lattice"):
+        try:
+            query = RelationQuery(values=values, deg_bound=2, height_bound=1, mode=mode)
+        except DomainError:  # n is below the signal floor of this ring
+            continue
+        cert = find_relation(query)
+        assert cert is not None or mode == "lattice"
+        if cert is None:
+            continue
+        M = cert.verified_precision
+        assert M == n and verify_relation(cert, values, M)
+        for _ in range(2):
+            lifted = tuple(lift(a, rng) for a in values)
+            assert verify_relation(cert, lifted, M)
+            again = find_relation(RelationQuery(values=lifted, deg_bound=2, height_bound=1,
+                                                mode=mode, precision=M))
+            assert again.verified_precision >= M
+            assert again == RelationCertificate(
+                cert.monomials, cert.coeffs, again.verified_precision, cert.deg_bound,
+                cert.height_bound, cert.precision_bound, cert.mode)
+
+
 @SETTINGS
 @hypothesis.given(RINGS, st.integers(1, 3), st.data())
 def test_monomial_matrices_act_on_matrix_solutions(ring, n, data):
@@ -694,6 +752,29 @@ def test_psi_is_a_homomorphism(ring, data):
         lambda c: any(x % P.p for x in c))
     u, v = (P.from_coeffs(data.draw(units)) for _ in range(2))
     assert psi(u * v) == psi(u) + psi(v)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.tuples(st.sampled_from((3, 5, 7, 13, 101)), st.integers(1, 4),
+                            st.integers(2, 30)), st.integers(0, 2 ** 32))
+@hypothesis.example((3, 1, 2), 0)
+@hypothesis.example((101, 4, 30), 1)
+def test_psi_series_matches_the_log_route_oracle(ring, seed):
+    # psi sums its series in delta(u)/u^p; the oracle sums the closed form
+    # log(phi(u)/u^p)/p as the log series.  Both answers, and the psi form
+    # of verify_exponential against the residual taken from the oracle, are
+    # compared byte for byte, for u and beta known below full precision.
+    P, rnd = get_params(*ring), random.Random(seed)
+    N = P.N
+    u = random_element(P, rnd, rnd.randint(2, N), unit=True)
+    got, want = psi(u), log_route_psi(u)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    # beta is known to a random number of digits and agrees with psi(u) to another
+    shift = random_element(P, rnd).mul_p_power(rnd.randint(0, N)).mask(N)
+    beta = (lift(want, rnd) + shift).mask(rnd.randint(2, N))
+    res = want - beta
+    cert = verify_exponential(u, ExponentialProblem.from_beta(beta), base=u)
+    assert cert.psi_form == (agreement_precision(res, P.zero(res.prec)), res.prec)
 
 
 # (values, degree bound, height bound) with boxes of at most 3^8 vectors, so

@@ -194,6 +194,17 @@ def test_solve_exponential_rejects_p2():
         solve_exponential(get_params(2, 1, 8).from_int(1))
 
 
+def test_verify_exponential_rejects_p2_on_a_hand_built_problem():
+    # the constructors of ExponentialProblem refuse p = 2, but one built
+    # field by field still reaches verify_exponential, which refuses it at psi
+    P = get_params(2, 2, 8)
+    u, beta = P.from_coeffs((3, 2)), P.from_int(1)
+    problem = ExponentialProblem(beta, 1 + beta.mul_p_power(1), beta)
+    for base in (None, u):
+        with pytest.raises(UnsupportedPrime):
+            verify_exponential(u, problem, base=base)
+
+
 def test_enumerate_constants_frozen_and_properties():
     P = get_params(5, 1, 2)
     assert sorted(z.coeffs[0] for z in enumerate_constants(P)) == [1, 7, 18, 24]
