@@ -231,14 +231,15 @@ def psi(u):
         raise NonUnit("psi is defined on units only")
     if u.prec < 2:
         raise PrecisionExhausted("psi needs precision >= 2")
-    return _psi(frobenius(u), u ** params.p)
+    up = u ** params.p
+    return _psi((frobenius(u) - up).exact_div_p(1), up)
 
 
-def _psi(phi_u, up):
-    """psi(u) from phi(u) and u^p: the series in w = delta(u)/u^p (p odd)."""
+def _psi(du, up):
+    """psi(u) from delta(u) and u^p: the series in w = delta(u)/u^p (p odd)."""
     p = up.params.p
     _require_odd(p)
-    w = (phi_u - up).exact_div_p(1) * up.inv()
+    w = du * up.inv()
     return _series(w, _psi_terms(p, w.prec), w.prec)
 
 

@@ -24,7 +24,10 @@ which one p-th power per entry at a block start k = 2, 3, 5, 9, 17, ...
 serves every digit up to p^(2k-2), the passes inside a block being affine
 and the whole block one compiled kernel per grid shape.  The seed test, the
 coupling I + p*beta and the check of the answer run on coefficient tuples;
-only the answer is built as ring elements.
+only the answer is built as ring elements.  One residual,
+phi(u) - (I + p*beta) * u^(p) = p * (delta(u) - beta * u^(p)), serves both
+the solver's check of its answer and ``verify_matrix_linear``; its matrix
+product is one vec_dot per entry, not the lift kernel it checks.
 """
 
 from __future__ import annotations
@@ -200,7 +203,7 @@ def verify_exponential(u, problem, base=None):
     du = (phi_u - up).exact_div_p(1)
     phi_res = phi_u - eps * up
     delta_res = du - alpha * up
-    psi_res = _psi(phi_u, up) - beta
+    psi_res = _psi(du, up) - beta
     if base is None:
         base, _ = _verified_base(problem)
     if u is base:  # u/base = 1, whose Fermat quotient is 0 at one digit less
@@ -319,45 +322,6 @@ class ZqMatrix:
         self.entries = tuple(tuple(e if e.prec == prec else e.mask(prec) for e in row)
                              for row in entries)
 
-    @classmethod
-    def identity(cls, params, n, prec=None):
-        return cls(tuple(
-            tuple(params.from_int(1 if i == j else 0, prec) for j in range(n))
-            for i in range(n)))
-
-    @classmethod
-    def from_residues(cls, params, residues, prec=None):
-        return cls(_entrywise(lambda e: _seed_residue(params, e).lift(prec), residues))
-
-    def map(self, fn):
-        return ZqMatrix(_entrywise(fn, self.entries))
-
-    def __add__(self, other):
-        self._check_operand(other)
-        return ZqMatrix(_entrywise(lambda a, b: a + b, self.entries, other.entries))
-
-    def __sub__(self, other):
-        self._check_operand(other)
-        return ZqMatrix(_entrywise(lambda a, b: a - b, self.entries, other.entries))
-
-    def _check_operand(self, other):
-        if other.n != self.n or other.params is not self.params and other.params != self.params:
-            raise ParamsMismatch("matrix shapes or rings differ")
-
-    def __matmul__(self, other):
-        self._check_operand(other)
-        params, prec = self.params, min(self.prec, other.prec)
-        rows = _mat_mul(_coeff_grid(self.entries), _coeff_grid(other.entries),
-                        params.poly, params.p ** prec)
-        return ZqMatrix(_entrywise(lambda c: ZqElement(params, c, prec), rows))
-
-    def pow_entries_p(self):
-        p = self.params.p
-        return self.map(lambda e: e ** p)
-
-    def frobenius(self):
-        return self.map(frobenius)
-
     def residues(self):
         return tuple(tuple(e.residue() for e in row) for row in self.entries)
 
@@ -372,19 +336,31 @@ class ZqMatrix:
         return f"ZqMatrix({self.n}x{self.n}, prec={self.prec})"
 
 
-def _entrywise(fn, *grids):
-    """fn applied to the entries in each position of equally shaped grids."""
-    return tuple(tuple(fn(*es) for es in zip(*rows)) for rows in zip(*grids))
-
-
-def _coeff_grid(rows):
-    return _entrywise(lambda e: e.coeffs, rows)
-
-
 def _mat_mul(a, b, poly, mod):
     """The product of two grids of coefficient vectors, one vec_dot per entry."""
     cols = tuple(zip(*b))
     return tuple(tuple(pa.vec_dot(row, col, poly, mod) for col in cols) for row in a)
+
+
+def _coupling(beta, mod):
+    """C = I + p*beta mod ``mod``, a grid of coefficient tuples."""
+    p, one = beta.params.p, pa.vec_one(beta.params.f)
+    return tuple(tuple(pa.vec_add(pa.vec_scale(e.coeffs, p, mod), one, mod) if i == j
+                       else pa.vec_scale(e.coeffs, p, mod) for j, e in enumerate(row))
+                 for i, row in enumerate(beta.entries))
+
+
+def _residual(params, coupling, u, mod):
+    """phi(u) - C @ u^(p) mod ``mod`` on grids of coefficient tuples.
+
+    The product is ``_mat_mul``, not the lift kernel, so a lift is checked
+    by code that did not compute it.
+    """
+    p, poly = params.p, params.poly
+    up = tuple(tuple(pa.vec_pow(e, p, poly, mod) for e in row) for row in u)
+    return tuple(tuple(pa.vec_sub(pa.vec_apply(e, params._phi_cols, mod), c, mod)
+                       for e, c in zip(row, c_row))
+                 for row, c_row in zip(u, _mat_mul(coupling, up, poly, mod)))
 
 
 def _residue_invertible(rows, poly, p):
@@ -425,11 +401,12 @@ def solve_matrix_linear(beta, seed=None):
     x -> phi^(-1)((I + p*beta) * x) built once per call; each block is one
     call of the straight-line kernel ``polyarith.vec_lift_block`` compiled
     for the shape (n, f).  The solution mod p^W is then checked against the
-    equation at full precision, C @ u^(p) == phi(u), by a matrix product
-    that does not go through the kernel.  The seed's invertibility over
-    F_q, the coupling C = I + p*beta mod p^W, its table and the check all
-    run on the entries' coefficient tuples; ring elements are built only
-    for the returned u.
+    equation at full precision: ``_residual``, phi(u) - C @ u^(p), the
+    routine ``verify_matrix_linear`` measures, must vanish mod p^W; its
+    matrix product does not go through the kernel.  The seed's
+    invertibility over F_q, the coupling C = I + p*beta mod p^W, its table
+    and the check all run on the entries' coefficient tuples; ring
+    elements are built only for the returned u.
     """
     params = beta.params
     if beta.prec < 2:
@@ -444,26 +421,34 @@ def solve_matrix_linear(beta, seed=None):
             raise DomainError("seed shape does not match beta")
     if not _residue_invertible(seed_res, poly, p):
         raise SingularSeed("seed matrix is not invertible over F_q")
-    mod, one = p ** W, pa.vec_one(f)
-    coupling = tuple(tuple(pa.vec_add(pa.vec_scale(e.coeffs, p, mod), one, mod) if i == j
-                           else pa.vec_scale(e.coeffs, p, mod) for j, e in enumerate(row))
-                     for i, row in enumerate(beta.entries))
+    mod = p ** W
+    coupling = _coupling(beta, mod)
     # row i: the columns of (x_k) -> phi^(-1)(sum_k C_ik x_k), rows phi^(-1)(g^l C_ik)
     table = tuple(tuple(zip(*(pa.vec_apply(row, params._phi_inv_cols, mod) for e in c_row
                               for row in zip(*pa.vec_mul_cols(e, poly, mod)))))
                   for c_row in coupling)
     u = _frobenius_lift(params, table, seed_res, W)
-    up = tuple(tuple(pa.vec_pow(e, p, poly, mod) for e in row) for row in u)
-    if _mat_mul(coupling, up, poly, mod) != tuple(
-            tuple(pa.vec_apply(e, params._phi_cols, mod) for e in row) for row in u):
+    if any(any(e) for row in _residual(params, coupling, u, mod) for e in row):
         raise ArithmeticError("matrix lift lost the invariant")
-    return ZqMatrix(_entrywise(lambda e: ZqElement(params, e, W), u))
+    return ZqMatrix(tuple(tuple(ZqElement(params, e, W) for e in row) for row in u))
 
 
 def verify_matrix_linear(u, beta):
-    """Achieved precision of the entry-wise residual delta(u) - beta * u^(p)."""
-    res = u.map(fermat_quotient) - (beta @ u.pow_entries_p())
-    return min(
-        agreement_precision(e, e.params.zero(e.prec))
-        for row in res.entries for e in row)
+    """Achieved precision of the entry-wise residual delta(u) - beta * u^(p).
 
+    That residual is known mod p^P, P = min(u.prec - 1, beta.prec), and
+    equals (phi(u) - C @ u^(p))/p with C = I + p*beta; so the answer is
+    min(v_p(r) - 1, P) for r the solver's ``_residual`` taken mod p^(P+1).
+    """
+    if u.prec < 2:
+        raise PrecisionExhausted("fermat_quotient needs precision >= 2")
+    params = u.params
+    if beta.n != u.n or beta.params is not params and beta.params != params:
+        raise ParamsMismatch("matrix shapes or rings differ")
+    p, prec = params.p, min(u.prec - 1, beta.prec)
+    mod = p ** (prec + 1)
+    res = _residual(params, _coupling(beta, mod),
+                    tuple(tuple(e.coeffs for e in row) for row in u.entries), mod)
+    # r = 0 mod p always; k digits achieved when r = 0 mod p^(k+1)
+    return next((k for k in range(prec)
+                 if any(c % p ** (k + 2) for row in res for e in row for c in e)), prec)

@@ -13,6 +13,14 @@ m = ceil((N-1)/f), since a unit lift right mod p^k has its q-th power right
 mod p^(k+f), where the library lifts omega(a) as the fixed point of
 x -> phi^(-1)(x^p) in Taylor blocks, with the kernel of its matrix solver.
 
+``ring_verify_matrix_linear`` is the matrix verifier on ring elements:
+delta(u) - beta * u^(p) entry by entry, with ``fermat_quotient`` per entry
+and a product summed by ``ZqElement`` arithmetic, where the library takes
+the solver's residual phi(u) - (I + p*beta) * u^(p) on coefficient tuples
+and drops its factor p.  ``matrix_map``, ``matrix_product``,
+``matrix_from_residues`` and ``coupling_matrix`` are the ring-element
+matrix helpers of this oracle and of the matrix solver oracles below.
+
 ``staged_solve_matrix_linear`` lifts a residue seed of
 phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
 p^k and adds p^k times a lift of phi^(-1) of its residue.
@@ -138,6 +146,7 @@ from wittcalc import (
     ZqElement,
     ZqMatrix,
     delta_jet,
+    fermat_quotient,
     frobenius,
     frobenius_inv,
     monomials,
@@ -486,42 +495,80 @@ def per_residue_constants(params):
     return tuple(iterated_teichmuller(a) for a in _fq_elements(params) if not a.is_zero())
 
 
+def _same_size_and_ring(*ms):
+    if any(m.n != ms[0].n or m.params is not ms[0].params and m.params != ms[0].params
+           for m in ms):
+        raise ParamsMismatch("matrix shapes or rings differ")
+
+
+def matrix_map(fn, *ms):
+    """fn applied entry by entry to square matrices of one size over one ring."""
+    _same_size_and_ring(*ms)
+    return ZqMatrix(tuple(tuple(fn(*es) for es in zip(*rows))
+                          for rows in zip(*(m.entries for m in ms))))
+
+
+def matrix_product(a, b):
+    """a @ b, each entry a sum of ring products at the lower precision."""
+    _same_size_and_ring(a, b)
+    prec, cols = min(a.prec, b.prec), tuple(zip(*b.entries))
+    return ZqMatrix(tuple(tuple(sum((x * y for x, y in zip(row, col)), a.params.zero(prec))
+                                for col in cols) for row in a.entries))
+
+
+def matrix_from_residues(params, residues, prec=None):
+    return ZqMatrix(tuple(tuple(params.fq(e.coeffs).lift(prec) for e in row)
+                          for row in residues))
+
+
+def coupling_matrix(beta, prec=None):
+    """I + p*beta, each entry masked to ``prec``."""
+    prec = beta.params.N if prec is None else prec
+    return ZqMatrix(tuple(tuple(e.mul_p_power(1).mask(prec) + int(i == j)
+                                for j, e in enumerate(row)) for i, row in enumerate(beta.entries)))
+
+
+def ring_verify_matrix_linear(u, beta):
+    """Achieved precision of delta(u) - beta * u^(p), on ring elements."""
+    p = u.params.p
+    res = matrix_map(lambda x, y: x - y, matrix_map(fermat_quotient, u),
+                     matrix_product(beta, matrix_map(lambda e: e ** p, u)))
+    return min(agreement_precision(e, e.params.zero(e.prec)) for row in res.entries for e in row)
+
+
 def staged_solve_matrix_linear(beta, seed):
     """The solution of phi(u) = (I + p*beta) u^(p) with residues ``seed``."""
-    params, n, W = beta.params, beta.n, beta.prec
-    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
-    u = ZqMatrix.from_residues(params, seed, W)
+    p, W = beta.params.p, beta.prec
+    coupling = coupling_matrix(beta, W)
+    u = matrix_from_residues(beta.params, seed, W)
     for k in range(1, W):
-        r = coupling @ u.pow_entries_p() - u.frobenius()
-        c = r.map(lambda e: e.exact_div_p(k))
-        h = tuple(tuple(e.residue().frobenius_inv() for e in row) for row in c.entries)
-        u = u + ZqMatrix.from_residues(params, h, W).map(
-            lambda e: e.mul_p_power(k).mask(W))
+        r = matrix_map(lambda x, y: x - y,
+                       matrix_product(coupling, matrix_map(lambda e: e ** p, u)),
+                       matrix_map(frobenius, u))
+        h = tuple(tuple(e.exact_div_p(k).residue().frobenius_inv() for e in row)
+                  for row in r.entries)
+        u = matrix_map(lambda x, y: x + y.mul_p_power(k).mask(W), u,
+                       matrix_from_residues(beta.params, h, W))
     return u
 
 
 def fixed_point_solve_matrix_linear(beta, seed):
     """The same solution by W-1 applications of u <- phi^(-1)((I + p*beta) u^(p)),
     each at full precision, with matrix products summed entry by entry."""
-    params, n, W = beta.params, beta.n, beta.prec
-    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
-    c = coupling.entries
-    u = ZqMatrix.from_residues(params, seed, W)
+    p, W = beta.params.p, beta.prec
+    coupling = coupling_matrix(beta, W)
+    u = matrix_from_residues(beta.params, seed, W)
     for _ in range(W - 1):
-        x = u.pow_entries_p().entries
-        u = ZqMatrix(tuple(tuple(
-            frobenius_inv(sum((c[i][k] * x[k][j] for k in range(n)), params.zero(W)))
-            for j in range(n)) for i in range(n)))
+        u = matrix_map(frobenius_inv, matrix_product(coupling, matrix_map(lambda e: e ** p, u)))
     return u
 
 
 def digitwise_solve_matrix_linear(beta, seed):
     """The same solution by u <- phi^(-1)((I + p*beta) u^(p)) taken mod p^k for
     k = 2, ..., W, one p-th power per entry per digit, on coefficient tuples."""
-    params, n, W = beta.params, beta.n, beta.prec
-    coupling = ZqMatrix.identity(params, n, W) + beta.map(lambda e: e.mul_p_power(1).mask(W))
+    params, W = beta.params, beta.prec
     p, poly = params.p, params.poly
-    c = tuple(tuple(e.coeffs for e in row) for row in coupling.entries)
+    c = tuple(tuple(e.coeffs for e in row) for row in coupling_matrix(beta, W).entries)
     u = tuple(tuple(params.fq(e.coeffs).coeffs for e in row) for row in seed)
     for k in range(2, W + 1):
         mod = p ** k

@@ -1,5 +1,6 @@
 """Property tests over random small rings: the closed-form lifts, the matrix
-lift against the digit-by-digit oracle, full Teichmuller tables filled in
+lift against the digit-by-digit oracle, the matrix verifier against the
+ring-element oracle (p = 2 included), full Teichmuller tables filled in
 shuffled order against the one-power oracle and the laws the orbit fill
 relies on, phi as the lift of the p-power map (also for random moduli),
 residue arithmetic at precision 1 against the record oracle (p = 2
@@ -46,6 +47,7 @@ from wittcalc import (
     ExponentialProblem,
     FqElement,
     Obstruction,
+    PrecisionExhausted,
     RelationCertificate,
     RelationQuery,
     RestrictedSeries,
@@ -91,6 +93,7 @@ from oracles import (
     degree_loop_minimal_polynomial,
     per_degree_graded_search,
     RecordResidue,
+    coupling_matrix,
     digitwise_solve_matrix_linear,
     fq_residue_invertible,
     fraction_lll_reduce,
@@ -103,8 +106,11 @@ from oracles import (
     loop_vec_mul,
     loop_vec_mul_cols,
     log_route_psi,
+    matrix_map,
+    matrix_product,
     peel_digits,
     power_teichmuller,
+    ring_verify_matrix_linear,
     scaled_from_digits,
     vec_mul_series,
 )
@@ -272,9 +278,9 @@ def test_matrix_solution_meets_invariant_and_keeps_seed(ring, n, data):
         u = solve_matrix_linear(beta, seed)
     except SingularSeed:
         hypothesis.assume(False)
-    coupling = ZqMatrix.identity(P, n) + beta.map(lambda e: e.mul_p_power(1).mask(P.N))
-    assert coupling @ u.pow_entries_p() == u.frobenius()
-    assert verify_matrix_linear(u, beta) == P.N - 1
+    coupling = coupling_matrix(beta)
+    assert matrix_product(coupling, matrix_map(lambda e: e ** P.p, u)) == matrix_map(frobenius, u)
+    assert verify_matrix_linear(u, beta) == ring_verify_matrix_linear(u, beta) == P.N - 1
     assert u.residues() == seed
 
 
@@ -291,6 +297,46 @@ def test_matrix_taylor_block_lift_matches_digitwise_oracle(ring, n, data):
     old = digitwise_solve_matrix_linear(beta, seed)
     assert [[e.coeffs for e in row] for row in u.entries] == \
         [[e.coeffs for e in row] for row in old.entries]
+
+
+def _verified(u, beta, verify):
+    try:
+        return verify(u, beta)
+    except PrecisionExhausted as exc:
+        return type(exc)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.sampled_from((2, 3, 5, 7, 13)), st.integers(1, 3), st.integers(2, 12),
+                  st.integers(1, 3), st.randoms(use_true_random=False))
+@hypothesis.example(2, 2, 9, 2, random.Random(0))
+def test_matrix_verifier_matches_the_ring_element_oracle(p, f, N, n, rnd):
+    # the residual on coefficient tuples against delta(u) - beta u^(p) on
+    # ring elements: for a solution, the solution with some entries masked
+    # (to precision 1 too) or with one digit changed, a random u at mixed
+    # precisions, and against beta masked entry-wise or drawn afresh
+    P = get_params(p, f, N)
+
+    def matrix(prec):
+        return ZqMatrix(tuple(tuple(random_element(P, rnd, prec()) for _ in range(n))
+                              for _ in range(n)))
+
+    beta = matrix(lambda: rnd.randint(2, N))
+    u = solve_matrix_linear(beta)
+    masked = matrix_map(lambda e: e.mask(rnd.randint(1, e.prec)) if rnd.random() < 0.5 else e, u)
+    rows = [list(row) for row in u.entries]
+    i, j, k, l = rnd.randrange(n), rnd.randrange(n), rnd.randrange(u.prec), rnd.randrange(f)
+    rows[i][j] += P.from_coeffs(tuple(p ** k * (c == l) for c in range(f)))
+    cases = [u, masked, ZqMatrix(rows), matrix(lambda: rnd.randint(1, N))]
+    betas = [beta, matrix_map(lambda e: e.mask(rnd.randint(1, e.prec)), beta),
+             matrix(lambda: rnd.randint(1, N))]
+    for v in cases:
+        for b in betas:
+            assert _verified(v, b, verify_matrix_linear) == \
+                _verified(v, b, ring_verify_matrix_linear)
+    assert verify_matrix_linear(u, beta) == u.prec - 1
+    if k:
+        assert verify_matrix_linear(ZqMatrix(rows), beta) == k - 1
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -447,7 +493,7 @@ def test_answers_are_sound_and_tight_under_lift(ring, seed):
     k = rng.randint(1, 2)
     beta = ZqMatrix(tuple(tuple(random_element(P, rng, n) for _ in range(k)) for _ in range(k)))
     u = solve_matrix_linear(beta)
-    lifted = solve_matrix_linear(beta.map(lambda e: lift(e, rng)))
+    lifted = solve_matrix_linear(matrix_map(lambda e: lift(e, rng), beta))
     assert all(agreement_precision(a, b) == n for ra, rb in zip(u.entries, lifted.entries)
                for a, b in zip(ra, rb))
     v = random_element(P, rng, unit=True)
@@ -540,7 +586,7 @@ def test_monomial_matrices_act_on_matrix_solutions(ring, n, data):
     moved = tuple(tuple(row[src[j]] * P.fq(diag[src[j]]) for j in range(n)) for row in seed)
     v = solve_matrix_linear(beta, moved)
     assert [[e.coeffs for e in row] for row in v.entries] == \
-        [[e.coeffs for e in row] for row in (u @ monomial).entries]
+        [[e.coeffs for e in row] for row in matrix_product(u, monomial).entries]
 
 
 @SETTINGS
@@ -590,7 +636,7 @@ def test_wire_forms_survive_json_round_trips(ring, data):
         (P.p, P.f, P.poly, u.coeffs, u.prec)
     n = data.draw(st.integers(1, 3))
     m = ZqMatrix(tuple(tuple(_element(data, P) for _ in range(n)) for _ in range(n)))
-    m = m.map(lambda e: e.mask(u.prec))
+    m = matrix_map(lambda e: e.mask(u.prec), m)
     back = ser.matrix_from_obj(_json(ser.matrix_to_obj(m)), P)
     assert back.prec == m.prec
     assert [[e.coeffs for e in row] for row in back.entries] == \

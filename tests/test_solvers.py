@@ -11,6 +11,7 @@ from wittcalc import (
     NonUnit,
     Obstruction,
     ParamsMismatch,
+    PrecisionExhausted,
     SingularSeed,
     UnsupportedPrime,
     ZqElement,
@@ -32,7 +33,7 @@ from wittcalc import (
     verify_exponential,
     verify_matrix_linear,
 )
-from wittcalc import solvers
+from wittcalc import solvers, zq
 
 from conftest import get_params, oracle_exp
 from oracles import (
@@ -521,8 +522,6 @@ def test_matrix_seed_from_another_residue_field_refused():
         seed = ((Q.fq_from_int(6), Q.fq_from_int(0)), (Q.fq_from_int(0), Q.fq_from_int(6)))
         with pytest.raises(ParamsMismatch):
             solve_matrix_linear(beta, seed)
-        with pytest.raises(ParamsMismatch):
-            ZqMatrix.from_residues(P, seed)
     Q = new_params(5, 2, 9)
     seed = ((Q.fq((2, 1)), Q.fq_from_int(0)), (Q.fq_from_int(1), Q.fq_from_int(3)))
     u = solve_matrix_linear(beta, seed)
@@ -530,20 +529,44 @@ def test_matrix_seed_from_another_residue_field_refused():
     assert u.residues() == tuple(tuple(P.fq(e.coeffs) for e in row) for row in seed)
 
 
-def test_matrix_sum_and_difference_refuse_other_sizes():
+def test_verify_matrix_linear_refuses_other_sizes_rings_and_one_digit():
     P = get_params(5, 1, 6)
     rng = random.Random(20)
-    a, b = _rand_matrix(P, rng, 2), _rand_matrix(P, rng, 3)
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(ParamsMismatch):
-            x + y
-        with pytest.raises(ParamsMismatch):
-            x - y
+    beta = _rand_matrix(P, rng, 3)
+    with pytest.raises(ParamsMismatch):
+        verify_matrix_linear(solve_matrix_linear(_rand_matrix(P, rng, 2)), beta)
+    with pytest.raises(ParamsMismatch):
+        verify_matrix_linear(solve_matrix_linear(_rand_matrix(get_params(5, 2, 6), rng, 3)), beta)
+    u = solve_matrix_linear(beta)
+    with pytest.raises(PrecisionExhausted):
+        verify_matrix_linear(ZqMatrix(tuple(tuple(e.mask(1) for e in row)
+                                            for row in u.entries)), beta)
+
+
+def test_matrix_lift_check_refuses_a_changed_digit(monkeypatch):
+    # the check of the answer does not go through the lift kernel, so a
+    # block that returns one digit wrong is caught
+    block = zq.pa.vec_lift_block
+
+    def changed(*args):
+        u = [list(row) for row in block(*args)]
+        p, mod = args[3], args[-1]
+        u[-1][0] = ((u[-1][0][0] + mod // p) % mod,) + tuple(u[-1][0][1:])
+        return tuple(map(tuple, u))
+
+    for p, f, N, n in ((7, 3, 20, 3), (2, 2, 6, 2), (5, 1, 9, 1)):
+        beta = _rand_matrix(get_params(p, f, N), random.Random(21), n)
+        solve_matrix_linear(beta)
+        with monkeypatch.context() as mp:
+            mp.setattr(zq.pa, "vec_lift_block", changed)
+            with pytest.raises(ArithmeticError, match="matrix lift lost the invariant"):
+                solve_matrix_linear(beta)
 
 
 def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
-    # the constructor masks only entries above the common precision, so map,
-    # +, - and @ re-mask nothing (masking every entry, one solve took 585)
+    # the constructor masks only entries above the common precision, so the
+    # solver and the verifier re-mask nothing (masking every entry, one
+    # solve took 585)
     P = get_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
     calls = []
@@ -552,13 +575,16 @@ def test_matrix_arithmetic_masks_no_entry_twice(monkeypatch):
     u = solve_matrix_linear(beta)
     assert len(calls) <= 9
     assert verify_matrix_linear(u, beta) == P.N - 1
-    # a map that changes some precisions still yields one common precision
-    mixed = u.map(lambda e: e.mask(5) if e is u.entries[0][0] else e)
+    assert len(calls) <= 9
+    # entries at other precisions are masked to one common precision
+    rows = [list(row) for row in u.entries]
+    rows[0][0] = rows[0][0].mask(5)
+    mixed = ZqMatrix(rows)
     assert mixed.prec == 5 and all(e.prec == 5 for row in mixed.entries for e in row)
-    assert mixed - u == ZqMatrix(tuple(tuple(P.zero(5) for _ in range(3)) for _ in range(3)))
-    # and a map into another ring for some entries is still refused
+    # and an entry from another ring is refused
+    rows[0][0] = get_params(7, 2, 20).from_int(1)
     with pytest.raises(ParamsMismatch):
-        u.map(lambda e: get_params(7, 2, 20).from_int(1) if e is u.entries[0][0] else e)
+        ZqMatrix(rows)
 
 
 def test_solve_layer_cost_in_ring_products(ring_products):
@@ -590,13 +616,21 @@ def test_solve_layer_cost_in_ring_products(ring_products):
     # (111, 4, 8): the fresh ring's three and the check's Frobenius.  The
     # matrix solve sets up, checks its answer and tests its seed on
     # coefficient tuples with the same products, so its counts stay.
+    # verify_matrix_linear at the same ring and beta took (72, 9, 0), 9
+    # vec_dot and 18 vec_pow calls, all mod p^20, as delta(u) - beta @ u^(p)
+    # on ring elements: a p-th power per entry for each Fermat quotient and
+    # again for u^(p).  Now it is the solver's residual
+    # phi(u) - (I + p*beta) @ u^(p) mod p^20 on coefficient tuples, one
+    # p-th power per entry.
     # the Conway search's products are not the solve layer's
     for p, f in ((7, 3), (3, 6), (2, 8)):
         conway_polynomial(p, f)
     P = new_params(7, 3, 20)
     beta = _rand_matrix(P, random.Random(18), 3)
+    u = solve_matrix_linear(beta)
     runs = ((lambda: new_params(7, 3, 20), (45, 3, 2), 0, 0, 0),
             (lambda: solve_matrix_linear(beta), (180, 36, 54), 9, 5, 0),
+            (lambda: verify_matrix_linear(u, beta), (36, 9, 0), 9, 0, 0),
             (lambda: enumerate_constants(new_params(7, 3, 20)), (111, 4, 8), 0, 5, 1),
             (lambda: new_params(3, 6, 60), (90, 12, 2), 0, 0, 0),
             (lambda: new_params(2, 8, 30), (97, 18, 2), 0, 0, 0))
@@ -612,3 +646,5 @@ def test_solve_layer_cost_in_ring_products(ring_products):
     assert ring_products.calls["vec_pow"] == [7 ** k for k in (2, 4, 8, 16, 20, 20)
                                               for _ in range(9)]
     assert ring_products.calls["vec_lift_block"] == [7 ** k for k in (2, 4, 8, 16, 20)]
+    ring_products(lambda: verify_matrix_linear(u, beta))
+    assert ring_products.calls["vec_pow"] == [7 ** 20] * 9
