@@ -42,7 +42,7 @@ from .solvers import (
     verify_matrix_linear,
     enumerate_constants,
 )
-from .zq import PadicParams, agreement_precision, digits, frobenius, random_element
+from .zq import PadicParams, digits, frobenius, random_element
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -315,7 +315,7 @@ def _verify(args, params, stdin):
                 eps = _element_from_arg(item["eps"], params)
                 u = _element_from_arg(item["u"], params)
                 res = frobenius(u) - eps * u
-                achieved = agreement_precision(res, params.zero(res.prec))
+                achieved = res.valuation()
                 results.append({"index": i, "kind": kind, "ok": achieved == res.prec,
                                 "residual_precision": achieved})
             elif kind == "matrix":

@@ -107,14 +107,6 @@ def _ilog(p, n):
     return k
 
 
-def _vp(p, n):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _vp_factorial(p, n):
     s, m = 0, n
     while m:
@@ -178,7 +170,7 @@ def padic_log(u):
     params = u.params
     _require_odd(params.p)
     t = u - 1
-    if not t.is_zero() and t.valuation() < 1:
+    if t.is_unit():
         raise DomainError("log is only defined on 1 + p*Z_q")
     return _series(t, _log_terms(params.p, u.prec), u.prec)
 
@@ -188,7 +180,7 @@ def _log_terms(p, target):
     terms = []
     n = 1
     while n - _ilog(p, n) < target:
-        v = _vp(p, n)
+        v = pa.vec_valuation((n,), p, n.bit_length())
         terms.append((n, v, (-1) ** (n - 1) * pow(n // p ** v, -1, p ** target)))
         n += 1
     return _scaled(p, terms, target)
@@ -201,7 +193,7 @@ def padic_exp(x):
     """
     params = x.params
     _require_odd(params.p)
-    if not x.is_zero() and x.valuation() < 1:
+    if x.is_unit():
         raise DomainError("exp is only defined on p*Z_q")
     return _series(x, _exp_terms(params.p, x.prec), x.prec)
 
@@ -261,7 +253,7 @@ def _psi_coefficients(p, target, mod):
         n_max += 1
     out = []
     for n in range(1, n_max + 1):
-        v = _vp(p, n)
+        v = pa.vec_valuation((n,), p, n.bit_length())
         c = p ** (n - 1 - v) * pow(n // p ** v, -1, mod) % mod
         out.append((n, 0, c if n % 2 else (-c) % mod))
     return tuple(out)

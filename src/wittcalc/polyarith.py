@@ -69,6 +69,8 @@ it replaces is the oracle ``loop_teichmuller_table``.  Compiling costs
     8       0.38 / 0.42 ms       0.19 / 0.21 MB
 """
 
+from math import gcd
+
 from .errors import NonUnit
 
 
@@ -360,6 +362,18 @@ def vec_divexact_p(a, p_pow):
         if x % p_pow:
             raise ArithmeticError("inexact division by a power of p")
     return tuple(x // p_pow for x in a)
+
+
+def vec_valuation(a, p, cap):
+    """The largest k <= cap with p^k dividing every coefficient of a."""
+    g = gcd(*a)
+    if not g:
+        return cap
+    k = 0
+    while k < cap and g % p == 0:
+        g //= p
+        k += 1
+    return k
 
 
 def vec_inv(a, poly, p, K):

@@ -257,7 +257,7 @@ def _certify(query, deg_bound, monos, w, coeffs):
     if minprec > query.precision:
         w = _monomial_values(query.values, monos, minprec)
     result = _evaluate(coeffs, w, query.params, minprec)
-    achieved = minprec if result.is_zero() else result.valuation()
+    achieved = result.valuation()
     if achieved < query.precision:
         raise ArithmeticError("candidate relation failed re-verification")
     support = [(e, c) for e, c in zip(monos, coeffs) if c]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from . import polyarith as pa
-from .delta import _psi, fermat_quotient, padic_exp, padic_log
+from .delta import _psi, _require_odd, fermat_quotient, padic_exp, padic_log
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -43,7 +43,6 @@ from .errors import (
     ParamsMismatch,
     PrecisionExhausted,
     SingularSeed,
-    UnsupportedPrime,
 )
 from .record import frozen_record
 from .zq import (
@@ -51,7 +50,6 @@ from .zq import (
     ZqElement,
     _frobenius_lift,
     _same_residue_field,
-    agreement_precision,
     frobenius,
     frobenius_inv,
     teichmuller_table,
@@ -66,7 +64,8 @@ MAX_CONSTANTS = 100_000
 
 @frozen_record
 class ExponentialProblem:
-    """The right-hand side beta along with eps = exp(p*beta) and alpha = (eps-1)/p."""
+    """The right-hand side beta along with eps = exp(p*beta) and alpha = (eps-1)/p;
+    the constructors' padic_exp and padic_log refuse p = 2 and eps outside 1 + p*Z_q."""
 
     beta: ZqElement
     epsilon: ZqElement
@@ -78,24 +77,16 @@ class ExponentialProblem:
 
     @classmethod
     def from_beta(cls, beta):
-        if beta.params.p == 2:
-            raise UnsupportedPrime("the multiplicative family needs p odd")
         eps = padic_exp(beta.mul_p_power(1))
         return cls(beta, eps, (eps - 1).exact_div_p(1))
 
     @classmethod
     def from_alpha(cls, alpha):
-        if alpha.params.p == 2:
-            raise UnsupportedPrime("the multiplicative family needs p odd")
         eps = alpha.mul_p_power(1) + 1
         return cls(padic_log(eps).exact_div_p(1), eps, alpha)
 
     @classmethod
     def from_epsilon(cls, eps):
-        if eps.params.p == 2:
-            raise UnsupportedPrime("the multiplicative family needs p odd")
-        if not (eps - 1).is_zero() and (eps - 1).valuation() < 1:
-            raise DomainError("eps must lie in 1 + p*Z_q")
         return cls(padic_log(eps).exact_div_p(1), eps, (eps - 1).exact_div_p(1))
 
 
@@ -104,7 +95,8 @@ class ExponentialCertificate:
     """Achieved vs. available agreement precision for each equation form.
 
     ``available`` is the precision at which the residual is computable from
-    the inputs; an exact family member achieves it.  ``ratio`` certifies
+    the inputs, and ``achieved`` the residual's valuation, capped there; an
+    exact family member achieves it.  ``ratio`` certifies
     membership: delta(u / base) must vanish, i.e. u / base is Teichmuller.
     """
 
@@ -180,8 +172,7 @@ def _verified_base(problem):
 
 def solve_exponential(beta):
     """Solve psi(u) = beta over Z_q; returns the full solution family."""
-    if beta.params.p == 2:
-        raise UnsupportedPrime("the multiplicative family needs p odd")
+    _require_odd(beta.params.p)  # before the budget, so p = 2 is refused as such
     constants = enumerate_constants(beta.params)  # first, to fail at once past the budget
     problem = ExponentialProblem.from_beta(beta)
     base, cert = _verified_base(problem)
@@ -210,9 +201,7 @@ def verify_exponential(u, problem, base=None):
         ratio_res = u.params.zero(u.prec - 1)
     else:
         ratio_res = fermat_quotient(u * base.inv())
-    forms = tuple(
-        (agreement_precision(r, r.params.zero(r.prec)), r.prec)
-        for r in (phi_res, delta_res, psi_res, ratio_res))
+    forms = tuple((r.valuation(), r.prec) for r in (phi_res, delta_res, psi_res, ratio_res))
     return ExponentialCertificate(
         phi_form=forms[0], delta_form=forms[1], psi_form=forms[2],
         ratio=forms[3],
@@ -286,10 +275,10 @@ def solve_difference(eps):
     else:
         raise ArithmeticError("no basis element gives a unit solution")
     u = u * pow(next(a for a in u.coeffs if a % p), -1, p ** K)
-    if not (norm - 1).is_zero():
+    k = (norm - 1).valuation()
+    if k < K:
         # N(eps) = 1 + p^k s with s a unit; N(phi(u)/(eps*u)) = N(eps)^-1 makes
         # the trace of the witness -s mod p, which is nonzero
-        k = (norm - 1).valuation()
         c = (-(frobenius(u) * (eps * u).inv() - 1).exact_div_p(k)).residue()
         return Obstruction(stage=k, kind="trace", witness=c,
                            trace=c.trace(), partial=u)
@@ -438,10 +427,11 @@ def verify_matrix_linear(u, beta):
 
     That residual is known mod p^P, P = min(u.prec - 1, beta.prec), and
     equals (phi(u) - C @ u^(p))/p with C = I + p*beta; so the answer is
-    min(v_p(r) - 1, P) for r the solver's ``_residual`` taken mod p^(P+1).
+    min(v_p(r), P + 1) - 1 for r the solver's ``_residual`` taken mod
+    p^(P+1), its valuation capped by ``polyarith.vec_valuation``.
     """
     if u.prec < 2:
-        raise PrecisionExhausted("fermat_quotient needs precision >= 2")
+        raise PrecisionExhausted("verify_matrix_linear needs precision >= 2")
     params = u.params
     if beta.n != u.n or beta.params is not params and beta.params != params:
         raise ParamsMismatch("matrix shapes or rings differ")
@@ -450,5 +440,4 @@ def verify_matrix_linear(u, beta):
     res = _residual(params, _coupling(beta, mod),
                     tuple(tuple(e.coeffs for e in row) for row in u.entries), mod)
     # r = 0 mod p always; k digits achieved when r = 0 mod p^(k+1)
-    return next((k for k in range(prec)
-                 if any(c % p ** (k + 2) for row in res for e in row for c in e)), prec)
+    return min(pa.vec_valuation(e, p, prec + 1) for row in res for e in row) - 1

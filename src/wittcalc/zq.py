@@ -182,22 +182,14 @@ def new_params(p, f, N, m=None):
     return PadicParams(p, f, N, m)
 
 
-@frozen_record
-class ValuationAtLeast:
-    """A valuation only known to be >= ``bound`` (the element is 0 at its precision)."""
-
-    bound: int
-
-    def __repr__(self):
-        return f">= {self.bound}"
-
-
 class ZqElement:
     """An element of Z_q known modulo p^prec, 1 <= prec <= N.
 
     Immutable.  Arithmetic returns new elements at the minimum of the operand
     precisions; equality means congruence modulo the smaller modulus (use
     ``agreement_precision`` when the comparison precision itself matters).
+    ``valuation`` is min(v_p, prec), an int: an element that is 0 at its
+    precision is only known to have v_p >= prec, and reads prec.
     """
 
     __slots__ = ("params", "coeffs", "prec")
@@ -304,16 +296,8 @@ class ZqElement:
         return not any(self.coeffs)
 
     def valuation(self):
-        """Largest k <= prec with p^k | u, or a lower-bound marker at 0."""
-        if self.is_zero():
-            return ValuationAtLeast(self.prec)
-        p = self.params.p
-        k = 0
-        coeffs = self.coeffs
-        while all(c % p == 0 for c in coeffs):
-            coeffs = tuple(c // p for c in coeffs)
-            k += 1
-        return k
+        """Largest k <= prec with p^k | u; prec exactly when u is 0 at its precision."""
+        return pa.vec_valuation(self.coeffs, self.params.p, self.prec)
 
     def exact_div_p(self, k=1):
         """Divide by p^k (must be exact); precision drops by k."""
@@ -596,10 +580,7 @@ def valuation(u):
 
 def agreement_precision(u, v):
     """Largest k <= min(prec) with u = v mod p^k (0 when residues differ)."""
-    d = u - v
-    if d.is_zero():
-        return d.prec
-    return min(d.valuation(), d.prec)
+    return (u - v).valuation()
 
 
 def random_element(params, rng, prec=None, unit=False):

@@ -20,6 +20,16 @@ the solver's residual phi(u) - (I + p*beta) * u^(p) on coefficient tuples
 and drops its factor p.  ``matrix_map``, ``matrix_product``,
 ``matrix_from_residues`` and ``coupling_matrix`` are the ring-element
 matrix helpers of this oracle and of the matrix solver oracles below.
+``loop_verify_matrix_linear`` takes the library's residual but finds its
+valuation by trying p^(k+2) for k = 0, 1, ... in turn, where the library
+reads one capped valuation per entry (``polyarith.vec_valuation``).
+
+``marker_valuation`` divides the coefficients by p until one is not
+divisible and returns the lower-bound marker ``ValuationAtLeast(prec)`` for
+an element that is 0 at its precision, where the library's ``valuation``
+is the int min(v_p, prec) from the gcd of the coefficients;
+``guarded_valuation`` reads the marker as its callers did, as the
+precision.  The ring-element oracles measure their residuals with it.
 
 ``staged_solve_matrix_linear`` lifts a residue seed of
 phi(u) = (I + p*beta) u^(p) one digit per step: it divides the residual by
@@ -154,9 +164,8 @@ from wittcalc import (
     teichmuller,
 )
 from wittcalc import polyarith as pa
-from wittcalc import relations
+from wittcalc import relations, solvers
 from wittcalc.polyarith import vec_eval_int_poly, vec_one, vec_pow
-from wittcalc.zq import agreement_precision
 from wittcalc.record import frozen_record
 
 
@@ -533,7 +542,48 @@ def ring_verify_matrix_linear(u, beta):
     p = u.params.p
     res = matrix_map(lambda x, y: x - y, matrix_map(fermat_quotient, u),
                      matrix_product(beta, matrix_map(lambda e: e ** p, u)))
-    return min(agreement_precision(e, e.params.zero(e.prec)) for row in res.entries for e in row)
+    return min(guarded_valuation(e) for row in res.entries for e in row)
+
+
+def loop_verify_matrix_linear(u, beta):
+    """verify_matrix_linear with the residual's valuation found by trial powers of p."""
+    if u.prec < 2:
+        raise PrecisionExhausted("verify_matrix_linear needs precision >= 2")
+    params = u.params
+    p, prec = params.p, min(u.prec - 1, beta.prec)
+    mod = p ** (prec + 1)
+    res = solvers._residual(params, solvers._coupling(beta, mod),
+                            tuple(tuple(e.coeffs for e in row) for row in u.entries), mod)
+    # r = 0 mod p always; k digits achieved when r = 0 mod p^(k+1)
+    return next((k for k in range(prec)
+                 if any(c % p ** (k + 2) for row in res for e in row for c in e)), prec)
+
+
+@frozen_record
+class ValuationAtLeast:
+    """A valuation only known to be >= ``bound`` (the element is 0 at its precision)."""
+
+    bound: int
+
+    def __repr__(self):
+        return f">= {self.bound}"
+
+
+def marker_valuation(u):
+    """Largest k with p^k | u, or the lower-bound marker when u is 0 at its precision."""
+    if u.is_zero():
+        return ValuationAtLeast(u.prec)
+    p, k, coeffs = u.params.p, 0, u.coeffs
+    while all(c % p == 0 for c in coeffs):
+        coeffs = tuple(c // p for c in coeffs)
+        k += 1
+    return k
+
+
+def guarded_valuation(u):
+    """The marker valuation read as the precision at 0."""
+    v = marker_valuation(u)
+    return v.bound if isinstance(v, ValuationAtLeast) else v
 
 
 def staged_solve_matrix_linear(beta, seed):
@@ -881,7 +931,7 @@ def candidate_find_relation(query):
     support = tuple((e, c) for e, c in zip(monos, best) if c)
     result = _relation_evaluate([e for e, _ in support], [c for _, c in support],
                                 list(query.values), minprec)
-    achieved = agreement_precision(result, query.params.zero(minprec))
+    achieved = guarded_valuation(result)
     if achieved < query.precision:
         raise ArithmeticError("candidate relation failed re-verification")
     return RelationCertificate(

@@ -428,6 +428,10 @@ def test_exit_code_precision_exhausted():
     code, _, err = invoke(["--p", "3", "--f", "1", "--prec", "2",
                            "jet", '["2"]', "--order", "2"])
     assert code == 4
+    # a matrix u known to one digit is refused by the verifier, which names itself
+    item = {"kind": "matrix", "beta": [[["0"]]], "u": {"prec": 1, "entries": [[["1"]]]}}
+    assert invoke(["--p", "3", "--prec", "6", "verify", json.dumps([item])]) == (
+        4, "", "error: item 0 (matrix): verify_matrix_linear needs precision >= 2\n")
 
 
 def test_exit_code_budget_exceeded(monkeypatch):

@@ -97,6 +97,7 @@ from oracles import (
     digitwise_solve_matrix_linear,
     fq_residue_invertible,
     fraction_lll_reduce,
+    guarded_valuation,
     iterated_teichmuller,
     lift,
     loop_frobenius_lift,
@@ -105,6 +106,7 @@ from oracles import (
     loop_vec_dot,
     loop_vec_mul,
     loop_vec_mul_cols,
+    loop_verify_matrix_linear,
     log_route_psi,
     matrix_map,
     matrix_product,
@@ -333,7 +335,8 @@ def test_matrix_verifier_matches_the_ring_element_oracle(p, f, N, n, rnd):
     for v in cases:
         for b in betas:
             assert _verified(v, b, verify_matrix_linear) == \
-                _verified(v, b, ring_verify_matrix_linear)
+                _verified(v, b, ring_verify_matrix_linear) == \
+                _verified(v, b, loop_verify_matrix_linear)
     assert verify_matrix_linear(u, beta) == u.prec - 1
     if k:
         assert verify_matrix_linear(ZqMatrix(rows), beta) == k - 1
@@ -741,6 +744,27 @@ def test_ring_laws_at_mixed_precisions(ring, data):
     assert agreement_precision(a, a.mask(k)) == agreement_precision(a.mask(k), a) == k
     j = data.draw(st.integers(0, P.N))
     assert agreement_precision(a, a + w.mul_p_power(j)) == min(j, a.prec)
+
+
+@SETTINGS
+@hypothesis.given(RINGS, st.data())
+def test_valuation_is_an_int_capped_at_the_precision(ring, data):
+    # valuation() is min(v_p, prec) as an int, prec exactly at 0; it adds
+    # under products up to the product's precision, and agreement_precision
+    # is the valuation of the difference
+    P = get_params(*ring)
+
+    def element():
+        x = _element(data, P).mul_p_power(data.draw(st.integers(0, P.N)))
+        return x.mask(data.draw(st.integers(1, P.N)))
+
+    a, b = element(), element()
+    for u in (a, b, a * b, a - b, P.zero(a.prec)):
+        v = u.valuation()
+        assert type(v) is int and v == guarded_valuation(u)
+        assert 0 <= v <= u.prec and (v == u.prec) == u.is_zero()
+    assert (a * b).valuation() == min(a.valuation() + b.valuation(), (a * b).prec)
+    assert agreement_precision(a, b) == (a - b).valuation()
 
 
 @SETTINGS

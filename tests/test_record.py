@@ -5,10 +5,11 @@ import dataclasses
 
 import pytest
 
-from wittcalc import DomainError, FqElement, Obstruction, RelationQuery, ValuationAtLeast
+from wittcalc import DomainError, FqElement, Obstruction, RelationQuery
 from wittcalc.record import frozen_record
 
 from conftest import get_params
+from oracles import ValuationAtLeast
 
 
 @frozen_record
