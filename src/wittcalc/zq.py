@@ -9,9 +9,10 @@ they report; nothing is rounded.
 
 Besides the ring structure this module provides:
 
-* ``frobenius`` -- the lift of the residue Frobenius a -> a^p, computed once
-  per ring as the Hensel root of m nearest g^p and cached, with its inverse,
-  as the columns of a linear map (``polyarith.vec_apply``);
+* ``frobenius`` -- the lift of the residue Frobenius a -> a^p, the Hensel
+  root of m nearest g^p, kept with its inverse as the columns of a linear
+  map (``polyarith.vec_apply``); the tables are built once per (p, f, N, m)
+  in a bounded cache (``_ring_structure``) and shared by equal rings;
 * ``teichmuller`` -- the multiplicative section of reduction mod p, i.e. the
   unique root-of-unity-or-zero lift of each residue, cached per ring: by
   one Frobenius lift (``_frobenius_lift``, shared with the matrix solver)
@@ -29,6 +30,7 @@ arithmetic, comparison, Frobenius and trace are the ring's own.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import polyarith as pa
 from .conway import conway_polynomial, is_irreducible_mod_p, is_prime, prime_factors
@@ -53,8 +55,11 @@ class PadicParams:
 
     The default polynomial is x for f = 1 (plain scalar arithmetic in Z/p^N)
     and the Conway polynomial lifted with coefficients in [0, p) for f >= 2.
-    The Frobenius tables are built eagerly, so instances are immutable in
-    all observable ways and safe to share between threads.
+    The checked modulus and the Frobenius tables depend on (p, f, N, poly)
+    only and come from ``_ring_structure``, so equal rings share them; each
+    ring keeps its own Teichmuller table, which starts empty and only grows
+    by checked entries, so instances are immutable in all observable ways
+    and safe to share between threads.
     """
 
     __slots__ = ("p", "f", "N", "poly", "_phi_cols", "_phi_inv_cols", "_teich")
@@ -69,57 +74,12 @@ class PadicParams:
         self.p = p
         self.f = f
         self.N = N
-        mod = p ** N
         if poly is None:
-            self.poly = (0, 1) if f == 1 else conway_polynomial(p, f)
+            poly, given = ((0, 1) if f == 1 else conway_polynomial(p, f)), False
         else:
-            poly = tuple(int(c) % mod for c in poly)
-            if len(poly) != f + 1 or poly[f] != 1:
-                raise ReduciblePolynomial(
-                    f"defining polynomial must be monic of degree {f}")
-            if not is_irreducible_mod_p(poly, p):
-                raise ReduciblePolynomial(
-                    "defining polynomial is reducible mod p")
-            self.poly = poly
+            poly, given = tuple(int(c) % p ** N for c in poly), True
+        self.poly, self._phi_cols, self._phi_inv_cols = _ring_structure(p, f, N, poly, given)
         self._teich = {}
-        self._build_frobenius()
-
-    def _build_frobenius(self):
-        p, f, mod = self.p, self.f, self.p ** self.N
-        if f == 1:
-            self._phi_cols = self._phi_inv_cols = ((1,),)
-            return
-        # phi(g^i) = y^i, so the powers of y are the rows of phi's matrix
-        y = self._hensel_root_near_gp()
-        self._phi_cols = tuple(zip(*pa.vec_powers(y, f - 1, self.poly, mod)))
-        h = y
-        for _ in range(f - 2):
-            h = pa.vec_apply(h, self._phi_cols, mod)
-        self._phi_inv_cols = tuple(zip(*pa.vec_powers(h, f - 1, self.poly, mod)))
-
-    def _hensel_root_near_gp(self):
-        # Newton y <- y - m(y) z from y = g^p, a root mod p, at doubling
-        # precision; m is irreducible over the perfect field F_p, hence
-        # separable, so m'(y) is a unit.  With y right mod p^k, z = 1/m'(y)
-        # right mod p^(k/2) is made right mod p^k by one Newton step
-        # z <- z (2 - m'(y) z), and then y is right mod p^(2k).
-        p, f, N, poly = self.p, self.f, self.N, self.poly
-        deriv = tuple(i * c for i, c in enumerate(poly))[1:]
-        y = pa.vec_pow((0, 1) + (0,) * (f - 2), p, poly, p)
-        z = pa.vec_inv(pa.vec_eval_int_poly(deriv, y, poly, p), poly, p, 1)
-        k = 1
-        while k < N:
-            if k > 1:
-                mod = p ** k
-                dz = pa.vec_mul(pa.vec_eval_int_poly(deriv, y, poly, mod), z, poly, mod)
-                z = pa.vec_mul(z, pa.vec_sub(pa.vec_from_int(2, f, mod), dz, mod), poly, mod)
-            k = min(2 * k, N)
-            mod = p ** k
-            fy = pa.vec_eval_int_poly(poly, y, poly, mod)
-            y = pa.vec_sub(y, pa.vec_mul(fy, z, poly, mod), mod)
-        if any(pa.vec_eval_int_poly(poly, y, poly, p ** N)):
-            raise ArithmeticError("Frobenius lift did not converge")
-        return y
 
     # -- constructors -------------------------------------------------------
 
@@ -175,6 +135,53 @@ class PadicParams:
 
     def __repr__(self):
         return f"PadicParams(p={self.p}, f={self.f}, N={self.N}, poly={list(self.poly)})"
+
+
+@lru_cache(maxsize=256)
+def _ring_structure(p, f, N, poly, given):
+    """(modulus, columns of phi, columns of phi^(-1)) of the ring (p, f, N, poly).
+
+    ``poly`` is the defining polynomial reduced mod p^N, and ``given`` says
+    it came from the caller, not the default.  A given modulus is checked on
+    a miss, and a refusal raises each time (exceptions are not cached); the
+    default needs no check.  Both kinds of entry return the tables built for
+    ``given`` false, so all rings of equal (p, f, N, poly) share one set.
+    """
+    if given:
+        if len(poly) != f + 1 or poly[f] != 1:
+            raise ReduciblePolynomial(f"defining polynomial must be monic of degree {f}")
+        if not is_irreducible_mod_p(poly, p):
+            raise ReduciblePolynomial("defining polynomial is reducible mod p")
+        return _ring_structure(p, f, N, poly, False)
+    if f == 1:
+        return poly, ((1,),), ((1,),)
+    # The Frobenius root y of m near g^p: Newton y <- y - m(y) z from y = g^p,
+    # a root mod p, at doubling precision; m is irreducible over the perfect
+    # field F_p, hence separable, so m'(y) is a unit.  With y right mod p^k,
+    # z = 1/m'(y) right mod p^(k/2) is made right mod p^k by one Newton step
+    # z <- z (2 - m'(y) z), and then y is right mod p^(2k).
+    deriv = tuple(i * c for i, c in enumerate(poly))[1:]
+    y = pa.vec_pow((0, 1) + (0,) * (f - 2), p, poly, p)
+    z = pa.vec_inv(pa.vec_eval_int_poly(deriv, y, poly, p), poly, p, 1)
+    k = 1
+    while k < N:
+        if k > 1:
+            mod = p ** k
+            dz = pa.vec_mul(pa.vec_eval_int_poly(deriv, y, poly, mod), z, poly, mod)
+            z = pa.vec_mul(z, pa.vec_sub(pa.vec_from_int(2, f, mod), dz, mod), poly, mod)
+        k = min(2 * k, N)
+        mod = p ** k
+        fy = pa.vec_eval_int_poly(poly, y, poly, mod)
+        y = pa.vec_sub(y, pa.vec_mul(fy, z, poly, mod), mod)
+    mod = p ** N
+    if any(pa.vec_eval_int_poly(poly, y, poly, mod)):
+        raise ArithmeticError("Frobenius lift did not converge")
+    # phi(g^i) = y^i, so the powers of y are the rows of phi's matrix
+    phi = tuple(zip(*pa.vec_powers(y, f - 1, poly, mod)))
+    h = y
+    for _ in range(f - 2):
+        h = pa.vec_apply(h, phi, mod)
+    return poly, phi, tuple(zip(*pa.vec_powers(h, f - 1, poly, mod)))
 
 
 def new_params(p, f, N, m=None):
@@ -360,10 +367,6 @@ class FqElement(ZqElement):
 
     def __init__(self, params, coeffs):
         ZqElement.__init__(self, params, coeffs, 1)
-
-    def lift(self, prec=None):
-        """The integer-coefficient lift (digits as given) into Z_q."""
-        return self.params.from_coeffs(self.coeffs, prec)
 
     def __repr__(self):
         return f"Fq({self._poly_str()})"
@@ -572,10 +575,6 @@ def from_digits(d):
         for s in range(top - width, -1, -width):
             acc = pa.vec_apply(xs, tuple(zip(*ws[s:s + width], acc)), mod)
     return ZqElement(params, acc, prec)
-
-
-def valuation(u):
-    return u.valuation()
 
 
 def agreement_precision(u, v):

@@ -382,6 +382,11 @@ def _fq_elements(params):
         yield FqElement(params, tuple(reversed(coeffs)))
 
 
+def _lift_residue(c, prec=None):
+    """The residue c lifted into Z_q with its coefficients as given."""
+    return c.params.from_coeffs(c.coeffs, prec)
+
+
 def _fq_generator(params):
     """The first generator of F_q^* in enumeration order."""
     q1 = params.p ** params.f - 1
@@ -465,7 +470,7 @@ def staged_solve_difference(eps):
         step = (p - 1) // d
         modulus = q1 // d
         t = (e // d) * pow(step, -1, modulus) % modulus if modulus > 1 else 0
-        u = (gen ** t).residue().lift(K)
+        u = _lift_residue((gen ** t).residue(), K)
     else:
         u = params.one(K)
     for k in range(1, K):
@@ -475,7 +480,7 @@ def staged_solve_difference(eps):
         if h is None:
             return Obstruction(stage=k, kind="trace", witness=c,
                                trace=c.trace(), partial=u)
-        u = u * (h.lift(K).mul_p_power(k) + 1)
+        u = u * (_lift_residue(h, K).mul_p_power(k) + 1)
     return u
 
 
@@ -526,7 +531,7 @@ def matrix_product(a, b):
 
 
 def matrix_from_residues(params, residues, prec=None):
-    return ZqMatrix(tuple(tuple(params.fq(e.coeffs).lift(prec) for e in row)
+    return ZqMatrix(tuple(tuple(_lift_residue(params.fq(e.coeffs), prec) for e in row)
                           for row in residues))
 
 

@@ -386,9 +386,10 @@ def test_frobenius_vieta_on_conway_quadratic():
 
 
 def test_frobenius_root_matches_full_precision_oracle():
-    # Newton at doubling precision with an updated inverse against Newton at
-    # p^N with a fresh inverse each pass; default moduli, a non-Conway one,
-    # N = 2, and random irreducible moduli with coefficients lifted mod p^N
+    # Newton at doubling precision with an updated inverse, built uncached,
+    # against Newton at p^N with a fresh inverse each pass; default moduli, a
+    # non-Conway one, N = 2, and random irreducible moduli with coefficients
+    # lifted mod p^N.  The cached tables are the uncached ones.
     rng = random.Random(19)
     rings = [new_params(p, f, N) for p, f, N in
              [(2, 2, 2), (2, 3, 7), (2, 8, 30), (3, 2, 2), (3, 6, 60), (5, 4, 40),
@@ -401,8 +402,43 @@ def test_frobenius_root_matches_full_precision_oracle():
             rings.append(new_params(p, f, N, poly))
     for P in rings:
         y = full_precision_frobenius_root(P)
-        assert P._hensel_root_near_gp() == y == tuple(col[1] for col in P._phi_cols)
+        built = zq._ring_structure.__wrapped__(P.p, P.f, P.N, P.poly, False)
+        assert built == (P.poly, P._phi_cols, P._phi_inv_cols)
+        assert tuple(col[1] for col in built[1]) == y
         assert frobenius(P.gen()).coeffs == y
+
+
+def test_equal_rings_share_frobenius_tables():
+    # polys that differ by multiples of p^N are one ring: one set of tables
+    zq._ring_structure.cache_clear()
+    m = (2, 2, 1)
+    P = new_params(3, 2, 10, m)
+    Q = new_params(3, 2, 10, (2 + 3 ** 10, 2 - 5 * 3 ** 10, 1 + 3 ** 10))
+    assert P == Q and P is not Q and Q.poly == m
+    assert Q._phi_cols is P._phi_cols and Q._phi_inv_cols is P._phi_inv_cols
+    # as do default rings, a ring given the default modulus and one read from JSON
+    D = new_params(5, 3, 8)
+    for E in (new_params(5, 3, 8), new_params(5, 3, 8, conway_polynomial(5, 3)),
+              element_from_obj(element_to_obj(D.gen())).params):
+        assert E == D and E._phi_cols is D._phi_cols and E._phi_inv_cols is D._phi_inv_cols
+    # a ring that differs only in N gets its own tables, right at its N
+    R = new_params(3, 2, 12, m)
+    assert R._phi_cols is not P._phi_cols
+    assert tuple(col[1] for col in R._phi_cols) == full_precision_frobenius_root(R)
+    assert all(x % 3 ** 10 == y for cr, cp in zip(R._phi_cols, P._phi_cols)
+               for x, y in zip(cr, cp))
+    # a reducible modulus, x^2 + 2 = (x - 1)(x + 1) mod 3, or one of the
+    # wrong degree, is refused on every call: refusals are not cached
+    for _ in range(2):
+        for bad in ((2, 0, 1), (2 + 3 ** 10, 0, 1), (2, 2, 1, 0)):
+            with pytest.raises(ReduciblePolynomial):
+                new_params(3, 2, 10, bad)
+    # every ring starts with its own empty Teichmuller table
+    rings = [P, Q, R, new_params(3, 2, 10, m)]
+    teichmuller(P.gen())
+    assert len(P._teich) == 9
+    for i, A in enumerate(rings[1:], 1):
+        assert A._teich == {} and all(A._teich is not B._teich for B in rings[:i])
 
 
 # ---------------------------------------------------------------------------
