@@ -108,7 +108,7 @@ def is_irreducible_mod_p(poly, p):
         return False
     for ell in prime_factors(f):
         try:
-            vec_inv(vec_sub(vec_pow(x, p ** (f // ell), poly, p), x, p), poly, p, 1)
+            vec_inv(vec_sub(vec_pow(x, p ** (f // ell), poly, p), x, p), poly, p)
         except NonUnit:
             return False
     return True

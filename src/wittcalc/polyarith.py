@@ -376,33 +376,19 @@ def vec_valuation(a, p, cap):
     return k
 
 
-def vec_inv(a, poly, p, K):
-    """Inverse of a modulo (poly, p^K); NonUnit unless a is a unit mod (poly, p)."""
-    f = len(a)
-    mod = p ** K
-    if not any(x % p for x in a):
-        raise NonUnit("zero divisor: valuation >= 1")
-    if f == 1:
-        return (pow(a[0], -1, mod),)
-    x = _inv_mod_p(a, poly, p)
-    # Newton: x <- x * (2 - a*x), gaining one doubling of correct digits per pass
-    k = 1
-    two = vec_from_int(2, f, mod)
-    while k < K:
-        k *= 2
-        m2 = p ** min(k, K)
-        ax = vec_mul(vec_mask(a, m2), x, poly, m2)
-        x = vec_mul(x, vec_sub(vec_mask(two, m2), ax, m2), poly, m2)
-    return vec_mask(x, mod)
+def vec_inv(a, poly, p):
+    """a^-1 mod (poly, p); NonUnit unless a is a unit mod (poly, p).
 
-
-def _inv_mod_p(a, poly, p):
-    """a^-1 mod (poly, p) by Euclid on (poly, a), keeping only a's cofactor.
-
-    The remainders r and cofactors t keep t*a == r mod (poly, p); each
-    cofactor has degree f minus that of the remainder before it, so below f.
+    Euclid on (poly, a), keeping only a's cofactor: the remainders r and
+    cofactors t keep t*a == r mod (poly, p); each cofactor has degree f
+    minus that of the remainder before it, so below f.  Its callers work mod
+    p: Rabin's test, the seed of the Frobenius root's 1/m'(y) and the matrix
+    solver's seed check.  A unit of the ring is inverted mod p^k by its norm
+    (``ZqElement.inv``), with no Newton loop.
     """
     f = len(a)
+    if not any(x % p for x in a):
+        raise NonUnit("zero divisor: valuation >= 1")
     r0, r1 = [c % p for c in poly], [x % p for x in a]
     t0, t1 = [0] * f, [1] + [0] * (f - 1)
     while True:

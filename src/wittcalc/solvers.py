@@ -49,6 +49,7 @@ from .zq import (
     FqElement,
     ZqElement,
     _frobenius_lift,
+    _norm_chain,
     _same_residue_field,
     frobenius,
     frobenius_inv,
@@ -232,13 +233,10 @@ class Obstruction:
 
 
 def phi_norm(eps):
-    """eps * phi(eps) * ... * phi^(f-1)(eps)."""
-    acc = eps
-    t = eps
-    for _ in range(eps.params.f - 1):
-        t = frobenius(t)
-        acc = acc * t
-    return acc
+    """N(eps) = eps * phi(eps) * ... * phi^(f-1)(eps), which lies in Z_p, at eps's
+    precision: the product by the binary chain of ``zq._norm_chain``."""
+    params = eps.params
+    return params.from_int(_norm_chain(params, eps.coeffs, params.p ** eps.prec)[1], eps.prec)
 
 
 def solve_difference(eps):
@@ -249,18 +247,21 @@ def solve_difference(eps):
     u = sum_(i<f) b_i phi^i(c) satisfies phi(u) = eps*u + eps*c*(N(eps)^-1 - 1),
     and some basis element c in 1, g, ..., g^(f-1) makes u a unit.  u is
     scaled so that its first coefficient prime to p is 1.  Returns u, or an
-    Obstruction as a value when N(eps) != 1.
+    Obstruction as a value when N(eps) != 1.  N(eps) and eps^-1 come from
+    one norm chain (``zq._norm_chain``).
     """
     params = eps.params
     if not eps.is_unit():
         raise NonUnit("eps must be a unit")
     p, f, K = params.p, params.f, eps.prec
-    norm = phi_norm(eps)
-    if norm.residue() != params.fq_from_int(1):
+    mod = p ** K
+    rest, n = _norm_chain(params, eps.coeffs, mod)
+    norm = params.from_int(n, K)
+    if n % p != 1:
         return Obstruction(stage="mod-p", kind="power-residue",
                            witness=norm.residue(), exponent=(p ** f - 1) // (p - 1))
     twists = [params.one(K)]
-    t = eps.inv()
+    t = ZqElement(params, pa.vec_scale(rest, pow(n, -1, mod), mod), K)  # eps^-1
     for _ in range(f - 1):
         twists.append(twists[-1] * t)
         t = frobenius(t)
@@ -361,7 +362,7 @@ def _residue_invertible(rows, poly, p):
         if piv is None:
             return False
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pa.vec_inv(rows[col][col], poly, p, 1)
+        inv = pa.vec_inv(rows[col][col], poly, p)
         rows[col] = [pa.vec_mul(x, inv, poly, p) for x in rows[col]]
         for i in range(n):
             if i != col and any(rows[i][col]):

@@ -10,9 +10,14 @@ they report; nothing is rounded.
 Besides the ring structure this module provides:
 
 * ``frobenius`` -- the lift of the residue Frobenius a -> a^p, the Hensel
-  root of m nearest g^p, kept with its inverse as the columns of a linear
-  map (``polyarith.vec_apply``); the tables are built once per (p, f, N, m)
-  in a bounded cache (``_ring_structure``) and shared by equal rings;
+  root of m nearest g^p, kept with each power phi^k, 0 < k < f, as the
+  columns of a linear map (``polyarith.vec_apply``), phi^(f-1) = phi^(-1)
+  among them; the tables are built once per (p, f, N, m) in a bounded cache
+  (``_ring_structure``) and shared by equal rings;
+* ``inv`` -- by the norm: u^(-1) = N(u)^(-1) phi(u) ... phi^(f-1)(u), where
+  N(u) = u phi(u) ... phi^(f-1)(u) lies in Z_p and is inverted by the
+  builtin pow, and the product of the conjugates is one binary chain over
+  the tables of phi^k (``_norm_chain``);
 * ``teichmuller`` -- the multiplicative section of reduction mod p, i.e. the
   unique root-of-unity-or-zero lift of each residue, cached per ring: by
   one Frobenius lift (``_frobenius_lift``, shared with the matrix solver)
@@ -36,6 +41,7 @@ from . import polyarith as pa
 from .conway import conway_polynomial, is_irreducible_mod_p, is_prime, prime_factors
 from .errors import (
     DomainError,
+    NonUnit,
     NotPrime,
     ParamsMismatch,
     PrecisionExhausted,
@@ -55,14 +61,15 @@ class PadicParams:
 
     The default polynomial is x for f = 1 (plain scalar arithmetic in Z/p^N)
     and the Conway polynomial lifted with coefficients in [0, p) for f >= 2.
-    The checked modulus and the Frobenius tables depend on (p, f, N, poly)
-    only and come from ``_ring_structure``, so equal rings share them; each
+    The checked modulus and the tables of phi^k, 0 < k < f, depend on
+    (p, f, N, poly) only and come from ``_ring_structure``, so equal rings
+    share them; ``_phi_cols`` is phi's and ``_phi_inv_cols`` phi^(f-1)'s.  Each
     ring keeps its own Teichmuller table, which starts empty and only grows
     by checked entries, so instances are immutable in all observable ways
     and safe to share between threads.
     """
 
-    __slots__ = ("p", "f", "N", "poly", "_phi_cols", "_phi_inv_cols", "_teich")
+    __slots__ = ("p", "f", "N", "poly", "_phis", "_phi_cols", "_phi_inv_cols", "_teich")
 
     def __init__(self, p, f, N, poly=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -78,7 +85,8 @@ class PadicParams:
             poly, given = ((0, 1) if f == 1 else conway_polynomial(p, f)), False
         else:
             poly, given = tuple(int(c) % p ** N for c in poly), True
-        self.poly, self._phi_cols, self._phi_inv_cols = _ring_structure(p, f, N, poly, given)
+        self.poly, self._phis = _ring_structure(p, f, N, poly, given)
+        self._phi_cols, self._phi_inv_cols = self._phis[0], self._phis[-1]
         self._teich = {}
 
     # -- constructors -------------------------------------------------------
@@ -139,13 +147,16 @@ class PadicParams:
 
 @lru_cache(maxsize=256)
 def _ring_structure(p, f, N, poly, given):
-    """(modulus, columns of phi, columns of phi^(-1)) of the ring (p, f, N, poly).
+    """(modulus, the columns of phi^k for k = 1, ..., f-1) of the ring (p, f, N, poly).
 
     ``poly`` is the defining polynomial reduced mod p^N, and ``given`` says
     it came from the caller, not the default.  A given modulus is checked on
     a miss, and a refusal raises each time (exceptions are not cached); the
     default needs no check.  Both kinds of entry return the tables built for
     ``given`` false, so all rings of equal (p, f, N, poly) share one set.
+    An entry holds max(f-1, 1) tables (f = 1 keeps one, the identity), each
+    f columns of f ints below p^N: at (5, 8, 800) about 114 kB by
+    ``sys.getsizeof`` over its tuples and ints, 16 kB a table.
     """
     if given:
         if len(poly) != f + 1 or poly[f] != 1:
@@ -154,7 +165,7 @@ def _ring_structure(p, f, N, poly, given):
             raise ReduciblePolynomial("defining polynomial is reducible mod p")
         return _ring_structure(p, f, N, poly, False)
     if f == 1:
-        return poly, ((1,),), ((1,),)
+        return poly, (((1,),),)
     # The Frobenius root y of m near g^p: Newton y <- y - m(y) z from y = g^p,
     # a root mod p, at doubling precision; m is irreducible over the perfect
     # field F_p, hence separable, so m'(y) is a unit.  With y right mod p^k,
@@ -162,7 +173,7 @@ def _ring_structure(p, f, N, poly, given):
     # z <- z (2 - m'(y) z), and then y is right mod p^(2k).
     deriv = tuple(i * c for i, c in enumerate(poly))[1:]
     y = pa.vec_pow((0, 1) + (0,) * (f - 2), p, poly, p)
-    z = pa.vec_inv(pa.vec_eval_int_poly(deriv, y, poly, p), poly, p, 1)
+    z = pa.vec_inv(pa.vec_eval_int_poly(deriv, y, poly, p), poly, p)
     k = 1
     while k < N:
         if k > 1:
@@ -176,12 +187,13 @@ def _ring_structure(p, f, N, poly, given):
     mod = p ** N
     if any(pa.vec_eval_int_poly(poly, y, poly, mod)):
         raise ArithmeticError("Frobenius lift did not converge")
-    # phi(g^i) = y^i, so the powers of y are the rows of phi's matrix
-    phi = tuple(zip(*pa.vec_powers(y, f - 1, poly, mod)))
-    h = y
+    # phi^k(g^i) = phi^k(g)^i, so the powers of phi^k(g) = phi(phi^(k-1)(g))
+    # are the rows of phi^k's matrix
+    phis, h = [tuple(zip(*pa.vec_powers(y, f - 1, poly, mod)))], y
     for _ in range(f - 2):
-        h = pa.vec_apply(h, phi, mod)
-    return poly, phi, tuple(zip(*pa.vec_powers(h, f - 1, poly, mod)))
+        h = pa.vec_apply(h, phis[0], mod)
+        phis.append(tuple(zip(*pa.vec_powers(h, f - 1, poly, mod))))
+    return poly, tuple(phis)
 
 
 def new_params(p, f, N, m=None):
@@ -193,8 +205,8 @@ class ZqElement:
     """An element of Z_q known modulo p^prec, 1 <= prec <= N.
 
     Immutable.  Arithmetic returns new elements at the minimum of the operand
-    precisions; equality means congruence modulo the smaller modulus (use
-    ``agreement_precision`` when the comparison precision itself matters).
+    precisions; equality means congruence modulo the smaller modulus
+    (``(u - v).valuation()`` is the precision to which they agree).
     ``valuation`` is min(v_p, prec), an int: an element that is 0 at its
     precision is only known to have v_p >= prec, and reads prec.
     """
@@ -276,11 +288,13 @@ class ZqElement:
             base.params, pa.vec_pow(base.coeffs, abs(e), base.params.poly, mod), base.prec)
 
     def inv(self):
-        """Multiplicative inverse; requires a unit (valuation 0)."""
-        return ZqElement(
-            self.params,
-            pa.vec_inv(self.coeffs, self.params.poly, self.params.p, self.prec),
-            self.prec)
+        """Multiplicative inverse of a unit (valuation 0), N(u)^(-1) phi(u) ... phi^(f-1)(u):
+        one norm chain (``_norm_chain``) and the builtin pow in Z/p^prec."""
+        if not self.is_unit():
+            raise NonUnit("zero divisor: valuation >= 1")
+        mod = self.params.p ** self.prec
+        rest, norm = _norm_chain(self.params, self.coeffs, mod)
+        return ZqElement(self.params, pa.vec_scale(rest, pow(norm, -1, mod), mod), self.prec)
 
     def __eq__(self, other):
         v = self._coerce(other)
@@ -405,6 +419,30 @@ def frobenius_inv(u):
     """The inverse automorphism, phi^(f-1) (phi has order f on Z_q)."""
     mod = u.params.p ** u.prec
     return ZqElement(u.params, pa.vec_apply(u.coeffs, u.params._phi_inv_cols, mod), u.prec)
+
+
+def _norm_chain(params, a, mod):
+    """(phi(a) ... phi^(f-1)(a), N(a)) mod ``mod`` for the coefficient tuple a.
+
+    With a_j = a phi(a) ... phi^(j-1)(a), a_(j+k) = a_j phi^j(a_k), so a
+    chain over the bits of f-1 from the top, a_(2j) = a_j phi^j(a_j) and
+    a_(j+1) = a_j phi^j(a), reaches a_(f-1) by one ``vec_apply`` of a table
+    of ``params._phis`` and one product a step.  The conjugates' product is
+    phi(a_(f-1)), and N(a), its product with a, lies in Z_p: coefficient 0,
+    an int.  At f = 1 they are 1 and a.
+    """
+    if params.f == 1:
+        return (1,), a[0] % mod
+    phis, poly = params._phis, params.poly
+    x, j = a, 1
+    for bit in bin(params.f - 1)[3:]:
+        x = pa.vec_mul(x, pa.vec_apply(x, phis[j - 1], mod), poly, mod)
+        j *= 2
+        if bit == "1":
+            x = pa.vec_mul(x, pa.vec_apply(a, phis[j - 1], mod), poly, mod)
+            j += 1
+    rest = pa.vec_apply(x, phis[0], mod)
+    return rest, pa.vec_mul(rest, a, poly, mod)[0]
 
 
 def teichmuller(a, prec=None):
@@ -575,11 +613,6 @@ def from_digits(d):
         for s in range(top - width, -1, -width):
             acc = pa.vec_apply(xs, tuple(zip(*ws[s:s + width], acc)), mod)
     return ZqElement(params, acc, prec)
-
-
-def agreement_precision(u, v):
-    """Largest k <= min(prec) with u = v mod p^k (0 when residues differ)."""
-    return (u - v).valuation()
 
 
 def random_element(params, rng, prec=None, unit=False):

@@ -13,6 +13,7 @@ import pytest
 
 from wittcalc import PadicParams
 from wittcalc import polyarith as pa
+from wittcalc.conway import is_irreducible_mod_p
 
 _params_cache = {}
 
@@ -22,6 +23,14 @@ def get_params(p, f, N, poly=None):
     if key not in _params_cache:
         _params_cache[key] = PadicParams(p, f, N, poly)
     return _params_cache[key]
+
+
+def random_ring(rng, p, f, N):
+    """A ring of degree f whose modulus is a random irreducible one lifted mod p^N."""
+    while True:
+        poly = tuple(rng.randrange(p ** N) for _ in range(f)) + (1,)
+        if is_irreducible_mod_p(poly, p):
+            return PadicParams(p, f, N, poly)
 
 
 @pytest.fixture

@@ -113,7 +113,15 @@ library scans only the p^(f-1) words whose norm is the root of C_{p,1}.
 modulus by Euclid on trimmed int lists, where the library asks ``vec_inv``
 whether the difference is a unit.  ``euclid_inv_mod_p`` computes both
 Bezout cofactors of (a, m) over F_p and keeps one, where the library's
-mod-p seed tracks only a's.
+``vec_inv`` tracks only a's.
+
+``newton_vec_inv`` inverts mod (poly, p^K) by Newton from the mod-p inverse,
+x <- x (2 - a x) at doubling precision, about 2 log2 K products, and
+``loop_phi_norm`` multiplies out eps phi(eps) ... phi^(f-1)(eps) by f-1
+Frobenius calls and products, where the library takes the conjugates'
+product by one binary chain over the tables of phi^k (``zq._norm_chain``),
+inverts the norm, which lies in Z_p, by the builtin pow, and reads the norm
+off the same chain.  ``agreement_precision`` is (u - v).valuation().
 
 ``loop_vec_mul``, ``loop_vec_apply``, ``loop_vec_dot`` and
 ``loop_vec_mul_cols`` are the ring kernels as loops over the coefficients,
@@ -214,7 +222,7 @@ class RecordResidue:
 
     def inv(self):
         return RecordResidue(
-            self.params, pa.vec_inv(self.coeffs, self.params.poly, self.params.p, 1))
+            self.params, pa.vec_inv(self.coeffs, self.params.poly, self.params.p))
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -369,6 +377,42 @@ def euclid_inv_mod_p(a, poly, p):
         raise NonUnit("element shares a factor with the modulus")
     s = _poly_divmod(s, m, p)[1]
     return tuple(s[i] if i < len(s) else 0 for i in range(f))
+
+
+def newton_vec_inv(a, poly, p, K):
+    """Inverse of a modulo (poly, p^K) by Newton from a^-1 mod (poly, p); NonUnit unless
+    a is a unit mod (poly, p)."""
+    f, mod = len(a), p ** K
+    x = pa.vec_inv(a, poly, p)
+    # x <- x * (2 - a*x), gaining one doubling of correct digits per pass
+    k = 1
+    two = pa.vec_from_int(2, f, mod)
+    while k < K:
+        k *= 2
+        m2 = p ** min(k, K)
+        ax = pa.vec_mul(pa.vec_mask(a, m2), x, poly, m2)
+        x = pa.vec_mul(x, pa.vec_sub(pa.vec_mask(two, m2), ax, m2), poly, m2)
+    return pa.vec_mask(x, mod)
+
+
+def newton_inv(u):
+    """u^-1 as a ring element, by ``newton_vec_inv`` at u's precision."""
+    P = u.params
+    return ZqElement(P, newton_vec_inv(u.coeffs, P.poly, P.p, u.prec), u.prec)
+
+
+def loop_phi_norm(eps):
+    """eps * phi(eps) * ... * phi^(f-1)(eps) by f-1 Frobenius calls and products."""
+    acc = t = eps
+    for _ in range(eps.params.f - 1):
+        t = frobenius(t)
+        acc = acc * t
+    return acc
+
+
+def agreement_precision(u, v):
+    """Largest k <= min(prec) with u = v mod p^k (0 when residues differ)."""
+    return (u - v).valuation()
 
 
 def _fq_elements(params):
@@ -643,7 +687,7 @@ def full_precision_frobenius_root(params):
         if not any(fy):
             return y
         dy = pa.vec_eval_int_poly(deriv, y, poly, mod)
-        y = pa.vec_sub(y, pa.vec_mul(fy, pa.vec_inv(dy, poly, p, params.N), poly, mod), mod)
+        y = pa.vec_sub(y, pa.vec_mul(fy, newton_vec_inv(dy, poly, p, params.N), poly, mod), mod)
     raise ArithmeticError("Frobenius lift did not converge")
 
 

@@ -14,7 +14,6 @@ from wittcalc import (
     Obstruction,
     RelationQuery,
     ZqMatrix,
-    agreement_precision,
     enumerate_constants,
     eval_delta_function,
     fermat_quotient,
@@ -37,7 +36,7 @@ from wittcalc import (
 )
 
 from conftest import get_params
-from oracles import log_route_psi
+from oracles import agreement_precision, log_route_psi
 
 
 def report(num, name, failures, total):

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 import wittcalc
-from wittcalc import conway
+from wittcalc import conway, new_params, zq
 
 SRC = Path(wittcalc.__file__).parent
 
@@ -70,3 +70,20 @@ def test_every_lru_cache_is_bounded():
                  if not (type(size) is int and size > 0)}
     assert unbounded.keys() == UNBOUNDED.keys(), unbounded
     assert conway.conway_polynomial.cache_parameters()["maxsize"] is None
+
+
+def test_ring_structure_entry_holds_one_table_per_power_of_phi():
+    # an entry is (modulus, the tables of phi^k for 0 < k < f), so its size
+    # is max(f-1, 1) tables of f columns of f ints below p^N: f = 1 keeps its
+    # one identity table, phi's is the first and phi^(-1) = phi^(f-1)'s the
+    # last, the same objects the ring holds, so no table is stored twice
+    zq._ring_structure.cache_clear()
+    for p, f, N in ((3, 1, 5), (2, 2, 9), (5, 3, 8), (3, 4, 6), (2, 8, 30), (7, 5, 4)):
+        P = new_params(p, f, N)
+        poly, phis = zq._ring_structure(p, f, N, P.poly, False)
+        assert poly == P.poly and phis is P._phis and len(phis) == max(f - 1, 1)
+        assert P._phi_cols is phis[0] and P._phi_inv_cols is phis[max(f - 2, 0)]
+        assert all(len(cols) == f and all(len(col) == f and all(0 <= x < p ** N for x in col)
+                                          for col in cols) for cols in phis)
+    assert new_params(3, 1, 5)._phis == (((1,),),)
+    assert zq._ring_structure.cache_info().currsize == 6

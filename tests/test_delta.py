@@ -435,13 +435,18 @@ def test_series_cost_in_ring_products(ring_products):
     # route and its series route and compared them, (16, 31, 4) at
     # (3, 6, 60) and (17, 25, 4) at (5, 4, 40); it now sums the series
     # alone, and its vec_mul calls are u^p, the inverse of u^p and one
-    # product.  The psi truncation's terms all
+    # product.  That inverse was Newton from the mod-p seed, about 2 log2 N
+    # products: psi took (15, 16, 2) at (3, 6, 60) and (16, 13, 2) at
+    # (5, 4, 40), and the psi truncation (17, 16, 2) and (19, 13, 2).  It is
+    # now the norm chain, one vec_apply and one vec_mul per step over the
+    # bits of f-1 and one more of each for the conjugates' product and the
+    # norm.  The psi truncation's terms all
     # lie along the direction (-p, 1), so eval_delta_function sums them as
     # one series.  In u*du + du^2 + 3u^2*du each term is its own direction
     # and costs what the per-term products did, jets included.
-    for ring, counts in (((3, 6, 60), ((0, 15, 2), (0, 21, 2), (15, 16, 2), (17, 16, 2),
+    for ring, counts in (((3, 6, 60), ((0, 15, 2), (0, 21, 2), (7, 20, 2), (9, 20, 2),
                                        (6, 1, 0))),
-                         ((5, 4, 40), ((0, 12, 2), (0, 14, 2), (16, 13, 2), (19, 13, 2),
+                         ((5, 4, 40), ((0, 12, 2), (0, 14, 2), (7, 16, 2), (10, 16, 2),
                                        (7, 1, 0)))):
         P = get_params(*ring)
         rng = random.Random(12)

@@ -57,7 +57,6 @@ from wittcalc import (
     eval_delta_function,
     from_digits,
     ZqMatrix,
-    agreement_precision,
     enumerate_constants,
     fermat_quotient,
     find_relation,
@@ -86,9 +85,10 @@ from wittcalc import polyarith as pa
 from wittcalc import serialize as ser
 from wittcalc.conway import is_irreducible_mod_p
 
-from conftest import get_params
+from conftest import get_params, random_ring
 from oracles import (
     _relation_evaluate,
+    agreement_precision,
     candidate_find_relation,
     degree_loop_minimal_polynomial,
     per_degree_graded_search,
@@ -747,11 +747,27 @@ def test_ring_laws_at_mixed_precisions(ring, data):
 
 
 @SETTINGS
+@hypothesis.given(st.sampled_from((2, 3, 5, 7, 101)), st.integers(1, 8), st.integers(2, 9),
+                  st.data())
+def test_inverse_by_the_norm_inverts(p, f, N, data):
+    # u * u^-1 = 1 exactly at u's precision for every p, p = 2 included,
+    # over random irreducible moduli up to f = 8, where the norm chain runs
+    # every bit pattern of f-1; the inverse is an involution and multiplicative
+    P = random_ring(random.Random(data.draw(st.integers(0, 2 ** 32))), p, f, N)
+    units = st.tuples(*[st.integers(0, p ** N - 1)] * f).filter(lambda cs: any(x % p for x in cs))
+    u = P.from_coeffs(data.draw(units)).mask(data.draw(st.integers(1, N)))
+    v = P.from_coeffs(data.draw(units))
+    w = u.inv()
+    assert w.prec == u.prec and (u * w).coeffs == P.one(u.prec).coeffs
+    assert (w.inv().coeffs, (u * v).inv().coeffs) == (u.coeffs, (w * v.inv()).coeffs)
+
+
+@SETTINGS
 @hypothesis.given(RINGS, st.data())
 def test_valuation_is_an_int_capped_at_the_precision(ring, data):
     # valuation() is min(v_p, prec) as an int, prec exactly at 0; it adds
-    # under products up to the product's precision, and agreement_precision
-    # is the valuation of the difference
+    # under products up to the product's precision, and a difference has
+    # one valuation either way round
     P = get_params(*ring)
 
     def element():
@@ -764,7 +780,7 @@ def test_valuation_is_an_int_capped_at_the_precision(ring, data):
         assert type(v) is int and v == guarded_valuation(u)
         assert 0 <= v <= u.prec and (v == u.prec) == u.is_zero()
     assert (a * b).valuation() == min(a.valuation() + b.valuation(), (a * b).prec)
-    assert agreement_precision(a, b) == (a - b).valuation()
+    assert (a - b).valuation() == (b - a).valuation()
 
 
 @SETTINGS

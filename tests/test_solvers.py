@@ -16,7 +16,6 @@ from wittcalc import (
     UnsupportedPrime,
     ZqElement,
     ZqMatrix,
-    agreement_precision,
     conway_polynomial,
     enumerate_constants,
     fermat_quotient,
@@ -37,6 +36,7 @@ from wittcalc import solvers, zq
 
 from conftest import get_params, oracle_exp
 from oracles import (
+    agreement_precision,
     chained_constants,
     digitwise_solve_matrix_linear,
     fixed_point_solve_matrix_linear,
@@ -623,7 +623,11 @@ def test_solve_layer_cost_in_ring_products(ring_products):
     # phi(u) - (I + p*beta) @ u^(p) mod p^20 on coefficient tuples, one
     # p-th power per entry.  The ring builds are cold: a ring equal to one
     # built before shares its modulus and Frobenius tables and makes no
-    # product, so a second equal build is pinned at (0, 0, 0).
+    # product, so a second equal build is pinned at (0, 0, 0).  A cold build
+    # made the tables of phi and phi^(-1) only, (90, 12, 2) at (3, 6, 60) and
+    # (97, 18, 2) at (2, 8, 30); it now makes one table per phi^k, 0 < k < f,
+    # each phi^k(g) one vec_apply from the last and its powers one
+    # vec_mul_cols and f-2 vec_apply calls.  At f = 3 that is the same two.
     # the Conway search's products are not the solve layer's
     for p, f in ((7, 3), (3, 6), (2, 8)):
         conway_polynomial(p, f)
@@ -640,9 +644,9 @@ def test_solve_layer_cost_in_ring_products(ring_products):
             (lambda: solve_matrix_linear(beta), (180, 36, 54), 9, 5, 0),
             (lambda: verify_matrix_linear(u, beta), (36, 9, 0), 9, 0, 0),
             (lambda: enumerate_constants(cold(7, 3, 20)), (111, 4, 8), 0, 5, 1),
-            (lambda: cold(3, 6, 60), (90, 12, 2), 0, 0, 0),
+            (lambda: cold(3, 6, 60), (90, 24, 5), 0, 0, 0),
             (lambda: new_params(3, 6, 60), (0, 0, 0), 0, 0, 0),
-            (lambda: cold(2, 8, 30), (97, 18, 2), 0, 0, 0))
+            (lambda: cold(2, 8, 30), (97, 48, 7), 0, 0, 0))
     for run, counts, dots, blocks, tables in runs:
         got = ring_products(run)
         assert got == counts and len(ring_products.calls["vec_dot"]) == dots

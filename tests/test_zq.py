@@ -17,7 +17,6 @@ from wittcalc import (
     ReduciblePolynomial,
     TeichmullerDigits,
     ZqMatrix,
-    agreement_precision,
     conway_polynomial,
     digits,
     from_digits,
@@ -32,13 +31,17 @@ from wittcalc import (
 from wittcalc import conway, polyarith, solvers, zq
 from wittcalc.serialize import element_from_obj, element_to_obj
 
-from conftest import get_params
+from conftest import get_params, random_ring
 from oracles import (
+    agreement_precision,
     euclid_inv_mod_p,
     full_precision_frobenius_root,
     full_scan_conway_polynomial,
     gcd_is_irreducible_mod_p,
     iterated_teichmuller,
+    loop_phi_norm,
+    newton_inv,
+    newton_vec_inv,
     scaled_from_digits,
     trial_division_prime_factors,
 )
@@ -83,7 +86,7 @@ def test_every_irreducible_modulus_builds_a_ring():
             # m'(g) is a unit mod (m, p); vec_inv raises NonUnit otherwise
             deriv = tuple(i * c for i, c in enumerate(poly))[1:]
             x = (0, 1) + (0,) * (f - 2)
-            polyarith.vec_inv(polyarith.vec_eval_int_poly(deriv, x, poly, p), poly, p, 1)
+            polyarith.vec_inv(polyarith.vec_eval_int_poly(deriv, x, poly, p), poly, p)
             g = new_params(p, f, 6, poly).gen()
             orbit = [g]
             for _ in range(f):
@@ -110,7 +113,9 @@ def test_irreducibility_matches_gcd_oracle():
 def test_vec_inv_matches_euclid_oracle():
     # Seeds from one cofactor against seeds from both, on random moduli
     # (mostly reducible), products with one of their factors, multiples of
-    # p, and p = 10^9+7; the inverse mod p^K is checked by multiplying back.
+    # p, and p = 10^9+7; Newton's inverse mod p^K from that seed (the oracle
+    # newton_vec_inv, vec_inv(a, poly, p, K) before the ring inverse went by
+    # the norm) is checked by multiplying back.
     rng = random.Random(23)
     kinds = {"unit": 0, "zero mod p": 0, "shares a factor": 0}
     for _ in range(4000):
@@ -133,10 +138,13 @@ def test_vec_inv_matches_euclid_oracle():
             seed = euclid_inv_mod_p(a, poly, p)
         except NonUnit:
             with pytest.raises(NonUnit):
-                polyarith.vec_inv(a, poly, p, K)
+                polyarith.vec_inv(a, poly, p)
+            with pytest.raises(NonUnit):
+                newton_vec_inv(a, poly, p, K)
             kinds["zero mod p" if not any(x % p for x in a) else "shares a factor"] += 1
             continue
-        inv = polyarith.vec_inv(a, poly, p, K)
+        assert polyarith.vec_inv(a, poly, p) == seed
+        inv = newton_vec_inv(a, poly, p, K)
         assert polyarith.vec_mask(inv, p) == seed
         assert polyarith.vec_mul(a, inv, poly, mod) == polyarith.vec_one(f)
         kinds["unit"] += 1
@@ -147,10 +155,12 @@ def test_vec_inv_under_a_reducible_modulus():
     # over F_3, x^2 + 2 = (x + 1)(x + 2): x + 1 is a zero divisor though
     # nonzero mod 3, and x, with x^2 = 1, is its own inverse mod 3
     poly = (2, 0, 1)
+    with pytest.raises(NonUnit, match="^element shares a factor with the modulus$"):
+        polyarith.vec_inv((1, 1), poly, 3)
     with pytest.raises(NonUnit):
-        polyarith.vec_inv((1, 1), poly, 3, 5)
-    assert polyarith.vec_inv((0, 1), poly, 3, 1) == (0, 1)
-    inv = polyarith.vec_inv((0, 1), poly, 3, 5)
+        newton_vec_inv((1, 1), poly, 3, 5)
+    assert polyarith.vec_inv((0, 1), poly, 3) == (0, 1)
+    inv = newton_vec_inv((0, 1), poly, 3, 5)
     assert polyarith.vec_mul((0, 1), inv, poly, 3 ** 5) == (1, 0)
 
 
@@ -307,8 +317,36 @@ def test_unit_inverse_and_nonunit_rejection():
     for _ in range(20):
         u = random_element(P, rng, unit=True)
         assert u * u.inv() == 1
-    with pytest.raises(NonUnit):
-        P.from_int(5).inv()
+    # the message is pinned: a non-unit, zero included, at f = 1 and f >= 2
+    for x in (P.from_int(5), P.zero(), P.gen().mul_p_power(2), get_params(2, 1, 5).from_int(6)):
+        with pytest.raises(NonUnit, match="^zero divisor: valuation >= 1$"):
+            x.inv()
+        with pytest.raises(NonUnit, match="^zero divisor: valuation >= 1$"):
+            x ** -1
+
+
+def test_inverse_and_norm_match_newton_and_the_norm_loop():
+    # The inverse by the norm, N(u)^-1 phi(u)...phi^(f-1)(u), against Newton
+    # from the mod-p seed (the library's inverse before it), and phi_norm's
+    # binary chain against f-1 Frobenius calls and products, byte for byte:
+    # random moduli over p in {2, 3, 5, 7, 101} and f = 1..8, so the chain
+    # meets every bit pattern of f-1 up to 111, at every precision 1..N, on
+    # units, non-units and zero.
+    rng = random.Random(33)
+    cases = 0
+    for p in (2, 3, 5, 7, 101):
+        for f in range(1, 9):
+            P = random_ring(rng, p, f, rng.randint(2, 12))
+            for prec in range(1, P.N + 1):
+                for x in (random_element(P, rng, prec, unit=True), random_element(P, rng, prec),
+                          random_element(P, rng, prec).mul_p_power(1).mask(prec)):
+                    n, m = solvers.phi_norm(x), loop_phi_norm(x)
+                    assert (n.coeffs, n.prec) == (m.coeffs, m.prec)
+                    if x.is_unit():
+                        v, w = x.inv(), newton_inv(x)
+                        assert (v.coeffs, v.prec) == (w.coeffs, w.prec)
+                        cases += 1
+    assert cases > 500
 
 
 def test_params_mismatch_rejected():
@@ -389,7 +427,11 @@ def test_frobenius_root_matches_full_precision_oracle():
     # Newton at doubling precision with an updated inverse, built uncached,
     # against Newton at p^N with a fresh inverse each pass; default moduli, a
     # non-Conway one, N = 2, and random irreducible moduli with coefficients
-    # lifted mod p^N.  The cached tables are the uncached ones.
+    # lifted mod p^N.  The cached tables are the uncached ones.  The entry
+    # was (poly, phi's columns, phi^(-1)'s) and was compared with
+    # (P.poly, P._phi_cols, P._phi_inv_cols); it is now (poly, the tables of
+    # phi^k for 0 < k < f), phi's first and phi^(-1) = phi^(f-1)'s last, and
+    # each phi^k(g) is phi applied k times.
     rng = random.Random(19)
     rings = [new_params(p, f, N) for p, f, N in
              [(2, 2, 2), (2, 3, 7), (2, 8, 30), (3, 2, 2), (3, 6, 60), (5, 4, 40),
@@ -403,9 +445,14 @@ def test_frobenius_root_matches_full_precision_oracle():
     for P in rings:
         y = full_precision_frobenius_root(P)
         built = zq._ring_structure.__wrapped__(P.p, P.f, P.N, P.poly, False)
-        assert built == (P.poly, P._phi_cols, P._phi_inv_cols)
-        assert tuple(col[1] for col in built[1]) == y
-        assert frobenius(P.gen()).coeffs == y
+        assert built == (P.poly, P._phis) and len(P._phis) == P.f - 1
+        assert P._phis[0] is P._phi_cols and P._phis[-1] is P._phi_inv_cols
+        assert tuple(col[1] for col in built[1][0]) == y
+        x = P.gen()
+        for cols in P._phis:
+            x = frobenius(x)
+            assert tuple(col[1] for col in cols) == x.coeffs
+        assert frobenius(x) == P.gen()
 
 
 def test_equal_rings_share_frobenius_tables():
